@@ -1,13 +1,15 @@
 """Exact linear algebra over the tower field.
 
-Row-based: a subspace is a list of coordinate rows (lists of FieldElem).
-Everything is computed by exact elimination; no floating point anywhere.
+Row-based: a subspace is a list of coordinate rows (lists of FieldElem),
+reduced by exact elimination.
 
 For large rank/kernel-dimension questions there is a separate modular
-certificate path (`modp_rank`, `modp_kernel_dim`): ranks computed over a
-prime field only ever *lower-bound* the rational rank, so combining a
-modular rank with exactly exhibited kernel vectors yields a fully rigorous
-dimension count at a fraction of the cost.
+certificate path (`modp_rank`, `modp_kernel`, `modp_joint_kernel_dim`):
+ranks computed over a prime field only ever *lower-bound* the rational
+rank, so combining a modular kernel dimension with exactly exhibited kernel
+vectors yields a fully rigorous dimension count at a fraction of the cost.
+Products mod p run in float64 through BLAS, where floats serve only as
+exact integers below 2^53 (see `_matmul_mod`); no float reaches a verdict.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from math import gcd
 import numpy as np
 
 from .fieldtower import FieldElem, TowerSpec
-
-
-def _zero(tower: TowerSpec) -> FieldElem:
-    return tower.zero()
 
 
 def rref(rows, tower: TowerSpec):
@@ -101,11 +99,6 @@ def in_span(basis_rref, pivots, v, tower: TowerSpec) -> bool:
             f = w[pc]
             w = [a - f * b for a, b in zip(w, row)]
     return all(x.is_zero() for x in w)
-
-
-def span_contains_rows(basis_rows, candidate_rows, tower: TowerSpec) -> bool:
-    red, piv = rref(basis_rows, tower)
-    return all(in_span(red, piv, v, tower) for v in candidate_rows)
 
 
 def spans_equal(a_rows, b_rows, tower: TowerSpec) -> bool:
@@ -188,10 +181,6 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -207,29 +196,9 @@ def mat_inverse(mat, tower: TowerSpec):
 
 # -- modular certificates ----------------------------------------------------
 
-#: primes just below 2^20 so that int64 inner products over ~10^3 terms fit
+#: primes just below 2^20.  Any prime with (p-1)^2 < 2^53 keeps the float64
+#: products of `_matmul_mod` exact; a larger one only shrinks their blocks.
 MOD_PRIMES = (1048573, 1048571, 1048559, 1048549)
-
-
-def fieldelem_matrix_to_int(rows) -> list:
-    """Clear denominators row by row; requires all entries rational.
-
-    Scaling rows preserves the row space and the kernel of the matrix.
-    Not suitable for operator matrices; see matrix_to_int_global.
-    """
-    out = []
-    for row in rows:
-        fracs = []
-        for x in row:
-            if isinstance(x, FieldElem):
-                fracs.append(x.as_rational())
-            else:
-                fracs.append(Fraction(x))
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        out.append([int(f * den) for f in fracs])
-    return out
 
 
 def matrix_to_int_global(rows) -> list:
@@ -248,9 +217,20 @@ def matrix_to_int_global(rows) -> list:
     return [[int(f * den) for f in row] for row in fracs]
 
 
+def _residues(int_rows, p: int) -> np.ndarray:
+    """int64 array of the entries mod p.
+
+    Python ints are reduced before numpy sees them, so entries of any size
+    are accepted; an ndarray is reduced in numpy.
+    """
+    if isinstance(int_rows, np.ndarray):
+        return int_rows.astype(np.int64) % p
+    return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+
+
 def _rref_mod_p(M: np.ndarray, p: int):
-    """In-place row reduction mod p; returns pivot column list."""
-    M %= p
+    """In-place row reduction of an int64 array with entries in [0, p);
+    returns the pivot column list."""
     nrows, ncols = M.shape
     pivots = []
     r = 0
@@ -276,42 +256,68 @@ def _rref_mod_p(M: np.ndarray, p: int):
     return pivots
 
 
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for float64 arrays with integer entries in [0, p),
+    for a prime p with (p-1)^2 < 2^53.
+
+    Exactness: every product of two entries is an integer in [0, (p-1)^2],
+    so a block of at most (2^53 - 1) // (p-1)^2 inner terms sums to an
+    integer below 2^53.  float64 holds every integer below 2^53 exactly, and
+    every partial sum of such a block is one of them, so BLAS returns the
+    exact integer in whatever order it adds.  Each block is reduced mod p
+    (exact for nonnegative floats) before it is added to the running sum,
+    which stays below 2p; the result is exact for any inner dimension.
+    Floats here are only exact integers; no rounding can occur.
+    """
+    step = ((1 << 53) - 1) // (p - 1) ** 2
+    out = np.zeros((A.shape[0], B.shape[1]))
+    for s in range(0, A.shape[1], step):
+        out = (out + (A[:, s:s + step] @ B[s:s + step]) % p) % p
+    return out
+
+
 def modp_rank(int_rows, p: int) -> int:
     """Rank of an integer matrix mod p; always <= the rank over Q."""
-    if not int_rows:
+    if len(int_rows) == 0:
         return 0
-    M = np.array(int_rows, dtype=np.int64)
-    return len(_rref_mod_p(M, p))
+    return len(_rref_mod_p(_residues(int_rows, p), p))
 
 
 def modp_kernel(int_rows, ncols: int, p: int) -> np.ndarray:
-    """Kernel basis mod p, as columns of an (ncols x k) array."""
-    if not int_rows:
+    """Kernel basis mod p, as columns of an (ncols x k) int64 array."""
+    if len(int_rows) == 0:
         return np.eye(ncols, dtype=np.int64)
-    M = np.array(int_rows, dtype=np.int64)
+    M = _residues(int_rows, p)
     pivots = _rref_mod_p(M, p)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     K = np.zeros((ncols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        K[f, j] = 1
-        for r, pc in enumerate(pivots):
-            K[pc, j] = (-int(M[r, f])) % p
+    K[free, np.arange(len(free))] = 1
+    if pivots:
+        K[pivots] = (-M[: len(pivots), free]) % p
     return K
 
 
-def modp_joint_kernel_dim(int_matrices, ncols: int, p: int) -> int:
-    """dim of the joint kernel mod p of several integer matrices.
+def modp_joint_kernel_dim(mats, ncols: int, p: int) -> int:
+    """dim of the joint kernel mod p of several matrices with ncols columns.
 
-    Computed by iterated restriction; by the rank inequality mod p this
-    upper-bounds the rational joint kernel dimension.
+    `mats` is an iterable of ndarrays with entries already in [0, p); it is
+    consumed one matrix at a time, so a generator keeps one matrix alive.
+    The columns of K span the joint kernel of the matrices seen so far:
+    K starts as the kernel of the first matrix and each later M restricts
+    it to K @ ker(M @ K).  Stops as soon as K is empty.
+
+    Soundness: a rank over a prime field never exceeds the rank over Q, so
+    a kernel mod p is never smaller than the rational kernel, and the
+    result upper-bounds the rational joint kernel dimension.
     """
-    K = np.eye(ncols, dtype=np.int64)
-    for rows in int_matrices:
+    K = None
+    for M in mats:
+        if K is None:
+            K = modp_kernel(M, ncols, p).astype(np.float64)
+        else:
+            KB = modp_kernel(_matmul_mod(M, K, p), K.shape[1], p)
+            K = _matmul_mod(K, KB.astype(np.float64), p)
         if K.shape[1] == 0:
             return 0
-        M = np.array(rows, dtype=np.int64) % p
-        R = (M @ K) % p
-        KB = modp_kernel(list(R), K.shape[1], p)
-        K = (K @ KB) % p
-    return K.shape[1]
+    return ncols if K is None else K.shape[1]

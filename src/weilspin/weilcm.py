@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg
 from .clifford import HyperbolicSpace, SoPair, derivation_int, int_derivation_cols
 from .exteralg import Multivector, contract_gen, exp_even, wedge
@@ -547,25 +549,33 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     nmask = len(masks)
     if k == 0:
         return 1, "exact"
-    int_mats = []
-    for cols in int_cols:
-        rows = [[0] * nmask for _ in range(nmask)]
-        for col_idx, m in enumerate(masks):
-            image = derivation_int(cols, {m: 1})
-            for mm, c in image.items():
-                rows[index[mm]][col_idx] = c
-        int_mats.append(rows)
+
+    def entries(cols):
+        """(row, column, integer) for each nonzero entry of one generator's matrix."""
+        for j, m in enumerate(masks):
+            for mm, c in derivation_int(cols, {m: 1}).items():
+                yield index[mm], j, c
+
+    def residue_matrix(cols, p):
+        mat = np.zeros((nmask, nmask))
+        for i, j, c in entries(cols):
+            mat[i, j] = c % p
+        return mat
+
     for p in linalg.MOD_PRIMES:
-        dim_p = linalg.modp_joint_kernel_dim(int_mats, nmask, p)
+        dim_p = linalg.modp_joint_kernel_dim((residue_matrix(cols, p) for cols in int_cols), nmask, p)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
         if dim_p < expected_dim:
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
-    # exact fallback
+    # exact fallback, the last resort: only here are Python rows built
     stacked = []
-    for rows in int_mats:
-        stacked.extend([[t.scalar(x) for x in row] for row in rows])
+    for cols in int_cols:
+        rows = [[t.zero()] * nmask for _ in range(nmask)]
+        for i, j, c in entries(cols):
+            rows[i][j] = t.scalar(c)
+        stacked.extend(rows)
     kernel = linalg.nullspace(stacked, nmask, t)
     return len(kernel), "exact elimination"
 

@@ -22,7 +22,7 @@ from weilspin.secantpipe import (
     run_all,
     transform_pair,
 )
-from weilspin.weilcm import WeilStructure
+from weilspin.weilcm import WeilDatum, WeilStructure
 
 
 def test_preset_names():
@@ -180,3 +180,20 @@ def test_cli_custom_input(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["checks"][0]["witness"] == {"dim": 4}
+
+
+def test_invariants_on_large_integer_datum():
+    # Theta scaled by 10^6+3 and q = (10^9+7)/3: the cleared g_B generators
+    # have entries far beyond int64, which must be reduced mod p before numpy
+    s = 10**6 + 3
+    eta_hat = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    theta = [[0] * 6 for _ in range(6)]
+    for i, j in ((0, 3), (1, 4), (2, 5)):
+        theta[i][j] = s
+        theta[j][i] = -s
+    datum = WeilDatum(TowerSpec(1, Fraction(10**9 + 7, 3)), 3, eta_hat, theta, name="big")
+    report = run_all(datum, seed=0, check_filter="invariants.k=1")
+    assert [c.name for c in report.checks] == [f"invariants.k={k}" for k in (1, 10, 11, 12)]
+    for check in report.checks:
+        assert check.status, check.witness
+        assert check.witness["method"] == f"modular certificate (p={linalg.MOD_PRIMES[0]})"

@@ -283,6 +283,20 @@ def test_invariants_selected_degrees(ws4):
     assert flag0 and dim0 == 1
 
 
+def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
+    from weilspin.weilcm import gb_int_cols, invariant_dimension_certificate
+
+    cols = gb_int_cols(ws4.gB)
+    for k in (1, 2):  # 8 and 28 masks
+        expected = ws4.invariants_and_generation(k)[0]
+        dim, method = invariant_dimension_certificate(ws4.space, cols, k, expected)
+        assert method.startswith("modular certificate")
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "MOD_PRIMES", ())
+            assert invariant_dimension_certificate(ws4.space, cols, k, expected) == (
+                dim, "exact elimination")
+
+
 def test_pair_f_recovers_pairing(ws4, rng):
     tow = ws4.datum.tower
     for _ in range(6):
