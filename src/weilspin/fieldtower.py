@@ -5,22 +5,30 @@ K = F(sqrt(-q)) with q a positive rational.  Since q is rational the Galois
 closure of K is K itself, so every embedding K -> C is realized exactly as
 a pair of sign flips on sqrt(p) and sqrt(-q).
 
-Every element of every subfield is stored in one fixed coordinate system:
-the 4-tuple of rationals over the basis {1, sqrt(p), sqrt(-q), sqrt(p)*sqrt(-q)}.
-When p = 1 the sqrt(p) coordinates are folded into the rational ones, so
-degenerate towers share all code paths.
+Every element of every subfield is stored in one fixed coordinate system,
+the basis {1, sqrt(p), sqrt(-q), sqrt(p)*sqrt(-q)}, as four integer
+numerators n over one positive integer denominator d in lowest terms
+(gcd(*n, d) == 1).  That form is canonical, so equality is tuple equality,
+and all arithmetic runs on Python ints: each result is normalised with one
+gcd.  Fractions appear only at the boundaries: `TowerSpec.elem`,
+`FieldElem.as_rational`, JSON and repr.
+
+When p = 1, `TowerSpec.elem` folds the sqrt(p) coordinates into the
+rational ones, so n[1] = n[3] = 0; every operation keeps folded elements
+folded, and degenerate towers share all code paths.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
+from math import gcd, lcm
 
 #: subfield tags, ordered by inclusion
 SUBFIELDS = ("Q", "F", "K")
+
+_ZERO = (0, 0, 0, 0)
+_ONE = (1, 0, 0, 0)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -37,9 +45,9 @@ def _is_squarefree(n: int) -> bool:
 class TowerSpec:
     """The pair (p, q) defining the tower Q <= Q(sqrt p) <= Q(sqrt p, sqrt -q)."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "qn", "qd")
 
-    def __init__(self, p: int, q: Rational):
+    def __init__(self, p: int, q: int | Fraction):
         p = int(p)
         q = Fraction(q)
         if p != 1:
@@ -49,6 +57,8 @@ class TowerSpec:
             raise ValueError(f"q must be a positive rational, got {q}")
         self.p = p
         self.q = q
+        self.qn = q.numerator
+        self.qd = q.denominator
 
     @property
     def e(self) -> int:
@@ -60,7 +70,9 @@ class TowerSpec:
         return 1 if self.p == 1 else 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TowerSpec) and self.p == other.p and self.q == other.q
+        return self is other or (
+            isinstance(other, TowerSpec) and self.p == other.p and self.q == other.q
+        )
 
     def __hash__(self):
         return hash((self.p, self.q))
@@ -70,33 +82,47 @@ class TowerSpec:
 
     # -- elements ----------------------------------------------------------
 
-    def elem(self, c0: Rational = 0, c1: Rational = 0, c2: Rational = 0, c3: Rational = 0) -> "FieldElem":
-        return FieldElem(self, (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)))
+    def elem(self, c0=0, c1=0, c2=0, c3=0) -> "FieldElem":
+        """The element c0 + c1 sqrt(p) + c2 sqrt(-q) + c3 sqrt(p) sqrt(-q).
+
+        The coordinates may be anything `Fraction` accepts.  When p = 1 the
+        sqrt(p) coordinates fold into the rational ones.
+        """
+        cs = [Fraction(c) for c in (c0, c1, c2, c3)]
+        d = lcm(*[c.denominator for c in cs])
+        n0, n1, n2, n3 = [c.numerator * (d // c.denominator) for c in cs]
+        if self.p == 1:  # sqrt(1) = 1
+            n0, n1, n2, n3 = n0 + n1, 0, n2 + n3, 0
+        return FieldElem(self, (n0, n1, n2, n3), d)
 
     def zero(self) -> "FieldElem":
-        return self.elem(0)
+        return FieldElem(self, _ZERO)
 
     def one(self) -> "FieldElem":
-        return self.elem(1)
+        return FieldElem(self, _ONE)
 
     def sqrt_p(self) -> "FieldElem":
         return self.elem(0, 1)
 
     def sqrt_minus_q(self) -> "FieldElem":
-        return self.elem(0, 0, 1)
+        return FieldElem(self, (0, 0, 1, 0))
 
     def scalar(self, x) -> "FieldElem":
         """Coerce an int/Fraction/FieldElem into this tower."""
         if isinstance(x, FieldElem):
-            if x.tower != self:
+            if x.tower is not self and x.tower != self:
                 raise ValueError("element belongs to a different tower")
             return x
-        return self.elem(Fraction(x))
+        if isinstance(x, int):
+            return FieldElem(self, (x, 0, 0, 0))
+        if isinstance(x, Fraction):
+            return FieldElem(self, (x.numerator, 0, 0, 0), x.denominator)
+        return self.elem(x)
 
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"p": self.p, "q": {"num": self.q.numerator, "den": self.q.denominator}}
+        return {"p": self.p, "q": {"num": self.qn, "den": self.qd}}
 
     @classmethod
     def from_json(cls, data: dict) -> "TowerSpec":
@@ -116,36 +142,43 @@ def parse_rational(data) -> Fraction:
 
 
 class FieldElem:
-    """Element of the tower, as coordinates over {1, sqrt p, sqrt -q, sqrt p * sqrt -q}.
+    """Element (n0 + n1 sqrt p + n2 sqrt -q + n3 sqrt p sqrt -q) / d of the tower.
+
+    `n` is a 4-tuple of ints and `d` a positive int; the constructor puts
+    them in lowest terms, so two elements are equal exactly when their
+    (n, d) are.  Build elements from rationals with `TowerSpec.elem`,
+    which also folds p = 1.
 
     Immutable.  Arithmetic raises on tower mismatch; division by zero is
     signaled with ZeroDivisionError.
     """
 
-    __slots__ = ("tower", "c")
+    __slots__ = ("tower", "n", "d")
 
-    def __init__(self, tower: TowerSpec, coords: tuple):
-        if tower.p == 1 and (coords[1] or coords[3]):
-            # sqrt(1) = 1: fold the degenerate coordinates
-            coords = (coords[0] + coords[1], Fraction(0), coords[2] + coords[3], Fraction(0))
+    def __init__(self, tower: TowerSpec, n: tuple, d: int = 1):
+        g = gcd(n[0], n[1], n[2], n[3], d)
+        if g != 1:
+            n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+            d //= g
         self.tower = tower
-        self.c = coords
+        self.n = n
+        self.d = d
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return self.n == _ZERO
 
     def is_rational(self) -> bool:
-        return not (self.c[1] or self.c[2] or self.c[3])
+        n = self.n
+        return not (n[1] or n[2] or n[3])
 
     def subfield(self) -> str:
         """Smallest tag in SUBFIELDS containing this element."""
-        if self.is_rational():
-            return "Q"
-        if not (self.c[2] or self.c[3]):
-            return "F"
-        return "K"
+        n = self.n
+        if n[2] or n[3]:
+            return "K"
+        return "F" if n[1] else "Q"
 
     def in_subfield(self, tag: str) -> bool:
         return SUBFIELDS.index(self.subfield()) <= SUBFIELDS.index(tag)
@@ -153,69 +186,96 @@ class FieldElem:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.n[0], self.d)
+
+    def component(self, k: int) -> "FieldElem":
+        """The k-th coordinate over {1, sqrt p, sqrt -q, sqrt p sqrt -q}, as a rational element."""
+        return FieldElem(self.tower, (self.n[k], 0, 0, 0), self.d)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if other.tower != self.tower:
+            if other.tower is not self.tower and other.tower != self.tower:
                 raise ValueError("tower mismatch")
             return other
         return self.tower.scalar(other)
 
     def __add__(self, other):
-        other = self._check(other)
-        a, b = self.c, other.c
-        return FieldElem(self.tower, (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        if other.__class__ is not FieldElem or other.tower is not self.tower:
+            other = self._check(other)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return FieldElem(self.tower, (a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
+        return FieldElem(
+            self.tower,
+            (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, a3 * db + b3 * da),
+            da * db,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.c
-        return FieldElem(self.tower, (-a[0], -a[1], -a[2], -a[3]))
+        a0, a1, a2, a3 = self.n
+        return FieldElem(self.tower, (-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        if other.__class__ is not FieldElem or other.tower is not self.tower:
+            other = self._check(other)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return FieldElem(self.tower, (a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
+        return FieldElem(
+            self.tower,
+            (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
+            da * db,
+        )
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
-        other = self._check(other)
-        a, b = self.c, other.c
-        if not (a[1] or a[2] or a[3]):  # rational fast path
-            if not a[0]:
-                return self.tower.zero()
-            r = a[0]
-            return FieldElem(self.tower, (r * b[0], r * b[1], r * b[2], r * b[3]))
-        if not (b[1] or b[2] or b[3]):
-            r = b[0]
-            if not r:
-                return self.tower.zero()
-            return FieldElem(self.tower, (a[0] * r, a[1] * r, a[2] * r, a[3] * r))
-        p, q = self.tower.p, self.tower.q
-        c0 = a[0] * b[0] + p * a[1] * b[1] - q * a[2] * b[2] - p * q * a[3] * b[3]
-        c1 = a[0] * b[1] + a[1] * b[0] - q * (a[2] * b[3] + a[3] * b[2])
-        c2 = a[0] * b[2] + a[2] * b[0] + p * (a[1] * b[3] + a[3] * b[1])
-        c3 = a[0] * b[3] + a[3] * b[0] + a[1] * b[2] + a[2] * b[1]
-        return FieldElem(self.tower, (c0, c1, c2, c3))
+        if other.__class__ is not FieldElem or other.tower is not self.tower:
+            other = self._check(other)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        d = self.d * other.d
+        if not (a1 or a2 or a3):  # rational fast path
+            return FieldElem(self.tower, (a0 * b0, a0 * b1, a0 * b2, a0 * b3), d)
+        if not (b1 or b2 or b3):
+            return FieldElem(self.tower, (a0 * b0, a1 * b0, a2 * b0, a3 * b0), d)
+        # (a0 + a1 rp + a2 rq + a3 rp rq)(b0 + ...) with rp^2 = p, rq^2 = -qn/qd;
+        # the qd of every sqrt(-q)^2 term goes into the denominator
+        t = self.tower
+        p, qn, qd = t.p, t.qn, t.qd
+        u0 = a0 * b0 + p * a1 * b1
+        v0 = a2 * b2 + p * a3 * b3
+        u1 = a0 * b1 + a1 * b0
+        v1 = a2 * b3 + a3 * b2
+        c2 = a0 * b2 + a2 * b0 + p * (a1 * b3 + a3 * b1)
+        c3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
+        if qd == 1:
+            return FieldElem(t, (u0 - qn * v0, u1 - qn * v1, c2, c3), d)
+        return FieldElem(t, (qd * u0 - qn * v0, qd * u1 - qn * v1, qd * c2, qd * c3), d * qd)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower field")
-        # clear sqrt(-q) first: x * iota(x) lies in F, then invert in F
+        # clear sqrt(-q) first: f = x * iota(x) lies in F, then invert in F
         xb = self.iota()
-        f = self * xb  # in F
-        f0, f1 = f.c[0], f.c[1]
-        nrm = f0 * f0 - self.tower.p * f1 * f1  # rational norm of f over Q
-        if nrm == 0:
-            # only possible if f = 0, i.e. self = 0 (norm form anisotropic)
-            raise ZeroDivisionError("inverse of zero in the tower field")
-        f_inv = FieldElem(self.tower, (f0 / nrm, -f1 / nrm, Fraction(0), Fraction(0)))
-        return xb * f_inv
+        f = self * xb
+        f0, f1 = f.n[0], f.n[1]
+        # 1/f = d_f (f0 - f1 sqrt p) / N with N = f0^2 - p f1^2 the rational
+        # norm of d_f * f; f is a norm from the CM field K, so totally
+        # positive, and N > 0
+        nrm = f0 * f0 - self.tower.p * f1 * f1
+        return xb * FieldElem(self.tower, (f.d * f0, -f.d * f1, 0, 0), nrm)
 
     def __truediv__(self, other):
         return self * self._check(other).inv()
@@ -239,36 +299,43 @@ class FieldElem:
 
     def iota(self) -> "FieldElem":
         """Conjugation over F: negates the sqrt(-q) coordinates."""
-        a = self.c
-        return FieldElem(self.tower, (a[0], a[1], -a[2], -a[3]))
-
-    def conj_p(self) -> "FieldElem":
-        """Conjugation over Q(sqrt -q): negates the sqrt(p) coordinates."""
-        a = self.c
-        return FieldElem(self.tower, (a[0], -a[1], a[2], -a[3]))
+        a0, a1, a2, a3 = self.n
+        return FieldElem(self.tower, (a0, a1, -a2, -a3), self.d)
 
     # -- comparison / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.scalar(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.tower == other.tower and self.c == other.c
+        if isinstance(other, FieldElem):
+            return (
+                self.n == other.n
+                and self.d == other.d
+                and (self.tower is other.tower or self.tower == other.tower)
+            )
+        if isinstance(other, int):
+            return self.d == 1 and self.n == (other, 0, 0, 0)
+        if isinstance(other, Fraction):
+            return self.d == other.denominator and self.n == (other.numerator, 0, 0, 0)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.tower, self.c))
+        if self.is_rational():
+            return hash(self.as_rational())  # hashes like the equal int / Fraction
+        return hash((self.n, self.d))
 
     def __repr__(self):
         parts = []
         names = ("", "*rp", "*rq", "*rp*rq")
-        for coord, name in zip(self.c, names):
+        for coord, name in zip(self.n, names):
             if coord:
-                parts.append(f"{coord}{name}")
+                parts.append(f"{Fraction(coord, self.d)}{name}")
         return "+".join(parts) if parts else "0"
 
     def to_json(self) -> list:
-        return [[x.numerator, x.denominator] for x in self.c]
+        out = []
+        for x in self.n:
+            g = gcd(x, self.d)
+            out.append([x // g, self.d // g])
+        return out
 
     @classmethod
     def from_json(cls, tower: TowerSpec, data) -> "FieldElem":
@@ -291,18 +358,12 @@ class Embedding:
         self.sign_q = sign_q
 
     def __call__(self, a: FieldElem) -> FieldElem:
-        c = a.c
-        return FieldElem(
-            a.tower,
-            (c[0], self.sign_p * c[1], self.sign_q * c[2], self.sign_p * self.sign_q * c[3]),
-        )
+        n0, n1, n2, n3 = a.n
+        sp, sq = self.sign_p, self.sign_q
+        return FieldElem(a.tower, (n0, sp * n1, sq * n2, sp * sq * n3), a.d)
 
     def after_iota(self) -> "Embedding":
         return Embedding(self.sign_p, -self.sign_q)
-
-    def restricts_to(self) -> int:
-        """The sign_p value, i.e. the F-embedding below this one."""
-        return self.sign_p
 
     def __eq__(self, other):
         return (
@@ -327,11 +388,6 @@ def f_embeddings(tower: TowerSpec) -> list:
 def k_embeddings(tower: TowerSpec) -> list:
     """All e embeddings of K, ordered deterministically."""
     return [Embedding(sp, sq) for sp in f_embeddings(tower) for sq in (1, -1)]
-
-
-def galois_group(tower: TowerSpec) -> list:
-    """All automorphisms of the (Galois) field K; same data as k_embeddings."""
-    return k_embeddings(tower)
 
 
 class CMType:
@@ -388,11 +444,5 @@ def trace_to_Q(a: FieldElem, sub: str) -> Fraction:
         raise ValueError(f"trace from {sub!r} not defined; use 'F' or 'K'")
     if not a.in_subfield(sub):
         raise ValueError(f"element {a} does not lie in {sub}")
-    if sub == "F":
-        return a.tower.f_degree * a.c[0]
-    return a.tower.e * a.c[0]
-
-
-def rational_components(a: FieldElem) -> tuple:
-    """The 4 rational coordinates of a (zero-padded in degenerate towers)."""
-    return a.c
+    degree = a.tower.f_degree if sub == "F" else a.tower.e
+    return degree * a.component(0).as_rational()

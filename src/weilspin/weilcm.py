@@ -120,9 +120,8 @@ class WeilDatum:
 
     def theta_q_matrix(self):
         """Entrywise trace to Q: coefficients of Theta in wedge^2 H1(X)."""
-        t = self.tower
-        deg = t.f_degree
-        return [[t.scalar(deg * x.c[0]) for x in row] for row in self.theta_f]
+        deg = self.tower.f_degree
+        return [[x.component(0) * deg for x in row] for row in self.theta_f]
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +129,7 @@ class WeilDatum:
             "tower": self.tower.to_json(),
             "n": self.n,
             "eta_hat": [[[x.as_rational().numerator, x.as_rational().denominator] for x in row] for row in self.eta_hat],
-            "theta": [[[list(x.c[0].as_integer_ratio()), list(x.c[1].as_integer_ratio())] for x in row] for row in self.theta_f],
+            "theta": [[x.to_json()[:2] for x in row] for row in self.theta_f],
             "dual_f_basis": [[[x.as_rational().numerator, x.as_rational().denominator] for x in row] for row in self.dual_f_basis],
         }
 
@@ -259,12 +258,12 @@ class CmAction:
     def of(self, elem: FieldElem):
         """Matrix of eta_t for t in K, as a rational matrix over the tower."""
         t = self.datum.tower
-        out = linalg.mat_scale(self.mats["1"], t.scalar(elem.c[0]))
-        out = linalg.mat_add(out, linalg.mat_scale(self.mats["rq"], t.scalar(elem.c[2])))
+        out = linalg.mat_scale(self.mats["1"], elem.component(0))
+        out = linalg.mat_add(out, linalg.mat_scale(self.mats["rq"], elem.component(2)))
         if t.p != 1:
-            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rp"], t.scalar(elem.c[1])))
-            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rprq"], t.scalar(elem.c[3])))
-        elif elem.c[1] or elem.c[3]:
+            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rp"], elem.component(1)))
+            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rprq"], elem.component(3)))
+        elif elem.n[1] or elem.n[3]:
             raise ValueError("element not in K")
         return out
 
@@ -338,17 +337,9 @@ def rational_component_rows(vectors):
     """All rational coordinate components of a list of tower-coefficient vectors."""
     rows = []
     for vec in vectors:
-        tower = None
-        for x in vec:
-            tower = x.tower
-            break
-        comps = [[], [], [], []]
-        for x in vec:
-            for k in range(4):
-                comps[k].append(tower.scalar(x.c[k]))
         for k in range(4):
-            if any(not c.is_zero() for c in comps[k]):
-                rows.append(comps[k])
+            if any(x.n[k] for x in vec):
+                rows.append([x.component(k) for x in vec])
     return rows
 
 

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin.fieldtower import (
-    CMType,
-    Embedding,
+    FieldElem,
     TowerSpec,
     enumerate_cm_types,
     f_embeddings,
@@ -126,3 +128,123 @@ def test_cm_type_conjugation():
 def test_json_round_trip():
     t = TowerSpec(2, Fraction(3, 5))
     assert TowerSpec.from_json(t.to_json()) == t
+    x = t.elem(Fraction(1, 6), Fraction(-2, 3), 0, Fraction(5, 4))
+    assert x.to_json() == [[1, 6], [-2, 3], [0, 1], [5, 4]]
+    assert FieldElem.from_json(t, x.to_json()) == x
+
+
+def test_hash_agrees_with_equality():
+    t = TowerSpec(2, 3)
+    assert t.one() == 1 and hash(t.one()) == hash(1)
+    assert t.zero() == 0 and hash(t.zero()) == hash(0)
+    half = t.scalar(Fraction(-3, 4))
+    assert half == Fraction(-3, 4) and hash(half) == hash(Fraction(-3, 4))
+    assert {1: "one", Fraction(-3, 4): "x"}[t.one()] == "one"
+    assert {Fraction(-3, 4): "x"}[half] == "x"
+    x = t.elem(1, 2, 3, 4) * t.elem(Fraction(1, 2))
+    y = t.elem(Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert x == y and hash(x) == hash(y)
+
+
+def test_component_accessor():
+    t = TowerSpec(2, 1)
+    x = t.elem(Fraction(1, 6), Fraction(-2, 3), 0, Fraction(5, 4))
+    assert [x.component(k) for k in range(4)] == [Fraction(1, 6), Fraction(-2, 3), 0, Fraction(5, 4)]
+    assert all(x.component(k).is_rational() for k in range(4))
+
+
+def test_tower_mismatch():
+    a, b = TowerSpec(2, 1).one(), TowerSpec(2, 3).one()
+    assert a != b
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(ValueError):
+            op()
+    # an equal tower built separately is the same field
+    assert TowerSpec(2, 1).sqrt_p() * a == TowerSpec(2, 1).sqrt_p()
+
+
+# -- property tests against an independent 4-Fraction reference -----------
+
+TOWERS = [TowerSpec(p, q) for p in (1, 2, 3, 5) for q in (1, 2, Fraction(7, 3), Fraction(10**9 + 7, 3))]
+
+rationals = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-100, max_value=100, max_denominator=60),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**40)),
+)
+coords = st.tuples(rationals, rationals, rationals, rationals)
+
+
+def ref_fold(tower, c):
+    if tower.p == 1:
+        return (c[0] + c[1], Fraction(0), c[2] + c[3], Fraction(0))
+    return tuple(c)
+
+
+def ref_mul(tower, a, b):
+    p, q = tower.p, tower.q
+    return (
+        a[0] * b[0] + p * a[1] * b[1] - q * a[2] * b[2] - p * q * a[3] * b[3],
+        a[0] * b[1] + a[1] * b[0] - q * (a[2] * b[3] + a[3] * b[2]),
+        a[0] * b[2] + a[2] * b[0] + p * (a[1] * b[3] + a[3] * b[1]),
+        a[0] * b[3] + a[3] * b[0] + a[1] * b[2] + a[2] * b[1],
+    )
+
+
+def ref_inv(tower, a):
+    # a * iota(a) = f0 + f1 sqrt(p); its inverse is (f0 - f1 sqrt(p)) / N(f)
+    ab = (a[0], a[1], -a[2], -a[3])
+    f = ref_mul(tower, a, ab)
+    nrm = f[0] * f[0] - tower.p * f[1] * f[1]
+    return ref_mul(tower, ab, (f[0] / nrm, -f[1] / nrm, Fraction(0), Fraction(0)))
+
+
+def coords_of(x):
+    return tuple(Fraction(k, x.d) for k in x.n)
+
+
+def assert_canonical(x):
+    assert x.d > 0 and gcd(*x.n, x.d) == 1
+    if x.tower.p == 1:
+        assert x.n[1] == 0 and x.n[3] == 0
+
+
+@settings(deadline=None, derandomize=True)
+@given(tower=st.sampled_from(TOWERS), ca=coords, cb=coords)
+def test_arithmetic_matches_reference(tower, ca, cb):
+    a, b = tower.elem(*ca), tower.elem(*cb)
+    ra, rb = ref_fold(tower, ca), ref_fold(tower, cb)
+    assert coords_of(a) == ra and coords_of(b) == rb
+    results = {
+        "+": (a + b, tuple(x + y for x, y in zip(ra, rb))),
+        "-": (a - b, tuple(x - y for x, y in zip(ra, rb))),
+        "*": (a * b, ref_mul(tower, ra, rb)),
+        "neg": (-a, tuple(-x for x in ra)),
+        "iota": (a.iota(), (ra[0], ra[1], -ra[2], -ra[3])),
+    }
+    if any(rb):
+        results["/"] = (a / b, ref_mul(tower, ra, ref_inv(tower, rb)))
+        results["inv"] = (b.inv(), ref_inv(tower, rb))
+        assert b * b.inv() == tower.one()
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inv()
+    for op, (got, want) in results.items():
+        assert coords_of(got) == want, op
+        assert_canonical(got)
+        # canonical form: equality is coordinate equality
+        assert (got == a * b) == (coords_of(got) == coords_of(a * b))
+
+
+@settings(deadline=None, derandomize=True)
+@given(tower=st.sampled_from(TOWERS), ca=coords, r=rationals)
+def test_rational_operands_and_json(tower, ca, r):
+    a = tower.elem(*ca)
+    ra = ref_fold(tower, ca)
+    assert coords_of(a * r) == coords_of(r * a) == tuple(x * r for x in ra)
+    assert coords_of(a + r) == (ra[0] + r,) + ra[1:]
+    assert tower.scalar(r) == r and hash(tower.scalar(r)) == hash(r)
+    assert tower.scalar(r).as_rational() == r
+    assert_canonical(tower.scalar(r))
+    assert FieldElem.from_json(tower, a.to_json()) == a
+    assert TowerSpec.from_json(tower.to_json()) == tower

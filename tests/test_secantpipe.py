@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +198,12 @@ def test_invariants_on_large_integer_datum():
     for check in report.checks:
         assert check.status, check.witness
         assert check.witness["method"] == f"modular certificate (p={linalg.MOD_PRIMES[0]})"
+
+
+def test_fourfold_report_bytes_match_fixture(tmp_path):
+    # the committed fixture is the report of an earlier implementation, so a
+    # change in how rationals are stored or printed shows up as a byte diff
+    expected = (Path(__file__).parent / "data" / "fourfold-rm2-seed0.json").read_bytes()
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--preset", "fourfold-rm2", "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
