@@ -222,18 +222,7 @@ class FieldElem:
         return FieldElem(self.tower, (-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
-        if other.__class__ is not FieldElem or other.tower is not self.tower:
-            other = self._check(other)
-        a0, a1, a2, a3 = self.n
-        b0, b1, b2, b3 = other.n
-        da, db = self.d, other.d
-        if da == db:
-            return FieldElem(self.tower, (a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
-        return FieldElem(
-            self.tower,
-            (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
-            da * db,
-        )
+        return self + (-self._check(other))
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -258,8 +247,6 @@ class FieldElem:
         v1 = a2 * b3 + a3 * b2
         c2 = a0 * b2 + a2 * b0 + p * (a1 * b3 + a3 * b1)
         c3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
-        if qd == 1:
-            return FieldElem(t, (u0 - qn * v0, u1 - qn * v1, c2, c3), d)
         return FieldElem(t, (qd * u0 - qn * v0, qd * u1 - qn * v1, qd * c2, qd * c3), d * qd)
 
     __rmul__ = __mul__
