@@ -20,7 +20,6 @@ from .exteralg import (
     GeneratorSpace,
     Multivector,
     contract_gen,
-    merge_sign,
     wedge,
 )
 from .fieldtower import FieldElem, TowerSpec
@@ -120,7 +119,7 @@ def _mono_times_x(space: HyperbolicSpace, xmask: int, ymask: int, i: int):
         bit = 1 << i
         if xmask & bit:
             return
-        sign = merge_sign(xmask, bit)
+        sign = -1 if (xmask >> (i + 1)).bit_count() & 1 else 1
         yield xmask | bit, 0, sign
         return
     b = ymask.bit_length() - 1  # largest y index present
@@ -309,9 +308,8 @@ def matrix_derivation(mat, a: Multivector) -> Multivector:
                 bit = 1 << i
                 if rest & bit:
                     continue  # repeated generator wedges to zero
-                s = merge_sign(bit, rest)
                 coeff = base * mij
-                if s < 0:
+                if (rest & (bit - 1)).bit_count() & 1:
                     coeff = -coeff
                 key = bit | rest
                 acc = out.get(key)
@@ -349,7 +347,7 @@ def derivation_int(cols, terms: dict) -> dict:
                 if rest & bit:
                     continue
                 coeff = base * mij
-                if merge_sign(bit, rest) < 0:
+                if (rest & (bit - 1)).bit_count() & 1:
                     coeff = -coeff
                 key = bit | rest
                 out[key] = out.get(key, 0) + coeff

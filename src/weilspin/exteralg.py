@@ -17,14 +17,19 @@ from .fieldtower import FieldElem, TowerSpec
 
 
 def merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending masks."""
+    """Sign of sorting the concatenation of two disjoint ascending masks.
+
+    Each bit of `a` passes over the bits of `b` below it, so the sign is the
+    parity of the sum of those counts; for a single bit `a` it is the parity
+    of `(b & (a - 1)).bit_count()`.
+    """
     s = 0
-    bb = b
-    while bb:
-        j = (bb & -bb).bit_length() - 1
-        s ^= bin(a >> (j + 1)).count("1") & 1
-        bb &= bb - 1
-    return -1 if s else 1
+    aa = a
+    while aa:
+        low = aa & -aa
+        s += (b & (low - 1)).bit_count()
+        aa ^= low
+    return -1 if s & 1 else 1
 
 
 class GeneratorSpace:

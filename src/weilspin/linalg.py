@@ -298,26 +298,31 @@ def modp_kernel(int_rows, ncols: int, p: int) -> np.ndarray:
     return K
 
 
-def modp_joint_kernel_dim(mats, ncols: int, p: int) -> int:
-    """dim of the joint kernel mod p of several matrices with ncols columns.
+def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
+    """dim of the joint kernel mod p of several operators inside the column
+    span of K.
 
-    `mats` is an iterable of ndarrays with entries already in [0, p); it is
-    consumed one matrix at a time, so a generator keeps one matrix alive.
-    The columns of K span the joint kernel of the matrices seen so far:
-    K starts as the kernel of the first matrix and each later M restricts
-    it to K @ ker(M @ K).  Stops as soon as K is empty.
+    `K` is an int64 array with entries in [0, p) whose columns are linearly
+    independent mod p; they span the start subspace S.  `ops` is an iterable
+    of callables, each mapping an int64 array X with entries in [0, p) to an
+    int64 array congruent to M X mod p for one integer matrix M; it is
+    consumed one operator at a time, so no matrix of M need ever exist.
+    Each M restricts K to K @ ker(M K), which keeps the columns independent.
+    Stops as soon as K is empty.
 
-    Soundness: a rank over a prime field never exceeds the rank over Q, so
-    a kernel mod p is never smaller than the rational kernel, and the
-    result upper-bounds the rational joint kernel dimension.
+    Soundness: let K be the reduction of an integer matrix, such as
+    identity columns, spanning a rational subspace S.  Its columns are
+    independent mod p, hence over Q, so the result is the dimension of the
+    kernel mod p of the integer stack of the M K, and the rational joint
+    kernel inside S has the dimension of that stack's kernel over Q.  A rank
+    over a prime field never exceeds the rank over Q, so the result
+    upper-bounds the dimension of the rational joint kernel inside S.
     """
-    K = None
-    for M in mats:
-        if K is None:
-            K = modp_kernel(M, ncols, p).astype(np.float64)
-        else:
-            KB = modp_kernel(_matmul_mod(M, K, p), K.shape[1], p)
-            K = _matmul_mod(K, KB.astype(np.float64), p)
+    for op in ops:
+        MK = op(K)
+        # a sparse operator leaves most rows zero; they do not change the kernel
+        KB = modp_kernel(MK[MK.any(axis=1)], K.shape[1], p)
+        K = _matmul_mod(K.astype(np.float64), KB.astype(np.float64), p).astype(np.int64)
         if K.shape[1] == 0:
             return 0
-    return ncols if K is None else K.shape[1]
+    return K.shape[1]

@@ -526,48 +526,161 @@ def gb_int_cols(gB):
     return [int_derivation_cols(linalg.matrix_to_int_global(pair_obj.ad)) for pair_obj in gB]
 
 
+def _split_generator(cols):
+    """(diagonal entries, off-diagonal (i, g, c) entries) of a generator in
+    sparse-column form: c is the integer at row i, column g."""
+    diag = [0] * len(cols)
+    off = []
+    for g, col in enumerate(cols):
+        for i, c in col:
+            if i == g:
+                diag[g] = c
+            else:
+                off.append((i, g, c))
+    return diag, off
+
+
+class DegreeTables:
+    """Koszul tables of the elementary derivations of wedge^k V.
+
+    `masks` is the sorted int64 array of the masks of degree k on `dim`
+    generators.  For each ordered pair i != g, `pairs[i, g]` is the table
+    (src, dst, odd) of the derivation extending the matrix unit E_ig (g is
+    sent to i): it maps the basis element masks[src] to (-1)^odd times
+    masks[dst].  A mask m holding g but not i goes to m - g + i; pulling g
+    to the front of m passes the bits of m below g, and putting i in place
+    passes the bits of m - g below i.  Every other mask goes to 0.  E_gg
+    fixes each mask holding g, so a diagonal matrix D acts on a mask by the
+    integer weight sum(D[g][g] for g in the mask); `bits` holds the bits.
+
+    A generator's derivation is a sum of these pieces over its few nonzero
+    entries, so it is applied to a basis without ever building its
+    nmask x nmask matrix.
+    """
+
+    def __init__(self, dim: int, k: int):
+        every = np.arange(1 << dim, dtype=np.int64)
+        masks = every[np.bitwise_count(every) == k]
+        self.masks = masks
+        self.bits = (masks[:, None] >> np.arange(dim)) & 1
+        self.pairs = {}
+        for g in range(dim):
+            gbit = 1 << g
+            below_g = np.bitwise_count(masks & (gbit - 1))
+            for i in range(dim):
+                if i == g:
+                    continue
+                ibit = 1 << i
+                src = np.flatnonzero((masks & (gbit | ibit)) == gbit)
+                rest = masks[src] ^ gbit
+                dst = np.searchsorted(masks, rest | ibit)
+                odd = (below_g[src] + np.bitwise_count(rest & (ibit - 1))) & 1
+                self.pairs[i, g] = (src, dst, odd.astype(bool))
+
+    def weight_zero(self, diagonals) -> np.ndarray:
+        """Indices of the masks of weight 0 under every diagonal matrix in
+        `diagonals` (lists of integer diagonal entries), computed exactly."""
+        if not diagonals:
+            return np.arange(len(self.masks))
+        weights = self.bits @ np.array(diagonals, dtype=object).T
+        return np.flatnonzero((weights == 0).all(axis=1))
+
+    def _restricted(self, cols, start):
+        """One generator's derivation on the span of the masks in `start`:
+        the exact integer weights of its diagonal on those masks, and for
+        each off-diagonal entry c a gather table (col, dst, odd, c), col
+        being positions in `start`."""
+        diag, off = _split_generator(cols)
+        weights = (self.bits[start] @ np.array(diag, dtype=object)).tolist()
+        pos = np.full(len(self.masks), -1)
+        pos[start] = np.arange(len(start))
+        terms = []
+        for i, g, c in off:
+            src, dst, odd = self.pairs[i, g]
+            col = pos[src]
+            keep = col >= 0
+            terms.append((col[keep], dst[keep], odd[keep], c))
+        return weights, terms
+
+    def modp_operator(self, cols, start, p: int):
+        """The map X |-> D E X mod p, for the derivation D of one generator
+        and E the identity columns of the masks in `start`.
+
+        The image is the diagonal weights times X in the rows of `start`
+        plus, for each nonzero off-diagonal entry, a signed gather of the
+        rows of X: O(nnz * r) work for r columns, and no nmask x nmask
+        matrix.  Every term is an integer below p^2 and a row receives at
+        most dim^2 of them, so the int64 sum is exact while
+        dim^2 (p-1)^2 < 2^63 (dim <= 2896 for p < 2^20).
+        """
+        weights, terms = self._restricted(cols, start)
+        weight = np.array([w % p for w in weights], dtype=np.int64)[:, None]
+        gathers = [(col, dst, np.where(odd, -c % p, c % p)[:, None]) for col, dst, odd, c in terms]
+
+        def apply(X):
+            out = np.zeros((len(self.masks), X.shape[1]), dtype=np.int64)
+            out[start] = weight * X
+            for col, dst, val in gathers:
+                out[dst] += val * X[col]
+            return out
+
+        return apply
+
+    def int_rows(self, cols, start):
+        """The integer matrix of one generator's derivation, as Python rows
+        over all masks, restricted to the columns of the masks in `start`."""
+        weights, terms = self._restricted(cols, start)
+        rows = [[0] * len(start) for _ in range(len(self.masks))]
+        for j, (s, w) in enumerate(zip(start.tolist(), weights)):
+            rows[s][j] = w
+        for col, dst, odd, c in terms:
+            for j, b, o in zip(col.tolist(), dst.tolist(), odd.tolist()):
+                rows[b][j] += -c if o else c
+        return rows
+
+
 def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, expected_dim: int):
     """Certify dim of the joint kernel of the g_B derivations on wedge^k V.
 
-    Returns (dim, method).  A prime-field rank computation can only
-    overestimate the kernel dimension, so when the modular dimension equals
-    the exactly-exhibited lower bound the answer is rigorous.  Falls back to
-    exact elimination if no prime in the list certifies.
+    Returns (dim, method).
+
+    Weight-zero start: a generator whose integer matrix is diagonal acts on
+    each mask by an exact integer weight, so over Q the joint kernel of the
+    diagonal generators is the coordinate subspace S spanned by the masks
+    of weight 0 under all of them (S is everything when no generator is
+    diagonal).  The rational joint kernel N of all generators lies in S,
+    where it is the joint kernel of the other generators restricted to S.
+    Their joint kernel mod p inside S (`linalg.modp_joint_kernel_dim`, with
+    each derivation applied through `DegreeTables.modp_operator`) is at
+    least as large as N, since a rank over a prime field never exceeds the
+    rank over Q; the generated rows exhibited by the caller lie in N.  So
+    when the modular dimension equals that lower bound the answer is
+    rigorous.  Falls back to exact elimination on the same restricted
+    matrices if no prime in the list certifies.
     """
-    t = space.tower
-    masks = [m for m in range(1 << space.dim_v) if bin(m).count("1") == k]
-    index = {m: i for i, m in enumerate(masks)}
-    nmask = len(masks)
     if k == 0:
         return 1, "exact"
-
-    def entries(cols):
-        """(row, column, integer) for each nonzero entry of one generator's matrix."""
-        for j, m in enumerate(masks):
-            for mm, c in derivation_int(cols, {m: 1}).items():
-                yield index[mm], j, c
-
-    def residue_matrix(cols, p):
-        mat = np.zeros((nmask, nmask))
-        for i, j, c in entries(cols):
-            mat[i, j] = c % p
-        return mat
-
+    t = space.tower
+    tables = DegreeTables(space.dim_v, k)
+    split = [_split_generator(cols) for cols in int_cols]
+    start = tables.weight_zero([diag for diag, off in split if not off])
+    others = [cols for cols, (_, off) in zip(int_cols, split) if off]
     for p in linalg.MOD_PRIMES:
-        dim_p = linalg.modp_joint_kernel_dim((residue_matrix(cols, p) for cols in int_cols), nmask, p)
+        ops = (tables.modp_operator(cols, start, p) for cols in others)
+        dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), ops, p)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
         if dim_p < expected_dim:
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    stacked = []
-    for cols in int_cols:
-        rows = [[t.zero()] * nmask for _ in range(nmask)]
-        for i, j, c in entries(cols):
-            rows[i][j] = t.scalar(c)
-        stacked.extend(rows)
-    kernel = linalg.nullspace(stacked, nmask, t)
+    stacked = [
+        [t.scalar(x) for x in row]
+        for cols in others
+        for row in tables.int_rows(cols, start)
+        if any(row)
+    ]
+    kernel = linalg.nullspace(stacked, len(start), t)
     return len(kernel), "exact elimination"
 
 

@@ -10,6 +10,7 @@ from weilspin.exteralg import (
     contract_gen,
     exp_even,
     kunneth,
+    merge_sign,
     s_pairing,
     tau,
     wedge,
@@ -178,3 +179,15 @@ def test_serialization_is_mask_sorted(sp2, tiny_tower):
     mv = wedge(sp2.gen(0), sp2.gen(1)) + sp2.one()
     data = mv.to_json()
     assert [d["mask"] for d in data] == [0, 3]
+
+
+def test_merge_sign_counts_inversions():
+    # every pair of disjoint masks on 6 generators (so on any m <= 6),
+    # against the parity of the inversions of the concatenated index lists
+    for a in range(64):
+        for b in range(64):
+            if a & b:
+                continue
+            order = [i for i in range(6) if a >> i & 1] + [i for i in range(6) if b >> i & 1]
+            inversions = sum(1 for s, x in enumerate(order) for y in order[s + 1:] if x > y)
+            assert merge_sign(a, b) == (-1) ** inversions, (a, b)

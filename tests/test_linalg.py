@@ -65,6 +65,20 @@ def test_matmul_mod_matches_exact_products(p, inner):
     assert got.astype(np.int64).tolist() == exact
 
 
+def _operator(rows):
+    """X |-> M X for the integer matrix M with the given rows; int64 holds
+    every product, since ncols (p-1)^2 < 2^63 for the sizes used here."""
+    mat = np.array(rows, dtype=np.int64)
+    return lambda X: mat @ X
+
+
+def _start(ncols, cols):
+    """Identity columns of F_p^ncols at the given coordinates."""
+    K = np.zeros((ncols, len(cols)), dtype=np.int64)
+    K[cols, np.arange(len(cols))] = 1
+    return K
+
+
 @pytest.mark.parametrize("p", [P, P_BIG])
 @pytest.mark.parametrize("seed", range(4))
 def test_joint_kernel_matches_python_elimination(p, seed):
@@ -73,39 +87,50 @@ def test_joint_kernel_matches_python_elimination(p, seed):
     mats = [_rand_rows(rng, rng.randrange(1, 6), ncols, p) for _ in range(4)]
     expected = ncols - _rank_mod_p([row for m in mats for row in m], p)
     assert 0 < expected < ncols
-    got = linalg.modp_joint_kernel_dim((_as_array(m) for m in mats), ncols, p)
+    got = linalg.modp_joint_kernel_dim(_start(ncols, range(ncols)), map(_operator, mats), p)
     assert got == expected
+    # inside a coordinate subspace: the kernel of the columns kept
+    cols = sorted(rng.sample(range(ncols), 18))
+    restricted = [[row[c] for c in cols] for m in mats for row in m]
+    got = linalg.modp_joint_kernel_dim(_start(ncols, cols), map(_operator, mats), p)
+    assert got == len(cols) - _rank_mod_p(restricted, p)
 
 
-def test_single_matrix_needs_no_product(monkeypatch):
+def test_start_is_used_without_elimination(monkeypatch):
     calls = []
     real = linalg._matmul_mod
     monkeypatch.setattr(linalg, "_matmul_mod", lambda *a: calls.append(1) or real(*a))
     rng = random.Random(11)
     rows = _rand_rows(rng, 7, 15, P)
-    assert linalg.modp_joint_kernel_dim([_as_array(rows)], 15, P) == 15 - _rank_mod_p(rows, P)
-    # the first kernel is taken directly, with no multiply by an identity
-    assert calls == []
-    linalg.modp_joint_kernel_dim([_as_array(rows), _as_array(rows[:2])], 15, P)
-    assert len(calls) == 2  # M @ K and K @ KB for the second matrix only
+    start = _start(15, range(15))
+    seen = []
+
+    def op(X):
+        seen.append(X.copy())
+        return _operator(rows)(X)
+
+    assert linalg.modp_joint_kernel_dim(start, [op], P) == 15 - _rank_mod_p(rows, P)
+    # the first operator sees the start itself, and K @ KB is the one product
+    assert seen[0].tolist() == start.tolist()
+    assert calls == [1]
 
 
 def test_joint_kernel_stops_when_empty():
     rng = random.Random(5)
     consumed = []
 
-    def mats():
+    def ops():
         for i in range(5):
             consumed.append(i)
-            yield _as_array([[rng.randrange(P - 1000, P) for _ in range(6)] for _ in range(4)])
+            yield _operator([[rng.randrange(P - 1000, P) for _ in range(6)] for _ in range(4)])
 
     # 4 + 4 generic rows already span all of F_p^6
-    assert linalg.modp_joint_kernel_dim(mats(), 6, P) == 0
+    assert linalg.modp_joint_kernel_dim(_start(6, range(6)), ops(), P) == 0
     assert consumed == [0, 1]
 
 
 def test_no_matrices_leaves_everything():
-    assert linalg.modp_joint_kernel_dim(iter(()), 5, P) == 5
+    assert linalg.modp_joint_kernel_dim(_start(5, [0, 2, 4]), iter(()), P) == 3
 
 
 def test_modp_rank_and_kernel_take_big_ints_and_arrays():

@@ -200,10 +200,19 @@ def test_invariants_on_large_integer_datum():
         assert check.witness["method"] == f"modular certificate (p={linalg.MOD_PRIMES[0]})"
 
 
-def test_fourfold_report_bytes_match_fixture(tmp_path):
+def _assert_report_matches_fixture(preset, tmp_path):
     # the committed fixture is the report of an earlier implementation, so a
-    # change in how rationals are stored or printed shows up as a byte diff
-    expected = (Path(__file__).parent / "data" / "fourfold-rm2-seed0.json").read_bytes()
+    # change in how rationals are stored or printed, or in what a certificate
+    # decides, shows up as a byte diff
+    expected = (Path(__file__).parent / "data" / f"{preset}-seed0.json").read_bytes()
     out = tmp_path / "rep.json"
-    assert main(["verify", "--preset", "fourfold-rm2", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify", "--preset", preset, "--seed", "0", "--out", str(out)]) == 0
     assert out.read_bytes() == expected
+
+
+def test_fourfold_report_bytes_match_fixture(tmp_path):
+    _assert_report_matches_fixture("fourfold-rm2", tmp_path)
+
+
+def test_sixfold_report_bytes_match_fixture(tmp_path):
+    _assert_report_matches_fixture("sixfold-q2", tmp_path)

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weilspin import linalg
+from weilspin.clifford import derivation_int
 from weilspin.exteralg import Multivector, contract_gen, wedge
 from weilspin.fieldtower import TowerSpec, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
 from weilspin.weilcm import (
+    DegreeTables,
     WeilDatum,
     WeilStructure,
     eigenspace,
@@ -295,6 +298,66 @@ def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
             patch.setattr(linalg, "MOD_PRIMES", ())
             assert invariant_dimension_certificate(ws4.space, cols, k, expected) == (
                 dim, "exact elimination")
+
+
+@pytest.mark.parametrize("structure", ["ws6", "ws4"])
+def test_table_operators_match_derivation_int(structure, request):
+    # derivation_int is the independent reference for the Koszul tables
+    ws = request.getfixturevalue(structure)
+    p = linalg.MOD_PRIMES[0]
+    dim = ws.space.dim_v
+    for k in (3, dim // 2):
+        tables = DegreeTables(dim, k)
+        masks = tables.masks.tolist()
+        index = {m: i for i, m in enumerate(masks)}
+        identity = np.eye(len(masks), dtype=np.int64)
+        for cols in ws._gb_cols:
+            entries = [(index[mm], j, c) for j, m in enumerate(masks)
+                       for mm, c in derivation_int(cols, {m: 1}).items()]
+            expected = np.zeros_like(identity)
+            for i, j, c in entries:
+                expected[i, j] = c % p
+            every = np.arange(len(masks))
+            assert (tables.modp_operator(cols, every, p)(identity) % p == expected).all()
+            if k == 3:  # the exact fallback's rows, on every column
+                exact = [[0] * len(masks) for _ in masks]
+                for i, j, c in entries:
+                    exact[i][j] = c
+                assert tables.int_rows(cols, every) == exact
+
+
+def _sheared_sixfold():
+    """The principal sixfold J = sum_a y_a ^ y_(a+3) in the lattice basis of
+    g in SL(6, Z), a product of elementary column operations col_j += col_i:
+    Theta = g^T J g, with the columns of g^-1 as the dual F-basis."""
+    dim = 6
+    g = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    ginv = [row[:] for row in g]
+    for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)):
+        for r in range(dim):
+            g[r][j] += g[r][i]
+        for c in range(dim):
+            ginv[i][c] -= ginv[j][c]
+    assert all(sum(g[a][b] * ginv[b][c] for b in range(dim)) == int(a == c)
+               for a in range(dim) for c in range(dim))
+    J = [[0] * dim for _ in range(dim)]
+    for a in range(3):
+        J[a][a + 3], J[a + 3][a] = 1, -1
+    gtj = [[sum(g[b][a] * J[b][c] for b in range(dim)) for c in range(dim)] for a in range(dim)]
+    theta = [[sum(gtj[a][b] * g[b][c] for b in range(dim)) for c in range(dim)] for a in range(dim)]
+    eta_hat = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    dual = [list(col) for col in zip(*ginv)]
+    return WeilDatum(TowerSpec(1, 2), 3, eta_hat, theta, dual, name="sheared-sixfold")
+
+
+def test_certificate_without_diagonal_generator():
+    # no g_B generator is diagonal in this basis, so the certificate starts
+    # from every mask and must still reach the sixfold's dimensions
+    ws = WeilStructure(_sheared_sixfold())
+    assert all(any(i != g for g, col in enumerate(cols) for i, _ in col) for cols in ws._gb_cols)
+    for k, expected in ((2, 1), (4, 1), (6, 3)):
+        dim, _, flag, method = ws.invariants_and_generation(k)
+        assert (dim, flag, method) == (expected, True, f"modular certificate (p={linalg.MOD_PRIMES[0]})")
 
 
 def test_pair_f_recovers_pairing(ws4, rng):
