@@ -23,6 +23,7 @@ from .exteralg import (
     wedge,
 )
 from .fieldtower import FieldElem, TowerSpec
+from .linalg import mat_vec
 
 
 class HyperbolicSpace:
@@ -94,23 +95,23 @@ def clifford_action(elem: Multivector, lam: Multivector, space: HyperbolicSpace)
     out = lam.space.zero()
     for mask, coeff in elem.terms.items():
         xmask = mask & ((1 << n2) - 1)
-        ymask = mask >> n2
-        cur = lam
-        # rightmost contraction acts first
-        mm = ymask
-        ybits = []
-        while mm:
-            ybits.append((mm & -mm).bit_length() - 1)
-            mm &= mm - 1
-        for j in reversed(ybits):
-            cur = contract_gen(j, cur)
-            if cur.is_zero():
-                break
+        cur = _apply_ys(mask >> n2, lam)
         if cur.is_zero():
             continue
         cur = wedge(Multivector(lam.space, {xmask: lam.space.tower.one()}), cur)
         out = out + cur.scale(coeff)
     return out
+
+
+def _apply_ys(ymask: int, lam: Multivector) -> Multivector:
+    """The ascending monomial y_B applied to a spinor: its contractions act
+    rightmost first."""
+    for j in reversed(range(ymask.bit_length())):
+        if ymask >> j & 1:
+            lam = contract_gen(j, lam)
+            if lam.is_zero():
+                break
+    return lam
 
 
 def _mono_times_x(space: HyperbolicSpace, xmask: int, ymask: int, i: int):
@@ -200,16 +201,6 @@ def star(a: Multivector, space: HyperbolicSpace) -> Multivector:
     return main_antiinvolution(main_involution(a), space)
 
 
-def involutions(a: Multivector, which: str, space: HyperbolicSpace) -> Multivector:
-    if which == "main_antiinv":
-        return main_antiinvolution(a, space)
-    if which == "main_inv":
-        return main_involution(a)
-    if which == "star":
-        return star(a, space)
-    raise ValueError(f"unknown involution {which!r}")
-
-
 def vector_rep_reflection(space: HyperbolicSpace, v, w) -> list:
     """rho_v(w) = v.w.v^(-1) in C(V) for (v,v) = +-2, restricted to V.
 
@@ -270,16 +261,7 @@ class SoPair:
         return out
 
     def ad_vector(self, coords) -> list:
-        out = []
-        for i in range(self.space.dim_v):
-            acc = self.space.tower.zero()
-            for j, cj in enumerate(coords):
-                mij = self.ad[i][j]
-                if mij.is_zero():
-                    continue
-                acc = acc + mij * self.space.tower.scalar(cj)
-            out.append(acc)
-        return out
+        return mat_vec(self.ad, coords, self.space.tower)
 
     def derivation(self, a: Multivector) -> Multivector:
         """The unique derivation of the exterior algebra on V extending ad."""
@@ -317,10 +299,6 @@ def matrix_derivation(mat, a: Multivector) -> Multivector:
             pos += 1
             mm &= mm - 1
     return Multivector(space, {k: v for k, v in out.items() if not v.is_zero()})
-
-
-def so_pair(space: HyperbolicSpace, xi: Multivector) -> SoPair:
-    return SoPair(space, xi)
 
 
 def int_derivation_cols(ad_int_rows):
@@ -387,15 +365,7 @@ def desymbol(op, space: HyperbolicSpace) -> Multivector:
         if resid.is_zero():
             continue
         # sign of y_B applied to x_B
-        sgn = Multivector(space.sspace, {bmask: one})
-        mm = bmask
-        ybits = []
-        while mm:
-            ybits.append((mm & -mm).bit_length() - 1)
-            mm &= mm - 1
-        for j in reversed(ybits):
-            sgn = contract_gen(j, sgn)
-        s = sgn.terms.get(0)
+        s = _apply_ys(bmask, lam).terms.get(0)
         if s is None:
             raise RuntimeError("contraction sign vanished unexpectedly")
         sinv = s.inv()

@@ -73,13 +73,6 @@ class GeneratorSpace:
             raise IndexError(i)
         return Multivector(self, {1 << i: self.tower.one()})
 
-    def monomial(self, mask: int, coeff=1) -> "Multivector":
-        c = self.scalar(coeff)
-        return Multivector(self, {mask: c} if not c.is_zero() else {})
-
-    def basis_masks(self):
-        return range(1 << self.m)
-
 
 class Multivector:
     """Sparse exterior-algebra element; terms hold no zero coefficients."""
@@ -160,9 +153,6 @@ class Multivector:
             raise ValueError("zero multivector has no degree")
         return min(bin(m).count("1") for m in self.terms)
 
-    def coefficient(self, mask: int) -> FieldElem:
-        return self.terms.get(mask, self.space.tower.zero())
-
     # -- coordinates ----------------------------------------------------------
 
     def to_coords(self) -> list:
@@ -207,6 +197,19 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             else:
                 out[key] = c
     return Multivector(a.space, out)
+
+
+def column_rows(images) -> list:
+    """Rows of the matrix whose j-th column is images[j], a nonempty list of
+    multivectors on one space, over the sorted union of their supports.
+
+    This is how an operator given by its images becomes a matrix for
+    `linalg.nullspace` or `linalg.solve`; masks outside every support would
+    only add zero rows.
+    """
+    zero = images[0].space.tower.zero()
+    support = sorted(set().union(*(img.terms for img in images)))
+    return [[img.terms.get(m, zero) for img in images] for m in support]
 
 
 def contract(theta, a: Multivector) -> Multivector:

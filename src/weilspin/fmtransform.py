@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import HyperbolicSpace, clifford_mul, desymbol
-from .exteralg import GeneratorSpace, Multivector, exp_even, kunneth, s_pairing, tau, wedge
+from .exteralg import GeneratorSpace, Multivector, column_rows, exp_even, kunneth, s_pairing, wedge
 from .fieldtower import TowerSpec
 
 #: frozen orientation constants: one class c1(P) = sum x_i ^ y_i everywhere
@@ -66,16 +66,6 @@ class ProductAlgebra:
         """Kunneth product a (x) b."""
         return kunneth(a, b, self.space)
 
-    def pushforward_second(self, mv: Multivector) -> Multivector:
-        """Integrate over the second factor: coefficient of its top monomial."""
-        top2 = self.second.top_mask
-        out = {}
-        for m, c in mv.terms.items():
-            m1, m2 = self.split_mask(m)
-            if m2 == top2:
-                out[m1] = c
-        return Multivector(self.first, out)
-
     def pushforward_first(self, mv: Multivector) -> Multivector:
         """Integrate over the first factor: coefficient of its top monomial."""
         top1 = self.first.top_mask
@@ -85,29 +75,6 @@ class ProductAlgebra:
             if m1 == top1:
                 out[m2] = c
         return Multivector(self.second, out)
-
-    def apply_second(self, op, mv: Multivector) -> Multivector:
-        """Apply a parity-even operator on the second factor, slotwise."""
-        out = self.space.zero()
-        for m, c in mv.terms.items():
-            m1, m2 = self.split_mask(m)
-            img = op(Multivector(self.second, {m2: self.space.tower.one()}))
-            emb = Multivector(
-                self.space, {m1 | (mm << self.shift): cc * c for mm, cc in img.terms.items()}
-            )
-            out = out + emb
-        return out
-
-    def apply_first(self, op, mv: Multivector) -> Multivector:
-        out = self.space.zero()
-        for m, c in mv.terms.items():
-            m1, m2 = self.split_mask(m)
-            img = op(Multivector(self.first, {m1: self.space.tower.one()}))
-            emb = Multivector(
-                self.space, {mm | (m2 << self.shift): cc * c for mm, cc in img.terms.items()}
-            )
-            out = out + emb
-        return out
 
 
 class TransformMap:
@@ -156,10 +123,6 @@ class TransformMap:
         return TransformMap(self.src, self.dst, lambda m: self.image_of_mask(m).scale(s))
 
 
-def linear_on_space(space: GeneratorSpace, op) -> TransformMap:
-    return TransformMap(space, space, lambda mask: op(Multivector(space, {mask: space.tower.one()})))
-
-
 def antipode(space: GeneratorSpace) -> TransformMap:
     """Pullback of inversion: (-1)^k on exterior degree k."""
 
@@ -188,21 +151,16 @@ def poincare_class(pa: ProductAlgebra, sign: int) -> Multivector:
     return Multivector(pa.space, terms)
 
 
-def fm_along(pa: ProductAlgebra, kernel: Multivector, push_first: bool) -> TransformMap:
-    """The correspondence transform: pull back, multiply by the kernel, push."""
-    src = pa.first if push_first else pa.second
-    dst = pa.second if push_first else pa.first
+def fm_along(pa: ProductAlgebra, kernel: Multivector) -> TransformMap:
+    """The correspondence transform from the first factor to the second:
+    pull back, multiply by the kernel, integrate over the first factor."""
+    one = pa.space.tower.one()
 
     def fn(mask):
-        emb = (
-            pa.embed_first(Multivector(pa.first, {mask: pa.space.tower.one()}))
-            if push_first
-            else pa.embed_second(Multivector(pa.second, {mask: pa.space.tower.one()}))
-        )
-        tot = wedge(emb, kernel)
-        return pa.pushforward_first(tot) if push_first else pa.pushforward_second(tot)
+        emb = pa.embed_first(Multivector(pa.first, {mask: one}))
+        return pa.pushforward_first(wedge(emb, kernel))
 
-    return TransformMap(src, dst, fn)
+    return TransformMap(pa.first, pa.second, fn)
 
 
 class OrlovTransform:
@@ -224,23 +182,31 @@ class OrlovTransform:
         # correspondence transforms in the two directions
         k_hx = exp_even(poincare_class(self.pa_hx, POINCARE_SIGN_HAT_FIRST))
         k_xy = exp_even(poincare_class(self.pa_xy, POINCARE_SIGN_UN_FIRST))
-        self.phi_hat_to_un = fm_along(self.pa_hx, k_hx, push_first=True)   # H*(Xhat)->H*(X)
-        self.phi_un_to_hat = fm_along(self.pa_xy, k_xy, push_first=True)   # H*(X)->H*(Xhat)
+        self.phi_hat_to_un = fm_along(self.pa_hx, k_hx)   # H*(Xhat)->H*(X)
+        self.phi_un_to_hat = fm_along(self.pa_xy, k_xy)   # H*(X)->H*(Xhat)
         sgn = self.tower.one() if n % 2 == 0 else -self.tower.one()
         self.phi_hat_to_un_inv = antipode(sy).compose(self.phi_un_to_hat).scale(sgn)
         self.phi_un_to_hat_inv = antipode(sx).compose(self.phi_hat_to_un).scale(sgn)
         self.phi_hat_to_un.inverse = self.phi_hat_to_un_inv
         self.phi_un_to_hat.inverse = self.phi_un_to_hat_inv
         self._phiH = None
-        self._phiH_inv = None
         self._chevalley = None
+
+    def box(self, a: Multivector, b: Multivector) -> Multivector:
+        """a (x) b in H*(X x X) for two classes a, b in H*(X)."""
+        return self.pa_xx.box(a, Multivector(self.sx2, dict(b.terms)))
 
     # -- shear automorphism ---------------------------------------------------
 
-    def mu_pullback(self) -> TransformMap:
-        """Multiplicative extension of the pullback of (x, y) -> (x + y, y)."""
+    def shear(self, sign: int) -> TransformMap:
+        """Multiplicative extension of the pullback of (x, y) -> (x + sign y, y).
+
+        sign = 1 is the pullback of the shear mu, sign = -1 that of its
+        inverse, which is mu's pushforward.
+        """
         pa = self.pa_xx
         one = self.tower.one()
+        sone = one if sign > 0 else -one
 
         def fn(mask):
             m1, m2 = pa.split_mask(mask)
@@ -248,30 +214,7 @@ class OrlovTransform:
             mm = m1
             while mm:
                 i = (mm & -mm).bit_length() - 1
-                g = Multivector(pa.space, {1 << i: one, 1 << (pa.shift + i): one})
-                out = wedge(out, g)
-                mm &= mm - 1
-            mm = m2
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                out = wedge(out, Multivector(pa.space, {1 << (pa.shift + i): one}))
-                mm &= mm - 1
-            return out
-
-        return TransformMap(pa.space, pa.space, fn)
-
-    def mu_pushforward(self) -> TransformMap:
-        """Extension of the inverse shear's pullback (x, y) -> (x - y, y)."""
-        pa = self.pa_xx
-        one = self.tower.one()
-
-        def fn(mask):
-            m1, m2 = pa.split_mask(mask)
-            out = pa.space.one()
-            mm = m1
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                g = Multivector(pa.space, {1 << i: one, 1 << (pa.shift + i): -one})
+                g = Multivector(pa.space, {1 << i: one, 1 << (pa.shift + i): sone})
                 out = wedge(out, g)
                 mm &= mm - 1
             mm = m2
@@ -290,7 +233,7 @@ class OrlovTransform:
         if self._phiH is not None:
             return self._phiH
         pa_xx, pa_xy = self.pa_xx, self.pa_xy
-        mu_pull = self.mu_pullback()
+        mu_pull, mu_push = self.shear(1), self.shear(-1)
         t_inv = self.phi_hat_to_un_inv
 
         def fn(mask):
@@ -310,19 +253,16 @@ class OrlovTransform:
         def fn_inv(mask):
             m1, m2 = pa_xy.split_mask(mask)
             img = self.phi_hat_to_un.image_of_mask(m2)
-            back = self.pa_xx.space.zero()
-            emb = Multivector(
+            back = Multivector(
                 pa_xx.space,
                 {m1 | (mm << pa_xx.shift): cc for mm, cc in img.terms.items()},
             )
-            back = back + emb
-            return self.mu_pushforward()(back)
+            return mu_push(back)
 
         inv = TransformMap(pa_xy.space, pa_xx.space, fn_inv)
         fwd.inverse = inv
         inv.inverse = fwd
         self._phiH = fwd
-        self._phiH_inv = inv
         return fwd
 
     def id_tensor_tau(self) -> TransformMap:
@@ -429,17 +369,11 @@ def bb_decompose(orlov: OrlovTransform, ell_by_type: dict, c: Multivector):
     basis = {}
     for t1 in types:
         for t2 in types:
-            second = Multivector(orlov.sx2, dict(ell_by_type[t2].terms))
-            basis[(t1, t2)] = pa.box(ell_by_type[t1], second)
-    supp = set(c.terms)
-    for v in basis.values():
-        supp.update(v.terms)
-    supp = sorted(supp)
+            basis[(t1, t2)] = orlov.box(ell_by_type[t1], ell_by_type[t2])
     keys = list(basis)
-    tower = orlov.tower
-    rows = [[basis[k].terms.get(m, tower.zero()) for k in keys] for m in supp]
-    rhs = [c.terms.get(m, tower.zero()) for m in supp]
-    sol = linalg.solve(rows, rhs, tower)
+    # the last column is c itself: its rows are the right-hand side
+    aug = column_rows([basis[k] for k in keys] + [c])
+    sol = linalg.solve([row[:-1] for row in aug], [row[-1] for row in aug], orlov.tower)
     if sol is None:
         raise ValueError("class does not lie in the secant tensor square")
     refined = {}

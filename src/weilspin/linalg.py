@@ -128,11 +128,6 @@ def intersect(a_rows, b_rows, tower: TowerSpec):
     return red_out
 
 
-def subspace_sum(a_rows, b_rows, tower: TowerSpec):
-    red, _ = rref(list(a_rows) + list(b_rows), tower)
-    return red
-
-
 # -- small dense matrix helpers ----------------------------------------------
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import linalg
 from .clifford import HyperbolicSpace, clifford_action
-from .exteralg import Multivector
+from .exteralg import Multivector, column_rows
 
 
 class IsotropicSubspace:
@@ -37,13 +37,6 @@ class IsotropicSubspace:
 
     def is_maximal(self) -> bool:
         return self.dim == 2 * self.space.n
-
-    def contains(self, vec) -> bool:
-        red, piv = linalg.rref(self.basis, self.space.tower)
-        return linalg.in_span(red, piv, vec, self.space.tower)
-
-    def contains_subspace(self, other: "IsotropicSubspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def __eq__(self, other):
         return (
@@ -73,17 +66,8 @@ def annihilator(lam: Multivector, space: HyperbolicSpace, coeff: str = "K") -> I
     """The subspace of V tensor coeff annihilating a nonzero spinor."""
     if lam.is_zero():
         raise ValueError("the zero spinor has no annihilator subspace")
-    images = []
-    supp = set()
-    for k in range(space.dim_v):
-        img = clifford_action(space.vspace.gen(k), lam, space)
-        images.append(img)
-        supp.update(img.terms)
-    supp = sorted(supp)
-    rows = []
-    for mask in supp:
-        rows.append([img.terms.get(mask, space.tower.zero()) for img in images])
-    kernel = linalg.nullspace(rows, space.dim_v, space.tower)
+    images = [clifford_action(space.vspace.gen(k), lam, space) for k in range(space.dim_v)]
+    kernel = linalg.nullspace(column_rows(images), space.dim_v, space.tower)
     return IsotropicSubspace(space, kernel, coeff)
 
 
@@ -102,21 +86,12 @@ def pure_spinor_of(w: IsotropicSubspace, space: HyperbolicSpace) -> Multivector:
     if not w.is_maximal():
         raise ValueError("pure spinor lines exist only for maximal isotropic subspaces")
     dim_s = 1 << (2 * space.n)
+    basis = [Multivector(space.sspace, {mask: space.tower.one()}) for mask in range(dim_s)]
     rows = []
     for vec in w.basis:
-        vmv = space.vector_to_mv(vec)
         # m_v as a matrix acting on spinor coordinates
-        col_images = []
-        for mask in range(dim_s):
-            lam = Multivector(space.sspace, {mask: space.tower.one()})
-            col_images.append(clifford_action(vmv, lam, space))
-        supp = set()
-        for img in col_images:
-            supp.update(img.terms)
-        for out_mask in sorted(supp):
-            rows.append(
-                [img.terms.get(out_mask, space.tower.zero()) for img in col_images]
-            )
+        vmv = space.vector_to_mv(vec)
+        rows.extend(column_rows([clifford_action(vmv, lam, space) for lam in basis]))
     kernel = linalg.nullspace(rows, dim_s, space.tower)
     if len(kernel) != 1:
         raise ValueError(f"spinor solution space has dimension {len(kernel)}, not 1")
@@ -130,22 +105,3 @@ def subspace_intersect(a: IsotropicSubspace, b: IsotropicSubspace) -> IsotropicS
         raise ValueError("ambient space mismatch")
     rows = linalg.intersect(a.basis, b.basis, a.space.tower)
     return IsotropicSubspace(a.space, rows, a.coeff, check=False)
-
-
-def subspace_sum_rows(a: IsotropicSubspace, b: IsotropicSubspace):
-    """Row basis of the (not necessarily isotropic) sum."""
-    if a.space is not b.space:
-        raise ValueError("ambient space mismatch")
-    return linalg.subspace_sum(a.basis, b.basis, a.space.tower)
-
-
-def subspace_ops(a: IsotropicSubspace, b: IsotropicSubspace, op: str):
-    if op == "intersect":
-        return subspace_intersect(a, b)
-    if op == "sum":
-        return subspace_sum_rows(a, b)
-    if op == "dim":
-        return a.dim
-    if op == "contains":
-        return a.contains_subspace(b)
-    raise ValueError(f"unknown subspace op {op!r}")

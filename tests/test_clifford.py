@@ -8,9 +8,9 @@ from weilspin.clifford import (
     clifford_action,
     clifford_mul,
     desymbol,
-    involutions,
     main_antiinvolution,
     main_involution,
+    star,
     symbol,
     vector_rep_reflection,
 )
@@ -88,7 +88,8 @@ def test_involutions(hs1, rng):
     assert main_involution(x1) == -x1
     for _ in range(8):
         a = rand_mv(rng, hs1.vspace)
-        assert involutions(involutions(a, "star", hs1), "star", hs1) == a
+        assert star(star(a, hs1), hs1) == a
+        assert star(a, hs1) == main_antiinvolution(main_involution(a), hs1)
         assert main_antiinvolution(main_antiinvolution(a, hs1), hs1) == a
     # the main anti-involution is an algebra anti-homomorphism
     for _ in range(6):

@@ -10,7 +10,6 @@ from weilspin.purespinor import (
     is_pure,
     pure_spinor_of,
     subspace_intersect,
-    subspace_ops,
 )
 
 
@@ -99,14 +98,14 @@ def test_isotropy_certificate(hs1):
 def test_subspace_ops(hs1, tiny_tower):
     w_y = annihilator(hs1.sspace.one(), hs1)
     w_x = annihilator(Multivector(hs1.sspace, {0b11: tiny_tower.one()}), hs1)
-    assert subspace_ops(w_y, w_y, "intersect").dim == 2
-    assert subspace_ops(w_y, w_x, "intersect").dim == 0
-    assert subspace_ops(w_y, w_x, "dim") == 2
-    assert subspace_ops(w_y, w_y, "contains")
-    assert not subspace_ops(w_y, w_x, "contains")
-    assert len(subspace_ops(w_y, w_x, "sum")) == 4
-    with pytest.raises(ValueError):
-        subspace_ops(w_y, w_x, "frobnicate")
+    assert subspace_intersect(w_y, w_y).dim == 2
+    assert subspace_intersect(w_y, w_x).dim == 0
+    assert w_y.dim == w_x.dim == 2
+    red, piv = linalg.rref(w_y.basis, tiny_tower)
+    assert all(linalg.in_span(red, piv, v, tiny_tower) for v in w_y.basis)
+    assert not any(linalg.in_span(red, piv, v, tiny_tower) for v in w_x.basis)
+    # the two halves span V
+    assert len(linalg.rref(w_y.basis + w_x.basis, tiny_tower)[0]) == 4
 
 
 def test_wt_conjugate_intersection_trivial(ws6):

@@ -9,7 +9,9 @@ from weilspin.cli import main
 from weilspin.exteralg import Multivector, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
+from weilspin import secantpipe
 from weilspin.secantpipe import (
+    CHECKS,
     PRESETS,
     Report,
     SheafClass,
@@ -69,7 +71,7 @@ def test_transform_rank_8q(q):
     e_var = transform_pair(orl, ch, ch, "E")
     assert 0 not in e_var.terms
     # linearity in each argument
-    double = SheafClass(ch.ch.scale(2), "2F")
+    double = SheafClass(ch.ch.scale(2))
     assert transform_pair(orl, double, ch, "G") == g.scale(2)
 
 
@@ -216,3 +218,57 @@ def test_fourfold_report_bytes_match_fixture(tmp_path):
 
 def test_sixfold_report_bytes_match_fixture(tmp_path):
     _assert_report_matches_fixture("sixfold-q2", tmp_path)
+
+
+def _standard_theta(n, scale=1):
+    theta = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        theta[i][i + n] = scale
+        theta[i + n][i] = -scale
+    return theta
+
+
+def _identity(m):
+    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("n, scale, ranks", [(2, 1, ("2", "6")), (3, 2, ("-128", "0"))])
+def test_pipeline_on_custom_data(n, scale, ranks):
+    # a principal F = Q fourfold and a sixfold with Theta = 2 J, both q = 2:
+    # valid data whose transform ranks are not the preset values 8q and 0
+    datum = WeilDatum(TowerSpec(1, 2), n, _identity(2 * n), _standard_theta(n, scale))
+    report = run_all(datum, seed=0, check_filter="pipeline.")
+    names = [c.name for c in report.checks]
+    assert names == [name for name, *_ in CHECKS if name.startswith("pipeline.")]
+    for check in report.checks:
+        assert check.status, (check.name, check.witness)
+    by_name = {c.name: c.witness for c in report.checks}
+    assert (by_name["pipeline.rank"]["rank"], by_name["pipeline.mixed-rank"]["rank"]) == ranks
+
+
+def test_crashing_check_is_recorded_and_later_checks_run(monkeypatch):
+    def boom(tower):
+        raise RuntimeError("no CM-types today")
+
+    monkeypatch.setattr(secantpipe, "enumerate_cm_types", boom)
+    report = run_all("fourfold-rm2", seed=0, check_filter="tower.")
+    first, *rest = report.checks
+    assert first.name == "tower.cm-types" and not first.status
+    assert first.witness == {"error": "RuntimeError: no CM-types today"}
+    assert [c.name for c in rest] == ["tower.involution", "tower.norm-positivity"]
+    assert all(c.status for c in rest)
+    assert report.to_json()["summary"] == {"pass": 2, "fail": 1}
+
+
+def test_declared_check_names_are_unique():
+    names = [name for name, *_ in CHECKS]
+    assert len(set(names)) == len(names)
+    # the committed sixfold report runs every declared check, in order, with
+    # invariants.k={k} expanded over k = 0..12
+    expanded = []
+    for name in names:
+        expanded += [name.format(k=k) for k in range(13)] if "{k}" in name else [name]
+    fixture = json.loads((Path(__file__).parent / "data" / "sixfold-q2-seed0.json").read_text())
+    ran = [c["name"] for c in fixture["checks"]]
+    assert ran == expanded
+    assert len(set(ran)) == len(ran) == 52
