@@ -196,11 +196,6 @@ def main_antiinvolution(a: Multivector, space: HyperbolicSpace) -> Multivector:
     return out
 
 
-def star(a: Multivector, space: HyperbolicSpace) -> Multivector:
-    """Conjugation: the main anti-involution composed with the main involution."""
-    return main_antiinvolution(main_involution(a), space)
-
-
 def vector_rep_reflection(space: HyperbolicSpace, v, w) -> list:
     """rho_v(w) = v.w.v^(-1) in C(V) for (v,v) = +-2, restricted to V.
 
@@ -270,48 +265,23 @@ class SoPair:
 
 def matrix_derivation(mat, a: Multivector) -> Multivector:
     """Derivation of the exterior algebra induced by a matrix on generators."""
-    space = a.space
-    tower = space.tower
-    # sparse column representation: images of each generator
-    ncols = space.m
-    cols = []
-    for j in range(ncols):
-        col = [(i, mat[i][j]) for i in range(ncols) if not mat[i][j].is_zero()]
-        cols.append(col)
-    out = {}
-    for m, c in a.terms.items():
-        pos = 0
-        mm = m
-        while mm:
-            g = (mm & -mm).bit_length() - 1
-            rest = m ^ (1 << g)
-            base = -c if pos & 1 else c  # sign pulling g to the front
-            for i, mij in cols[g]:
-                bit = 1 << i
-                if rest & bit:
-                    continue  # repeated generator wedges to zero
-                coeff = base * mij
-                if (rest & (bit - 1)).bit_count() & 1:
-                    coeff = -coeff
-                key = bit | rest
-                acc = out.get(key)
-                out[key] = coeff if acc is None else acc + coeff
-            pos += 1
-            mm &= mm - 1
-    return Multivector(space, {k: v for k, v in out.items() if not v.is_zero()})
+    return Multivector(a.space, derivation_int(int_derivation_cols(mat), a.terms))
 
 
-def int_derivation_cols(ad_int_rows):
-    """Sparse column form of an integer generator matrix, for fast derivations."""
-    n = len(ad_int_rows)
-    return [
-        [(i, ad_int_rows[i][j]) for i in range(n) if ad_int_rows[i][j]]
-        for j in range(n)
-    ]
+def int_derivation_cols(mat):
+    """Sparse column form of a generator matrix: for each generator g, the
+    (i, entry) pairs of the nonzero entries of column g."""
+    n = len(mat)
+    return [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0] for j in range(n)]
 
 
 def derivation_int(cols, terms: dict) -> dict:
-    """Integer fast path of matrix_derivation on {mask: int} term dicts."""
+    """The derivation of a matrix in `int_derivation_cols` form on a
+    {mask: scalar} term dict; the scalars may be ints or any field elements.
+
+    g_S goes to the sum over g in S of the sign pulling g to the front times
+    the image of g wedged onto g_(S without g).
+    """
     out = {}
     for m, c in terms.items():
         pos = 0
@@ -331,7 +301,7 @@ def derivation_int(cols, terms: dict) -> dict:
                 out[key] = out.get(key, 0) + coeff
             pos += 1
             mm &= mm - 1
-    return {k: v for k, v in out.items() if v}
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def symbol(elem: Multivector, space: HyperbolicSpace) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import linalg
 from .fieldtower import FieldElem, TowerSpec
 
 
@@ -153,20 +154,6 @@ class Multivector:
             raise ValueError("zero multivector has no degree")
         return min(bin(m).count("1") for m in self.terms)
 
-    # -- coordinates ----------------------------------------------------------
-
-    def to_coords(self) -> list:
-        """Dense coordinate vector over all 2^m basis masks."""
-        zero = self.space.tower.zero()
-        out = [zero] * (1 << self.space.m)
-        for m, c in self.terms.items():
-            out[m] = c
-        return out
-
-    @classmethod
-    def from_coords(cls, space: GeneratorSpace, coords) -> "Multivector":
-        return cls(space, {m: c for m, c in enumerate(coords) if not c.is_zero()})
-
     def map_coefficients(self, f) -> "Multivector":
         return Multivector(self.space, {m: f(c) for m, c in self.terms.items()})
 
@@ -210,6 +197,54 @@ def column_rows(images) -> list:
     zero = images[0].space.tower.zero()
     support = sorted(set().union(*(img.terms for img in images)))
     return [[img.terms.get(m, zero) for img in images] for m in support]
+
+
+def span_basis(mvs) -> list:
+    """The canonical basis of the span of `mvs`, multivectors on one space.
+
+    It is the reduced row echelon form over the sorted union of their
+    supports, read back as multivectors: each element has coefficient 1 at
+    its lowest mask, its pivot, and no other element has that mask.  Masks
+    outside every support are zero columns, which elimination skips, so
+    this is the rref over all masks; equal spans give equal lists.
+    """
+    mvs = [mv for mv in mvs if mv.terms]
+    if not mvs:
+        return []
+    space = mvs[0].space
+    support = sorted(set().union(*(mv.terms for mv in mvs)))
+    zero = space.tower.zero()
+    rows = [[mv.terms.get(m, zero) for m in support] for mv in mvs]
+    red, _ = linalg.rref(rows, space.tower)
+    return [Multivector(space, dict(zip(support, row))) for row in red]
+
+
+def in_span(basis, mv: Multivector) -> bool:
+    """Whether mv lies in the span of a canonical basis from `span_basis`."""
+    for b in basis:
+        c = mv.terms.get(min(b.terms))
+        if c is not None:
+            mv = mv - b.scale(c)
+    return mv.is_zero()
+
+
+def rational_parts(mv: Multivector) -> list:
+    """The four rational multivectors whose combination with the tower basis
+    1, sqrt p, sqrt -q, sqrt p sqrt -q is mv.  They span the smallest
+    rational subspace whose span over the tower field holds mv."""
+    return [
+        Multivector(mv.space, {m: c.component(k) for m, c in mv.terms.items()})
+        for k in range(4)
+    ]
+
+
+def coordinates(vectors, mv: Multivector):
+    """Coefficients x with sum of x[j] vectors[j] equal to mv, or None when
+    mv is outside their span; with independent vectors x is unique."""
+    aug = column_rows(list(vectors) + [mv])
+    if not aug:  # mv and every vector are zero
+        return [mv.space.tower.zero()] * len(vectors)
+    return linalg.solve([row[:-1] for row in aug], [row[-1] for row in aug], mv.space.tower)
 
 
 def contract(theta, a: Multivector) -> Multivector:

@@ -349,9 +349,6 @@ class Embedding:
         sp, sq = self.sign_p, self.sign_q
         return FieldElem(a.tower, (n0, sp * n1, sq * n2, sp * sq * n3), a.d)
 
-    def after_iota(self) -> "Embedding":
-        return Embedding(self.sign_p, -self.sign_q)
-
     def __eq__(self, other):
         return (
             isinstance(other, Embedding)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import HyperbolicSpace, clifford_mul, desymbol
-from .exteralg import GeneratorSpace, Multivector, column_rows, exp_even, kunneth, s_pairing, wedge
+from .exteralg import GeneratorSpace, Multivector, coordinates, exp_even, kunneth, s_pairing, wedge
 from .fieldtower import TowerSpec
 
 #: frozen orientation constants: one class c1(P) = sum x_i ^ y_i everywhere
@@ -53,11 +53,6 @@ class ProductAlgebra:
         if mv.space != self.first:
             raise ValueError("not a first-factor element")
         return Multivector(self.space, dict(mv.terms))
-
-    def embed_second(self, mv: Multivector) -> Multivector:
-        if mv.space != self.second:
-            raise ValueError("not a second-factor element")
-        return Multivector(self.space, {m << self.shift: c for m, c in mv.terms.items()})
 
     def split_mask(self, mask: int):
         return mask & ((1 << self.shift) - 1), mask >> self.shift
@@ -362,8 +357,6 @@ def bb_decompose(orlov: OrlovTransform, ell_by_type: dict, c: Multivector):
     (components by overlap size, refined components by ordered type pair).
     Raises if c lies outside the tensor square of the secant space.
     """
-    from . import linalg
-
     pa = orlov.pa_xx
     types = sorted(ell_by_type, key=lambda T: T.choices)
     basis = {}
@@ -371,9 +364,7 @@ def bb_decompose(orlov: OrlovTransform, ell_by_type: dict, c: Multivector):
         for t2 in types:
             basis[(t1, t2)] = orlov.box(ell_by_type[t1], ell_by_type[t2])
     keys = list(basis)
-    # the last column is c itself: its rows are the right-hand side
-    aug = column_rows([basis[k] for k in keys] + [c])
-    sol = linalg.solve([row[:-1] for row in aug], [row[-1] for row in aug], orlov.tower)
+    sol = coordinates([basis[k] for k in keys], c)
     if sol is None:
         raise ValueError("class does not lie in the secant tensor square")
     refined = {}

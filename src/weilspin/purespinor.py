@@ -95,13 +95,6 @@ def pure_spinor_of(w: IsotropicSubspace, space: HyperbolicSpace) -> Multivector:
     kernel = linalg.nullspace(rows, dim_s, space.tower)
     if len(kernel) != 1:
         raise ValueError(f"spinor solution space has dimension {len(kernel)}, not 1")
-    lam = Multivector.from_coords(space.sspace, kernel[0])
+    lam = Multivector(space.sspace, dict(enumerate(kernel[0])))
     lead = min(lam.terms)
     return lam.scale(lam.terms[lead].inv())
-
-
-def subspace_intersect(a: IsotropicSubspace, b: IsotropicSubspace) -> IsotropicSubspace:
-    if a.space is not b.space:
-        raise ValueError("ambient space mismatch")
-    rows = linalg.intersect(a.basis, b.basis, a.space.tower)
-    return IsotropicSubspace(a.space, rows, a.coeff, check=False)

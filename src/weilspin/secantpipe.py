@@ -27,17 +27,22 @@ from math import comb
 
 from . import linalg
 from .clifford import SoPair, clifford_action, clifford_mul, desymbol, symbol, vector_rep_reflection
-from .exteralg import Multivector, contract, exp_even, s_pairing, tau, wedge
+from .exteralg import (
+    Multivector,
+    contract,
+    coordinates,
+    exp_even,
+    in_span,
+    rational_parts,
+    s_pairing,
+    span_basis,
+    tau,
+    wedge,
+)
 from .fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from .fmtransform import OrlovTransform, bb_decompose, filtration_level, pi_to_weil
 from .purespinor import annihilator, is_pure, pure_spinor_of
-from .weilcm import (
-    WeilDatum,
-    WeilStructure,
-    generated_subalgebra_degree,
-    hermitian_form,
-    rational_component_rows,
-)
+from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree, hermitian_form
 
 
 class SheafClass:
@@ -99,31 +104,18 @@ def decompose_kappa(ws: WeilStructure, kd: Multivector):
     Returns (gamma, delta, gamma_coefficients).  Raises when kd lies outside
     the direct sum, which would contradict the invariance checks.
     """
-    tow = ws.datum.tower
-    sym = sym_power_rows(ws)
-    stack = [list(r) for r in ws.HW_rows] + sym
-    if linalg.rank(stack, tow) != len(ws.HW_rows) + len(sym):
+    sym = generated_subalgebra_degree(ws.space, ws.a2_elements, ws.d)
+    stack = ws.HW + sym
+    if len(span_basis(stack)) != len(stack):
         raise ValueError("Weil space meets the polynomial part; sum is not direct")
-    rows = [list(col) for col in zip(*stack)]
-    sol = linalg.solve(rows, kd.to_coords(), tow)
+    sol = coordinates(stack, kd)
     if sol is None:
         raise ValueError("middle character lies outside the invariant sum")
-    nhw = len(ws.HW_rows)
-    gamma_coords = [tow.zero()] * len(kd.to_coords())
-    for c, row in zip(sol[:nhw], ws.HW_rows):
-        for i, x in enumerate(row):
-            gamma_coords[i] = gamma_coords[i] + c * x
-    gamma = Multivector.from_coords(ws.space.vspace, gamma_coords)
-    delta = kd - gamma
-    return gamma, delta, sol[:nhw]
-
-
-def sym_power_rows(ws: WeilStructure):
-    """Row basis of the degree-d part of the subalgebra generated by the Xi
-    classes, in coordinates over all masks (an rref basis over the degree-d
-    masks stays one when the other coordinates are added as zero columns)."""
-    rows, masks = generated_subalgebra_degree(ws.space, ws.a2_elements, ws.d)
-    return [Multivector(ws.space.vspace, dict(zip(masks, row))).to_coords() for row in rows]
+    coeffs = sol[: len(ws.HW)]
+    gamma = ws.space.vspace.zero()
+    for c, mv in zip(coeffs, ws.HW):
+        gamma = gamma + mv.scale(c)
+    return gamma, kd - gamma, coeffs
 
 
 def nonvanish_from_tensor(ws: WeilStructure, orl: OrlovTransform, tensor: Multivector) -> bool:
@@ -564,20 +556,11 @@ class _Runner:
     @_check("secant.dimension", "secant space dimension")
     def _secant_dim(self):
         tow = self.datum.tower
-        dim = len(self.ws.B_rows)
-        even = all(
-            bin(m).count("1") % 2 == 0
-            for row in self.ws.B_rows
-            for m, x in enumerate(row)
-            if not x.is_zero()
-        )
+        dim = len(self.ws.B)
+        even = all(bin(m).count("1") % 2 == 0 for b in self.ws.B for m in b.terms)
         ok = dim == 2 ** (tow.e // 2) and even
         if tow.e == 2:
-            ok &= linalg.spans_equal(
-                self.ws.B_rows,
-                [self.ws.alpha.to_coords(), self.ws.beta.to_coords()],
-                tow,
-            )
+            ok &= span_basis([self.ws.alpha, self.ws.beta]) == self.ws.B
         return ok, {"dim": dim, "even": even}
 
     @_check("forms.xi", "alternating invariant two-forms")
@@ -647,7 +630,7 @@ class _Runner:
 
     @_check("weil.dimension", "Weil subspace dimension")
     def _weil_dim(self):
-        return len(self.ws.HW_rows) == self.datum.tower.e, {"dim": len(self.ws.HW_rows)}
+        return len(self.ws.HW) == self.datum.tower.e, {"dim": len(self.ws.HW)}
 
     @_check("lie.annihilator-dimension", "annihilator algebra of the secant space")
     def _gb_dim(self):
@@ -657,9 +640,8 @@ class _Runner:
         dim = len(self.ws.gB)
         # every generator kills the secant space pointwise (re-verified)
         ok = dim == expected
-        secant = self.ws.secant_multivectors()
         for so in self.ws.gB:
-            for b in secant:
+            for b in self.ws.B:
                 ok &= so.spin(b).is_zero()
         return ok, {"dim": dim, "special_unitary_dim": expected}
 
@@ -688,14 +670,13 @@ class _Runner:
 
     @_check("lie.kills-generators", "invariant generators are annihilated")
     def _gb_kills(self):
-        gens = list(self.ws.a2_elements) + self.ws.hw_multivectors()
+        gens = list(self.ws.a2_elements) + self.ws.HW
         return all(self.ws.gb_kills(mv) for mv in gens), {}
 
     @_check("invariants.k={k}", "invariant classes equal the generated subalgebra")
     def _invariants(self, k):
-        dim, gen_rows, flag, method = self.ws.invariants_and_generation(k)
-        gen_dim = len(gen_rows) if k > 0 else 1
-        return flag, {"invariant_dim": dim, "generated_dim": gen_dim, "method": method}
+        dim, generated, flag, method = self.ws.invariants_and_generation(k)
+        return flag, {"invariant_dim": dim, "generated_dim": len(generated), "method": method}
 
     @_check("bb.dimensions", "overlap grading dimensions")
     def _bb_dims(self):
@@ -824,9 +805,7 @@ class _Runner:
                 line = orl.hyper.vspace.one()
                 for row in inter:
                     line = wedge(line, orl.hyper.vector_to_mv(row))
-                good = lev >= d * k and linalg.spans_equal(
-                    [bottom.to_coords()], [line.to_coords()], tow
-                )
+                good = lev >= d * k and span_basis([bottom]) == span_basis([line])
                 wit[f"{t1!r}|{t2!r}"] = {"k": k, "level": lev}
                 ok &= good
         return ok, wit
@@ -836,7 +815,7 @@ class _Runner:
         tow = self.datum.tower
         orl = self.orl
         d = self.ws.d
-        rows = []
+        parts = []
         bb1 = 0
         for t1 in self.ws.cm_types:
             for t2 in self.ws.cm_types:
@@ -844,25 +823,20 @@ class _Runner:
                     continue
                 bb1 += 1
                 img = pi_to_weil(orl, d, orl.box(self.ws.ell[t1], self.ws.ell[t2]))
-                rows.extend(rational_component_rows([img.to_coords()]))
-        red, _ = linalg.rref(rows, tow)
-        eq = linalg.spans_equal(red, self.ws.HW_rows, tow)
-        iso = bb1 == len(self.ws.HW_rows)
-        return eq and (iso == (tow.e == 2)), {"image_dim": len(red), "bb1_lines": bb1,
-                                              "iso": iso}
+                parts.extend(rational_parts(img))
+        image = span_basis(parts)
+        iso = bb1 == len(self.ws.HW)
+        ok = image == self.ws.HW and iso == (tow.e == 2)
+        return ok, {"image_dim": len(image), "bb1_lines": bb1, "iso": iso}
 
     @_check("pipeline.secant-chern", "ideal-sheaf character lies in the secant space", _sheaf_chain)
     def _secant_chern(self):
         tow = self.datum.tower
         ch = self._ch
-        red, piv = linalg.rref(self.ws.B_rows, tow)
-        ok = linalg.in_span(red, piv, ch.ch.to_coords(), tow)
+        ok = in_span(self.ws.B, ch.ch)
         ok &= ch.rank == tow.one()
         # coordinates (1, 1) against (alpha, beta)
-        sol = linalg.solve(
-            [list(col) for col in zip(*[self.ws.alpha.to_coords(), self.ws.beta.to_coords()])],
-            ch.ch.to_coords(), tow,
-        )
+        sol = coordinates([self.ws.alpha, self.ws.beta], ch.ch)
         ok &= sol is not None and sol[0] == tow.one() and sol[1] == tow.one()
         return ok, {"coords": [str(x) for x in (sol or [])]}
 
@@ -872,9 +846,7 @@ class _Runner:
         dual = dualize(ch)
         ok = dual.ch == self.ws.alpha - self.ws.beta
         ok &= dualize(dual).ch == ch.ch
-        tow = self.datum.tower
-        red, piv = linalg.rref(self.ws.B_rows, tow)
-        ok &= linalg.in_span(red, piv, dual.ch.to_coords(), tow)
+        ok &= in_span(self.ws.B, dual.ch)
         return ok, {}
 
     # The expected ranks come from the spinor pairing, not from the transform:

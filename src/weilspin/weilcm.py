@@ -25,7 +25,15 @@ import numpy as np
 
 from . import linalg
 from .clifford import HyperbolicSpace, SoPair, derivation_int, int_derivation_cols
-from .exteralg import Multivector, column_rows, contract_gen, exp_even, wedge
+from .exteralg import (
+    Multivector,
+    column_rows,
+    contract_gen,
+    exp_even,
+    rational_parts,
+    span_basis,
+    wedge,
+)
 from .fieldtower import (
     CMType,
     Embedding,
@@ -206,42 +214,25 @@ def build_W(datum: WeilDatum, space: HyperbolicSpace) -> IsotropicSubspace:
 class CmAction:
     """The embedding of K into rational endomorphisms of V."""
 
-    __slots__ = ("datum", "space", "mats")
+    __slots__ = ("datum", "space", "mats", "_of")
 
     def __init__(self, datum: WeilDatum, space: HyperbolicSpace, w: IsotropicSubspace):
         self.datum = datum
         self.space = space
         t = datum.tower
         dim = 4 * datum.n
-        # solve v = w + iota(w) with w in W, then act by sqrt(-q) on the W part
-        w_rows = w.basis
-        iw_rows = [[c.iota() for c in row] for row in w_rows]
-        cols = w_rows + iw_rows  # 4n vectors spanning V over the tower
+        n2 = 2 * datum.n
+        # sqrt(-q) acts by sqrt(-q) on W and by -sqrt(-q) on iota(W): in the
+        # basis of M's columns, the rows of W then of iota(W), it is diagonal
+        cols = w.basis + [[c.iota() for c in row] for row in w.basis]
         m = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        minv = linalg.mat_inverse(m, t)
-        rq = t.sqrt_minus_q()
-        eta_rq = []
-        for i in range(dim):
-            e = [t.scalar(1 if k == i else 0) for k in range(dim)]
-            coeffs = linalg.mat_vec(minv, e, t)
-            img = [t.zero()] * dim
-            for j in range(2 * datum.n):
-                cw, ciw = coeffs[j], coeffs[2 * datum.n + j]
-                if not cw.is_zero():
-                    for k in range(dim):
-                        img[k] = img[k] + rq * cw * w_rows[j][k]
-                if not ciw.is_zero():
-                    for k in range(dim):
-                        img[k] = img[k] - rq * ciw * iw_rows[j][k]
-            for x in img:
-                if not x.is_rational():
-                    raise ValueError("eta_sqrt(-q) failed to be rational")
-            eta_rq.append(img)
-        eta_rq = [[eta_rq[j][i] for j in range(dim)] for i in range(dim)]  # column-major fix
+        rq, zero = t.sqrt_minus_q(), t.zero()
+        diag = [[(rq if i < n2 else -rq) if i == j else zero for j in range(dim)] for i in range(dim)]
+        eta_rq = linalg.mat_mul(linalg.mat_mul(m, diag, t), linalg.mat_inverse(m, t), t)
+        if not all(x.is_rational() for row in eta_rq for x in row):
+            raise ValueError("eta_sqrt(-q) failed to be rational")
         mats = {"1": linalg.identity_matrix(dim, t), "rq": eta_rq}
         if t.p != 1:
-            n2 = 2 * datum.n
-            zero = t.zero()
             eta_rp = [[zero] * dim for _ in range(dim)]
             for i in range(n2):
                 for j in range(n2):
@@ -250,9 +241,16 @@ class CmAction:
             mats["rp"] = eta_rp
             mats["rprq"] = linalg.mat_mul(eta_rp, eta_rq, t)
         self.mats = mats
+        self._of = {}
 
     def of(self, elem: FieldElem):
-        """Matrix of eta_t for t in K, as a rational matrix over the tower."""
+        """Matrix of eta_t for t in K, as a rational matrix over the tower.
+
+        Built once per element and shared: callers must only read it.
+        """
+        out = self._of.get(elem)
+        if out is not None:
+            return out
         t = self.datum.tower
         out = linalg.mat_scale(self.mats["1"], elem.component(0))
         out = linalg.mat_add(out, linalg.mat_scale(self.mats["rq"], elem.component(2)))
@@ -261,6 +259,7 @@ class CmAction:
             out = linalg.mat_add(out, linalg.mat_scale(self.mats["rprq"], elem.component(3)))
         elif elem.n[1] or elem.n[3]:
             raise ValueError("element not in K")
+        self._of[elem] = out
         return out
 
     def k_basis(self):
@@ -323,22 +322,10 @@ def build_WT(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType):
     return ell, w_t
 
 
-def rational_component_rows(vectors):
-    """All rational coordinate components of a list of tower-coefficient vectors."""
-    rows = []
-    for vec in vectors:
-        for k in range(4):
-            if any(x.n[k] for x in vec):
-                rows.append([x.component(k) for x in vec])
-    return rows
-
-
 def build_B(space: HyperbolicSpace, spinors):
-    """Rational form of the span of the pure spinor lines: the secant space."""
-    vectors = [ell.to_coords() for ell in spinors]
-    rows = rational_component_rows(vectors)
-    red, _ = linalg.rref(rows, space.tower)
-    return red
+    """Rational form of the span of the pure spinor lines: the secant space,
+    as a canonical basis of multivectors on S."""
+    return span_basis([part for ell in spinors for part in rational_parts(ell)])
 
 
 def eigenspace(space: HyperbolicSpace, eta: CmAction, sigma: Embedding):
@@ -357,7 +344,8 @@ def eigenspace(space: HyperbolicSpace, eta: CmAction, sigma: Embedding):
 
 
 def build_HW(datum: WeilDatum, space: HyperbolicSpace, eta: CmAction):
-    """Rational form of the sum of the top powers of the eta-character spaces."""
+    """Rational form of the sum of the top powers of the eta-character spaces,
+    as a canonical basis of multivectors on V."""
     from .fieldtower import k_embeddings
 
     t = datum.tower
@@ -372,10 +360,8 @@ def build_HW(datum: WeilDatum, space: HyperbolicSpace, eta: CmAction):
             mv = wedge(mv, space.vector_to_mv(row))
         if mv.is_zero():
             raise ValueError("degenerate character space wedge")
-        lines.append(mv.to_coords())
-    rows = rational_component_rows(lines)
-    red, _ = linalg.rref(rows, t)
-    return red
+        lines.extend(rational_parts(mv))
+    return span_basis(lines)
 
 
 def xi_form_matrix(eta: CmAction, t_elem: FieldElem, space: HyperbolicSpace):
@@ -441,7 +427,7 @@ def hermitian_form(space: HyperbolicSpace, eta: CmAction, t_elem: FieldElem, u, 
     return (-t2) * pair_f(space, eta, u, v) + t_elem * xi_f(space, eta, t_elem, u, v)
 
 
-def build_gB(space: HyperbolicSpace, secant_rows):
+def build_gB(space: HyperbolicSpace, secant):
     """Basis of {xi in wedge^2 V : the spin action of xi kills the secant space}.
 
     The spin action here is the derivative of the group representation: the
@@ -451,42 +437,28 @@ def build_gB(space: HyperbolicSpace, secant_rows):
     dim = space.dim_v
     deg2 = [m for m in range(1 << dim) if bin(m).count("1") == 2]
     spin_images = []
-    secant_mvs = [Multivector.from_coords(space.sspace, row) for row in secant_rows]
     for mask in deg2:
         xi = Multivector(space.vspace, {mask: t.one()})
         pair_obj = SoPair(space, xi)
-        spin_images.append([pair_obj.spin(b) for b in secant_mvs])
+        spin_images.append([pair_obj.spin(b) for b in secant])
     rows = []
-    for b_idx in range(len(secant_mvs)):
+    for b_idx in range(len(secant)):
         rows.extend(column_rows([imgs[b_idx] for imgs in spin_images]))
     kernel = linalg.nullspace(rows, len(deg2), t)
-    basis = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(deg2, vec) if not c.is_zero()}
-        basis.append(SoPair(space, Multivector(space.vspace, terms)))
-    return basis
+    return [SoPair(space, Multivector(space.vspace, dict(zip(deg2, vec)))) for vec in kernel]
 
 
 def generated_subalgebra_degree(space: HyperbolicSpace, generators, k: int):
-    """Degree-k part of the subalgebra generated by even-degree elements.
-
-    Returns a rational rref row basis over the degree-k masks of wedge* V.
-    """
-    t = space.tower
+    """Degree-k part of the subalgebra generated by even-degree elements,
+    as a canonical basis (`span_basis`) of the products of degree k."""
+    if k == 0:
+        return [space.vspace.one()]
     degs = [g.min_degree() for g in generators]
-    masks = [m for m in range(1 << space.dim_v) if bin(m).count("1") == k]
-    index = {m: i for i, m in enumerate(masks)}
     products = []
-
-    def emit(mv):
-        row = [t.zero()] * len(masks)
-        for m, c in mv.terms.items():
-            row[index[m]] = c
-        products.append(row)
 
     def rec(start, remaining, acc):
         if remaining == 0:
-            emit(acc)
+            products.append(acc)
             return
         for i in range(start, len(generators)):
             if degs[i] <= remaining:
@@ -494,11 +466,8 @@ def generated_subalgebra_degree(space: HyperbolicSpace, generators, k: int):
                 if not nxt.is_zero():
                     rec(i, remaining - degs[i], nxt)
 
-    if k == 0:
-        return [[t.one()]], masks
     rec(0, k, space.vspace.one())
-    red, _ = linalg.rref(products, t)
-    return red, masks
+    return span_basis(products)
 
 
 def gb_int_cols(gB):
@@ -697,26 +666,20 @@ class WeilStructure:
             ell, w_t = build_WT(datum, self.space, T)
             self.ell[T] = ell
             self.WT[T] = w_t
-        self.B_rows = build_B(self.space, [self.ell[T] for T in self.cm_types])
-        self.HW_rows = build_HW(datum, self.space, self.eta)
+        self.B = build_B(self.space, [self.ell[T] for T in self.cm_types])
+        self.HW = build_HW(datum, self.space, self.eta)
         self.a2_elements = []
         self.a2_forms = []
         for t_el in self.eta.k_minus_basis():
             form = xi_form_matrix(self.eta, t_el, self.space)
             self.a2_forms.append((t_el, form))
             self.a2_elements.append(form_to_element(self.space, form))
-        self.gB = build_gB(self.space, self.B_rows)
+        self.gB = build_gB(self.space, self.B)
         self._gb_cols = gb_int_cols(self.gB)
 
     @property
     def d(self) -> int:
         return self.datum.d
-
-    def secant_multivectors(self):
-        return [Multivector.from_coords(self.space.sspace, row) for row in self.B_rows]
-
-    def hw_multivectors(self):
-        return [Multivector.from_coords(self.space.vspace, row) for row in self.HW_rows]
 
     def gb_kills(self, mv: Multivector) -> bool:
         """Whether every g_B derivation kills the rational multivector mv.
@@ -728,18 +691,13 @@ class WeilStructure:
         return not any(derivation_int(cols, iterms) for cols in self._gb_cols)
 
     def invariants_and_generation(self, k: int):
-        """(invariant dim, generated rows, equality flag, method) at degree k."""
-        gens = list(self.a2_elements) + self.hw_multivectors()
-        gen_rows, masks = generated_subalgebra_degree(self.space, gens, k)
+        """(invariant dim, generated basis, equality flag, method) at degree k."""
+        generated = generated_subalgebra_degree(self.space, list(self.a2_elements) + self.HW, k)
         # exact containment: every generated element is killed by every derivation
-        if k > 0:
-            for row in gen_rows:
-                if not self.gb_kills(Multivector(self.space.vspace, dict(zip(masks, row)))):
-                    raise ValueError("generated class is not g_B-invariant")
-        expected = len(gen_rows) if k > 0 else 1
-        dim, method = invariant_dimension_certificate(self.space, self._gb_cols, k, expected)
-        flag = dim == expected
-        return dim, gen_rows, flag, method
+        if not all(self.gb_kills(mv) for mv in generated):
+            raise ValueError("generated class is not g_B-invariant")
+        dim, method = invariant_dimension_certificate(self.space, self._gb_cols, k, len(generated))
+        return dim, generated, dim == len(generated), method
 
     def split_witness(self):
         """K-span of the first half of the dual F-basis, with H_t vanishing on it."""

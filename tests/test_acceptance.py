@@ -19,7 +19,7 @@ from weilspin.clifford import (
     clifford_mul,
     derivation_int,
 )
-from weilspin.exteralg import Multivector, tau, wedge
+from weilspin.exteralg import Multivector, in_span, rational_parts, span_basis, tau, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform, filtration_level, pi_to_weil
 from weilspin.purespinor import annihilator, is_pure
@@ -105,12 +105,12 @@ def test_criterion_3_dimension_ledger(structures):
     for name, expect in (("sixfold-q2", (2, 2, 2, 1)), ("fourfold-rm2", (4, 8, 4, 2))):
         ws = structures[name]
         b_dim, bb1, hw, xi = expect
-        ok &= len(ws.B_rows) == b_dim
+        ok &= len(ws.B) == b_dim
         pairs1 = sum(
             1 for t1 in ws.cm_types for t2 in ws.cm_types if t1.overlap(t2) == 1
         )
         ok &= pairs1 == bb1
-        ok &= len(ws.HW_rows) == hw
+        ok &= len(ws.HW) == hw
         rows = [[x for row in form for x in row] for _, form in ws.a2_forms]
         ok &= linalg.rank(rows, ws.datum.tower) == xi
     _report(3, "dimension ledger (B, BB1, HW, Xi)", ok)
@@ -255,11 +255,9 @@ def test_criterion_7_filtration_lemma(structures, orlovs):
                 line = orl.hyper.vspace.one()
                 for row in inter:
                     line = wedge(line, orl.hyper.vector_to_mv(row))
-                ok &= linalg.spans_equal([bottom.to_coords()], [line.to_coords()], tow)
+                ok &= span_basis([bottom]) == span_basis([line])
         # Pi(BB1) = HW
-        from weilspin.weilcm import rational_component_rows
-
-        rows = []
+        parts = []
         for t1 in ws.cm_types:
             for t2 in ws.cm_types:
                 if t1.overlap(t2) != 1:
@@ -267,11 +265,8 @@ def test_criterion_7_filtration_lemma(structures, orlovs):
                 boxed = orl.pa_xx.box(
                     ws.ell[t1], Multivector(orl.sx2, dict(ws.ell[t2].terms))
                 )
-                rows.extend(
-                    rational_component_rows([pi_to_weil(orl, d, boxed).to_coords()])
-                )
-        red, _ = linalg.rref(rows, tow)
-        ok &= linalg.spans_equal(red, ws.HW_rows, tow)
+                parts.extend(rational_parts(pi_to_weil(orl, d, boxed)))
+        ok &= span_basis(parts) == ws.HW
     _report(7, "filtration lemma and Weil-image suite, both presets", ok)
 
 
@@ -306,8 +301,7 @@ def test_criterion_9_headline_pipeline(structures, orlovs):
     gamma, delta, coeffs = decompose_kappa(ws, kd)  # raises if not direct/member
     ok &= gamma + delta == kd
     ok &= not gamma.is_zero()
-    red, piv = linalg.rref(ws.HW_rows, tow)
-    ok &= linalg.in_span(red, piv, gamma.to_coords(), tow)
+    ok &= in_span(ws.HW, gamma)
     elapsed = time.time() - start
     ok &= elapsed < 300.0
     _report(9, f"headline pipeline: kappa invariant, gamma != 0 ({elapsed:.1f}s)", ok)

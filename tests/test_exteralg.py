@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.exteralg import (
@@ -8,10 +10,14 @@ from weilspin.exteralg import (
     Multivector,
     contract,
     contract_gen,
+    coordinates,
     exp_even,
+    in_span,
     kunneth,
     merge_sign,
+    rational_parts,
     s_pairing,
+    span_basis,
     tau,
     wedge,
 )
@@ -191,3 +197,59 @@ def test_merge_sign_counts_inversions():
             order = [i for i in range(6) if a >> i & 1] + [i for i in range(6) if b >> i & 1]
             inversions = sum(1 for s, x in enumerate(order) for y in order[s + 1:] if x > y)
             assert merge_sign(a, b) == (-1) ** inversions, (a, b)
+
+
+# -- canonical span bases against a dense rref over all 2^m masks ------------
+
+SPAN_TOWERS = [TowerSpec(1, 2), TowerSpec(2, 1)]
+small = st.integers(-2, 2)
+term_dicts = st.dictionaries(st.integers(0, 15), st.tuples(small, small, small, small), max_size=5)
+
+
+def dense(mv):
+    """The coordinates of mv over all 2^m masks."""
+    zero = mv.space.tower.zero()
+    return [mv.terms.get(m, zero) for m in range(1 << mv.space.m)]
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    tower=st.sampled_from(SPAN_TOWERS),
+    gens=st.lists(term_dicts, min_size=1, max_size=4),
+    probe=term_dicts,
+    mix=st.lists(small, min_size=4, max_size=4),
+)
+def test_span_basis_matches_dense_rref(tower, gens, probe, mix):
+    space = GeneratorSpace([f"e{i}" for i in range(4)], tower)
+
+    def mv_of(terms):
+        return Multivector(space, {m: tower.elem(*c) for m, c in terms.items()})
+
+    mvs = [mv_of(t) for t in gens]
+    basis = span_basis(mvs)
+    red, piv = linalg.rref([dense(mv) for mv in mvs], tower)
+    assert [dense(b) for b in basis] == red
+    # another generating set of the same span, reordered and with a zero
+    other = [mvs[0]] + [mv + mvs[0].scale(k) for mv, k in zip(mvs[1:], mix)]
+    assert span_basis(other[::-1] + [space.zero()]) == basis
+    # membership of an arbitrary element and of a combination of the generators
+    v = mv_of(probe)
+    assert in_span(basis, v) == linalg.in_span(red, piv, dense(v), tower)
+    member = space.zero()
+    for mv, k in zip(mvs, mix):
+        member = member + mv.scale(k)
+    assert in_span(basis, member)
+    x = coordinates(basis, member)
+    total = space.zero()
+    for b, c in zip(basis, x):
+        total = total + b.scale(c)
+    assert total == member
+    # rational parts are rational and recombine with the tower basis
+    units = [tower.one(), tower.sqrt_p(), tower.sqrt_minus_q(), tower.sqrt_p() * tower.sqrt_minus_q()]
+    for mv in mvs + [v]:
+        parts = rational_parts(mv)
+        assert all(c.is_rational() for part in parts for c in part.terms.values())
+        total = space.zero()
+        for part, unit in zip(parts, units):
+            total = total + part.scale(unit)
+        assert total == mv

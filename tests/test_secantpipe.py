@@ -6,7 +6,7 @@ import pytest
 
 from weilspin import linalg
 from weilspin.cli import main
-from weilspin.exteralg import Multivector, wedge
+from weilspin.exteralg import Multivector, in_span, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
 from weilspin import secantpipe
@@ -45,8 +45,7 @@ def test_preset_chern_character(ws6):
     expected = ws6.space.sspace.one() + th - th2 - th3.scale(Fraction(1, 3))
     assert ch.ch == expected
     assert ch.rank == tow.one()
-    red, piv = linalg.rref(ws6.B_rows, tow)
-    assert linalg.in_span(red, piv, ch.ch.to_coords(), tow)
+    assert in_span(ws6.B, ch.ch)
 
 
 def test_dualize(ws6):
@@ -54,9 +53,7 @@ def test_dualize(ws6):
     dual = dualize(ch)
     assert dual.ch == ws6.alpha - ws6.beta
     assert dualize(dual).ch == ch.ch
-    tow = ws6.datum.tower
-    red, piv = linalg.rref(ws6.B_rows, tow)
-    assert linalg.in_span(red, piv, dual.ch.to_coords(), tow)
+    assert in_span(ws6.B, dual.ch)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -104,9 +101,7 @@ def test_decompose_kappa(ws6, orl6):
     assert gamma + delta == kd
     assert not gamma.is_zero()
     # gamma lies in the Weil space, delta in the polynomial line
-    tow = ws6.datum.tower
-    red, piv = linalg.rref(ws6.HW_rows, tow)
-    assert linalg.in_span(red, piv, gamma.to_coords(), tow)
+    assert in_span(ws6.HW, gamma)
     # zero decomposes to (0, 0)
     g0, d0, _ = decompose_kappa(ws6, ws6.space.vspace.zero())
     assert g0.is_zero() and d0.is_zero()
@@ -272,3 +267,12 @@ def test_declared_check_names_are_unique():
     ran = [c["name"] for c in fixture["checks"]]
     assert ran == expanded
     assert len(set(ran)) == len(ran) == 52
+
+
+def test_rm_eightfold_pi_image():
+    # F = Q(sqrt 2) with d = 4: the overlap-one lines map onto the Weil space
+    data = json.loads((Path(__file__).parent / "data" / "eightfold-rm2.json").read_text())
+    report = run_all(WeilDatum.from_json(data), check_filter="lemma.pi-image")
+    assert [c.name for c in report.checks] == ["lemma.pi-image"]
+    check = report.checks[0]
+    assert check.status and check.witness["image_dim"] == 4

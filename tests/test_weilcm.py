@@ -5,7 +5,7 @@ import pytest
 
 from weilspin import linalg
 from weilspin.clifford import derivation_int
-from weilspin.exteralg import Multivector, contract_gen, wedge
+from weilspin.exteralg import Multivector, contract_gen, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
 from weilspin.weilcm import (
@@ -164,22 +164,18 @@ def test_eta_eigenspaces(ws4):
 
 
 def test_secant_dimensions(ws6, ws4):
-    assert len(ws6.B_rows) == 2
-    assert len(ws4.B_rows) == 4
-    tow = ws6.datum.tower
-    assert linalg.spans_equal(
-        ws6.B_rows, [ws6.alpha.to_coords(), ws6.beta.to_coords()], tow
-    )
+    assert len(ws6.B) == 2
+    assert len(ws4.B) == 4
+    assert span_basis([ws6.alpha, ws6.beta]) == ws6.B
     for ws in (ws6, ws4):
-        for row in ws.B_rows:
-            for m, x in enumerate(row):
-                if not x.is_zero():
-                    assert bin(m).count("1") % 2 == 0
+        for b in ws.B:
+            for m in b.terms:
+                assert bin(m).count("1") % 2 == 0
 
 
 def test_hw_dimensions(ws6, ws4):
-    assert len(ws6.HW_rows) == 2
-    assert len(ws4.HW_rows) == 4
+    assert len(ws6.HW) == 2
+    assert len(ws4.HW) == 4
 
 
 def test_xi_forms(ws6, ws4):
@@ -252,7 +248,7 @@ def test_gb(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
         for so in ws.gB[:6]:
-            for b in ws.secant_multivectors():
+            for b in ws.B:
                 assert so.spin(b).is_zero()
             for t_el in ws.eta.k_basis():
                 m = ws.eta.of(t_el)
@@ -270,7 +266,7 @@ def test_gb_kills_invariant_generators(ws6, ws4):
     from weilspin.weilcm import multivector_int_terms
 
     for ws in (ws6, ws4):
-        for mv in list(ws.a2_elements) + ws.hw_multivectors():
+        for mv in list(ws.a2_elements) + ws.HW:
             iterms = multivector_int_terms(mv)
             for cols in ws._gb_cols:
                 assert not derivation_int(cols, iterms)
