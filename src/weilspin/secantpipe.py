@@ -104,7 +104,7 @@ def decompose_kappa(ws: WeilStructure, kd: Multivector):
     Returns (gamma, delta, gamma_coefficients).  Raises when kd lies outside
     the direct sum, which would contradict the invariance checks.
     """
-    sym = generated_subalgebra_degree(ws.space, ws.a2_elements, ws.d)
+    sym = generated_subalgebra_degree(ws.space, ws.a2_elements, ws.d)[ws.d]
     stack = ws.HW + sym
     if len(span_basis(stack)) != len(stack):
         raise ValueError("Weil space meets the polynomial part; sum is not direct")

@@ -20,6 +20,7 @@ killed by the derivations of g_B.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,8 @@ class WeilDatum:
         d = self.d
         if len(self.dual_f_basis) != d:
             raise ValueError("dual_f_basis must have d vectors")
+        if any(len(row) != dim for row in self.dual_f_basis):
+            raise ValueError("dual_f_basis rows must have 2n entries")
         for a in range(d // 2):
             for b in range(d // 2):
                 v, w = self.dual_f_basis[a], self.dual_f_basis[b]
@@ -146,10 +149,7 @@ class WeilDatum:
         tower = TowerSpec.from_json(data["tower"])
         n = int(data["n"])
         eta_hat = [[parse_rational(x) for x in row] for row in data["eta_hat"]]
-        theta = [
-            [tower.elem(parse_rational(x[0]), parse_rational(x[1])) for x in row]
-            for row in data["theta"]
-        ]
+        theta = [[tower.elem(*[parse_rational(c) for c in x]) for x in row] for row in data["theta"]]
         dfb = data.get("dual_f_basis")
         if dfb is not None:
             dfb = [[parse_rational(x) for x in row] for row in dfb]
@@ -448,26 +448,20 @@ def build_gB(space: HyperbolicSpace, secant):
     return [SoPair(space, Multivector(space.vspace, dict(zip(deg2, vec)))) for vec in kernel]
 
 
-def generated_subalgebra_degree(space: HyperbolicSpace, generators, k: int):
-    """Degree-k part of the subalgebra generated by even-degree elements,
-    as a canonical basis (`span_basis`) of the products of degree k."""
-    if k == 0:
-        return [space.vspace.one()]
+def generated_subalgebra_degree(space: HyperbolicSpace, generators, top: int):
+    """Canonical bases (`span_basis`) of the degree-k parts, k = 0..top, of
+    the subalgebra generated by homogeneous even-degree elements.
+
+    G_0 = {1} and G_k spans {b ^ g : g a generator, b in G_(k - deg g)}: a
+    product of degree k is a product of degree k - deg g times its last
+    factor g, and wedge is bilinear, so this is the span of all products.
+    """
     degs = [g.min_degree() for g in generators]
-    products = []
-
-    def rec(start, remaining, acc):
-        if remaining == 0:
-            products.append(acc)
-            return
-        for i in range(start, len(generators)):
-            if degs[i] <= remaining:
-                nxt = wedge(acc, generators[i])
-                if not nxt.is_zero():
-                    rec(i, remaining - degs[i], nxt)
-
-    rec(0, k, space.vspace.one())
-    return span_basis(products)
+    out = [[space.vspace.one()]]
+    for k in range(1, top + 1):
+        out.append(span_basis([wedge(b, g) for g, dg in zip(generators, degs) if dg <= k
+                               for b in out[k - dg]]))
+    return out
 
 
 def gb_int_cols(gB):
@@ -639,13 +633,7 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
 
 def multivector_int_terms(mv: Multivector) -> dict:
     """Clear denominators of a rational multivector into an integer term dict."""
-    from math import gcd
-
-    den = 1
-    for c in mv.terms.values():
-        r = c.as_rational()
-        den = den * r.denominator // gcd(den, r.denominator)
-    return {m: int(c.as_rational() * den) for m, c in mv.terms.items()}
+    return dict(zip(mv.terms, linalg.matrix_to_int_global([list(mv.terms.values())])[0]))
 
 
 class WeilStructure:
@@ -681,6 +669,13 @@ class WeilStructure:
     def d(self) -> int:
         return self.datum.d
 
+    @cached_property
+    def generated(self):
+        """Bases of the subalgebra generated by the Xi classes and HW in every
+        degree 0..4n; built on first use, so checks that never read it (the
+        `lie.` family) do not pay for it."""
+        return generated_subalgebra_degree(self.space, self.a2_elements + self.HW, self.space.dim_v)
+
     def gb_kills(self, mv: Multivector) -> bool:
         """Whether every g_B derivation kills the rational multivector mv.
 
@@ -692,7 +687,7 @@ class WeilStructure:
 
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""
-        generated = generated_subalgebra_degree(self.space, list(self.a2_elements) + self.HW, k)
+        generated = self.generated[k]
         # exact containment: every generated element is killed by every derivation
         if not all(self.gb_kills(mv) for mv in generated):
             raise ValueError("generated class is not g_B-invariant")

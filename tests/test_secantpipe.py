@@ -9,7 +9,7 @@ from weilspin.cli import main
 from weilspin.exteralg import Multivector, in_span, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
-from weilspin import secantpipe
+from weilspin import secantpipe, weilcm
 from weilspin.secantpipe import (
     CHECKS,
     PRESETS,
@@ -178,6 +178,41 @@ def test_cli_custom_input(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["checks"][0]["witness"] == {"dim": 4}
+
+
+def _theta_outside_f(data):
+    # 1 + sqrt(-q) at (0, 3) and its negative at (3, 0): alternating, not in F
+    data["theta"][0][3] = [[1, 1], [0, 1], [1, 1], [0, 1]]
+    data["theta"][3][0] = [[-1, 1], [0, 1], [-1, 1], [0, 1]]
+
+
+def _dual_rows_of_length(length):
+    def edit(data):
+        data["dual_f_basis"] = [(row + [[0, 1]])[:length] for row in data["dual_f_basis"]]
+    return edit
+
+
+@pytest.mark.parametrize("preset, edit, reason", [
+    ("sixfold-q2", _theta_outside_f, "theta entries must lie in F"),
+    ("fourfold-rm2", _dual_rows_of_length(3), "dual_f_basis rows must have 2n entries"),
+    ("fourfold-rm2", _dual_rows_of_length(5), "dual_f_basis rows must have 2n entries"),
+], ids=["theta-outside-F", "dual-rows-3", "dual-rows-5"])
+def test_cli_rejects_invalid_datum(preset, edit, reason, tmp_path, capsys):
+    data = PRESETS[preset]().to_json()
+    edit(data)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert f"error: invalid datum: {reason}" in capsys.readouterr().err
+
+
+def test_lie_checks_never_build_the_generated_subalgebra(monkeypatch):
+    def boom(*args):
+        raise AssertionError("generated subalgebra built by a lie. check")
+
+    monkeypatch.setattr(weilcm, "generated_subalgebra_degree", boom)
+    report = run_all("sixfold-q2", check_filter="lie.")
+    assert len(report.checks) == 4 and report.all_pass()
 
 
 def test_invariants_on_large_integer_datum():

@@ -282,6 +282,31 @@ def test_invariants_selected_degrees(ws4):
     assert flag0 and dim0 == 1
 
 
+@pytest.mark.parametrize("structure, dims", [
+    ("ws6", [1, 0, 1, 0, 1, 0, 3, 0, 1, 0, 1, 0, 1]),
+    ("ws4", [1, 0, 6, 0, 11, 0, 6, 0, 1]),
+])
+def test_generated_matches_product_enumeration(structure, dims, request):
+    # reference: every product of generators, enumerated as a multiset of
+    # factors and grouped by degree, then reduced by span_basis
+    ws = request.getfixturevalue(structure)
+    gens = ws.a2_elements + ws.HW
+    top = ws.space.dim_v
+    products = {0: [ws.space.vspace.one()]}
+    frontier = [(0, ws.space.vspace.one(), 0)]
+    while frontier:
+        start, acc, deg = frontier.pop()
+        for i in range(start, len(gens)):
+            nxt, k = wedge(acc, gens[i]), deg + gens[i].min_degree()
+            if k <= top and not nxt.is_zero():
+                products.setdefault(k, []).append(nxt)
+                frontier.append((i, nxt, k))
+    assert [len(basis) for basis in ws.generated] == dims
+    for k, basis in enumerate(ws.generated):
+        expected = span_basis(products.get(k, []))
+        assert [mv.terms for mv in basis] == [mv.terms for mv in expected]
+
+
 def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
     from weilspin.weilcm import gb_int_cols, invariant_dimension_certificate
 
