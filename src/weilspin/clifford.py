@@ -241,13 +241,17 @@ class SoPair:
         self.ad = self._ad_matrix()
 
     def _ad_matrix(self):
-        cols = []
-        for j in range(self.space.dim_v):
-            g = self.space.vspace.gen(j)
-            br = clifford_mul(self.xi, g, self.space) - clifford_mul(g, self.xi, self.space)
-            cols.append(self.space.mv_to_vector(br))
-        # cols[j][i]: coefficient of e_i in ad(e_j); store row-major
-        return [[cols[j][i] for j in range(self.space.dim_v)] for i in range(self.space.dim_v)]
+        """ad[i][j], the coefficient of e_i in xi.e_j - e_j.xi, in closed form:
+        v.w + w.v = (v, w) gives [e_a e_b, v] = (e_b, v) e_a - (e_a, v) e_b,
+        and (e_b, e_j) = 1 exactly for j = partner(b).  Exact arithmetic on
+        canonical FieldElems: the same entries as the `clifford_mul` commutator."""
+        sp = self.space
+        ad = [[sp.tower.zero()] * sp.dim_v for _ in range(sp.dim_v)]
+        for m, c in self.xi.terms.items():
+            a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
+            ad[a][sp.partner(b)] += c
+            ad[b][sp.partner(a)] -= c
+        return ad
 
     def spin(self, lam: Multivector) -> Multivector:
         out = clifford_action(self.xi, lam, self.space)

@@ -1,7 +1,9 @@
 """Exact linear algebra over the tower field.
 
 Row-based: a subspace is a list of coordinate rows (lists of FieldElem),
-reduced by exact elimination.
+reduced by exact elimination.  Elimination and products touch only the
+nonzero entries: the arithmetic is exact, a - f * 0 = a, and FieldElem is
+canonical, so every row, pivot and kernel vector is that of a dense pass.
 
 For large rank/kernel-dimension questions there is a separate modular
 certificate path (`modp_rank`, `modp_kernel`, `modp_joint_kernel_dim`):
@@ -25,7 +27,8 @@ from .fieldtower import FieldElem, TowerSpec
 def rref(rows, tower: TowerSpec):
     """Reduced row echelon form. Returns (new_rows, pivot_columns).
 
-    Zero rows are dropped; pivots are normalized to 1.
+    Zero rows are dropped; pivots are normalized to 1.  The copied rows are
+    reduced in place over the pivot row's nonzero columns (all >= c).
     """
     if not rows:
         return [], []
@@ -42,12 +45,17 @@ def rref(rows, tower: TowerSpec):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        inv = prow[c].inv()
+        support = [j for j in range(c, ncols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
         for i in range(nrows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            row = mat[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -95,18 +103,16 @@ def in_span(basis_rref, pivots, v, tower: TowerSpec) -> bool:
     """Membership test against an rref basis."""
     w = list(v)
     for row, pc in zip(basis_rref, pivots):
-        if not w[pc].is_zero():
-            f = w[pc]
-            w = [a - f * b for a, b in zip(w, row)]
+        f = w[pc]
+        if not f.is_zero():
+            for j, b in enumerate(row):
+                if not b.is_zero():
+                    w[j] = w[j] - f * b
     return all(x.is_zero() for x in w)
 
 
 def spans_equal(a_rows, b_rows, tower: TowerSpec) -> bool:
-    ra, _ = rref(a_rows, tower)
-    rb, _ = rref(b_rows, tower)
-    if len(ra) != len(rb):
-        return False
-    return all(x == y for rowa, rowb in zip(ra, rb) for x, y in zip(rowa, rowb))
+    return rref(a_rows, tower)[0] == rref(b_rows, tower)[0]
 
 
 def intersect(a_rows, b_rows, tower: TowerSpec):
@@ -137,29 +143,26 @@ def identity_matrix(n: int, tower: TowerSpec):
 
 
 def mat_vec(mat, vec, tower: TowerSpec):
+    entries = [(j, b) for j, b in enumerate(map(tower.scalar, vec)) if not b.is_zero()]
     out = []
     for row in mat:
         acc = tower.zero()
-        for a, b in zip(row, vec):
-            if not a.is_zero():
-                acc = acc + a * tower.scalar(b)
+        for j, b in entries:
+            if not row[j].is_zero():
+                acc = acc + row[j] * b
         out.append(acc)
     return out
 
 
 def mat_mul(a, b, tower: TowerSpec):
-    n, k = len(a), len(b)
-    m = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = tower.zero()
-            for t in range(k):
-                x = a[i][t]
-                if not x.is_zero():
-                    acc = acc + x * b[t][j]
-            row.append(acc)
+    for arow in a:
+        row = [tower.zero()] * len(b[0])
+        for x, brow in zip(arow, b_rows):
+            if not x.is_zero():
+                for j, y in brow:
+                    row[j] = row[j] + x * y
         out.append(row)
     return out
 

@@ -42,12 +42,7 @@ class IsotropicSubspace:
         return (
             isinstance(other, IsotropicSubspace)
             and self.space is other.space
-            and self.dim == other.dim
-            and all(
-                x == y
-                for ra, rb in zip(self.basis, other.basis)
-                for x, y in zip(ra, rb)
-            )
+            and self.basis == other.basis
         )
 
     def __repr__(self):

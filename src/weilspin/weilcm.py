@@ -20,12 +20,12 @@ killed by the derivations of g_B.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
-from .clifford import HyperbolicSpace, SoPair, derivation_int, int_derivation_cols
+from .clifford import HyperbolicSpace, SoPair, int_derivation_cols
 from .exteralg import (
     Multivector,
     column_rows,
@@ -115,19 +115,10 @@ class WeilDatum:
             raise ValueError("dual_f_basis must have d vectors")
         if any(len(row) != dim for row in self.dual_f_basis):
             raise ValueError("dual_f_basis rows must have 2n entries")
-        for a in range(d // 2):
-            for b in range(d // 2):
-                v, w = self.dual_f_basis[a], self.dual_f_basis[b]
-                acc = t.zero()
-                for i, vi in enumerate(v):
-                    if vi.is_zero():
-                        continue
-                    for j, wj in enumerate(w):
-                        if wj.is_zero():
-                            continue
-                        acc = acc + vi * wj * self.theta_f[i][j]
-                if not acc.is_zero():
-                    raise ValueError("first half of dual_f_basis is not Theta-isotropic")
+        half = self.dual_f_basis[: d // 2]
+        gram = linalg.mat_mul(linalg.mat_mul(half, self.theta_f, t), [list(c) for c in zip(*half)], t)
+        if any(not x.is_zero() for row in gram for x in row):
+            raise ValueError("first half of dual_f_basis is not Theta-isotropic")
 
     def theta_q_matrix(self):
         """Entrywise trace to Q: coefficients of Theta in wedge^2 H1(X)."""
@@ -365,22 +356,13 @@ def build_HW(datum: WeilDatum, space: HyperbolicSpace, eta: CmAction):
 
 
 def xi_form_matrix(eta: CmAction, t_elem: FieldElem, space: HyperbolicSpace):
-    """Matrix of Xi_t(u, v) = (eta_t u, v)_V; alternating and rational for t in K_-."""
-    tower = space.tower
+    """Matrix of Xi_t(u, v) = (eta_t u, v)_V; alternating and rational for t in K_-.
+
+    (eta_t e_i, e_j) is the coordinate of eta_t e_i at partner(j)."""
     if t_elem.iota() != -t_elem:
         raise ValueError("Xi_t requires t in the -1 eigenspace of iota")
     m = eta.of(t_elem)
-    dim = space.dim_v
-    out = []
-    for i in range(dim):
-        e = [tower.scalar(1 if k == i else 0) for k in range(dim)]
-        ei = linalg.mat_vec(m, e, tower)
-        row = []
-        for j in range(dim):
-            ej = [tower.scalar(1 if k == j else 0) for k in range(dim)]
-            row.append(space.pair(ei, ej))
-        out.append(row)
-    return out
+    return [[m[space.partner(j)][i] for j in range(space.dim_v)] for i in range(space.dim_v)]
 
 
 def form_to_element(space: HyperbolicSpace, form_matrix) -> Multivector:
@@ -532,13 +514,13 @@ class DegreeTables:
         weights = self.bits @ np.array(diagonals, dtype=object).T
         return np.flatnonzero((weights == 0).all(axis=1))
 
-    def _restricted(self, cols, start):
+    def _restricted(self, cols, start, dtype=object):
         """One generator's derivation on the span of the masks in `start`:
-        the exact integer weights of its diagonal on those masks, and for
-        each off-diagonal entry c a gather table (col, dst, odd, c), col
-        being positions in `start`."""
+        the exact integer weights (an array of `dtype`) of its diagonal on
+        those masks, and for each off-diagonal entry c a gather table
+        (col, dst, odd, c), col being positions in `start`."""
         diag, off = _split_generator(cols)
-        weights = (self.bits[start] @ np.array(diag, dtype=object)).tolist()
+        weights = self.bits[start] @ np.array(diag, dtype=dtype)
         pos = np.full(len(self.masks), -1)
         pos[start] = np.arange(len(start))
         terms = []
@@ -561,7 +543,7 @@ class DegreeTables:
         dim^2 (p-1)^2 < 2^63 (dim <= 2896 for p < 2^20).
         """
         weights, terms = self._restricted(cols, start)
-        weight = np.array([w % p for w in weights], dtype=np.int64)[:, None]
+        weight = (weights % p).astype(np.int64)[:, None]
         gathers = [(col, dst, np.where(odd, -c % p, c % p)[:, None]) for col, dst, odd, c in terms]
 
         def apply(X):
@@ -578,12 +560,28 @@ class DegreeTables:
         over all masks, restricted to the columns of the masks in `start`."""
         weights, terms = self._restricted(cols, start)
         rows = [[0] * len(start) for _ in range(len(self.masks))]
-        for j, (s, w) in enumerate(zip(start.tolist(), weights)):
+        for j, (s, w) in enumerate(zip(start.tolist(), weights.tolist())):
             rows[s][j] = w
         for col, dst, odd, c in terms:
             for j, b, o in zip(col.tolist(), dst.tolist(), odd.tolist()):
                 rows[b][j] += -c if o else c
         return rows
+
+    def int_image(self, cols, start, x):
+        """One generator's derivation applied to the integer coefficients x
+        (an int64 or object array) of the masks in `start`, as an array over
+        all masks; exact while no entry overflows x's dtype (see `gb_kills`)."""
+        weights, terms = self._restricted(cols, start, x.dtype)
+        out = np.zeros(len(self.masks), dtype=x.dtype)
+        out[start] = weights * x
+        for col, dst, odd, c in terms:
+            out[dst] += np.where(odd, -1, 1) * (c * x[col])
+        return out
+
+
+#: DegreeTables(dim, k), kept for the next call at the same degree:
+#: `WeilStructure.invariants_and_generation` tests and certifies one degree
+degree_tables = lru_cache(maxsize=1)(DegreeTables)
 
 
 def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, expected_dim: int):
@@ -608,7 +606,7 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     if k == 0:
         return 1, "exact"
     t = space.tower
-    tables = DegreeTables(space.dim_v, k)
+    tables = degree_tables(space.dim_v, k)
     split = [_split_generator(cols) for cols in int_cols]
     start = tables.weight_zero([diag for diag, off in split if not off])
     others = [cols for cols, (_, off) in zip(int_cols, split) if off]
@@ -680,10 +678,23 @@ class WeilStructure:
         """Whether every g_B derivation kills the rational multivector mv.
 
         Exact: mv's denominators are cleared, which rescales every image
-        without changing whether it vanishes.
+        without changing whether it vanishes.  A derivation keeps degrees, so
+        each homogeneous part x is mapped alone (`DegreeTables.int_image`).
+        An image entry is a diagonal weight (at most dim entries) times one
+        coefficient plus at most one gather per pair (i, g), so it is below
+        dim^2 max|c| max|x|: int64 while that is below 2^63, else Python ints.
         """
-        iterms = multivector_int_terms(mv)
-        return not any(derivation_int(cols, iterms) for cols in self._gb_cols)
+        parts, dim = {}, self.space.dim_v
+        for m, c in multivector_int_terms(mv).items():
+            parts.setdefault(m.bit_count(), {})[m] = c
+        cmax = max((abs(c) for cols in self._gb_cols for col in cols for _, c in col), default=0)
+        for k, terms in parts.items():
+            tables, x = degree_tables(dim, k), list(terms.values())
+            x = np.array(x, dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
+            start = np.searchsorted(tables.masks, list(terms))
+            if any(tables.int_image(cols, start, x).any() for cols in self._gb_cols):
+                return False
+        return True
 
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""

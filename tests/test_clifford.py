@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from weilspin.clifford import (
 from weilspin.exteralg import Multivector, wedge
 from weilspin.fieldtower import TowerSpec
 
-from conftest import rand_mv, rand_vec
+from conftest import rand_elem, rand_mv, rand_vec
 
 
 @pytest.fixture()
@@ -138,6 +140,28 @@ def test_so_pair_bracket_and_isometry(hs2, rng):
         vmv = hs2.vector_to_mv(v)
         lhs = so.spin(clifford_action(vmv, lam, hs2)) - clifford_action(vmv, so.spin(lam), hs2)
         assert lhs == clifford_action(hs2.vector_to_mv(so.ad_vector(v)), lam, hs2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tower", [TowerSpec(1, 2), TowerSpec(2, 1)], ids=["p1q2", "p2q1"])
+def test_so_pair_ad_matches_clifford_commutator(n, tower):
+    hs = HyperbolicSpace(n, tower)
+    dim = hs.dim_v
+    deg2 = [m for m in range(1 << dim) if bin(m).count("1") == 2]
+    rng = random.Random(7 * n + tower.p)
+    pairs = [(1 << i) | (1 << hs.partner(i)) for i in range(2 * n)]  # the x_i y_i
+    elems = [{m: tower.one()} for m in deg2]
+    elems += [{m: rand_elem(rng, tower) for m in rng.sample(deg2, 4)} for _ in range(6)]
+    elems += [{m: rand_elem(rng, tower) for m in pairs + rng.sample(deg2, 2)} for _ in range(3)]
+    constants = 0
+    for terms in elems:
+        so = SoPair(hs, Multivector(hs.vspace, terms))
+        constants += not so.constant.is_zero()
+        # the reference: column j is xi.e_j - e_j.xi, normal-ordered by clifford_mul
+        cols = [hs.mv_to_vector(clifford_mul(so.xi, hs.vspace.gen(j), hs)
+                                - clifford_mul(hs.vspace.gen(j), so.xi, hs)) for j in range(dim)]
+        assert so.ad == [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    assert constants >= len(pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,11 +1,16 @@
-"""The modular certificate path against exact Python-integer arithmetic."""
+"""The exact kernels against dense references, and the modular certificate
+path against exact Python-integer arithmetic."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin import linalg
+from weilspin.fieldtower import TowerSpec
 
 P = linalg.MOD_PRIMES[0]
 #: the largest prime below 2^26: (P_BIG - 1)^2 is close to 2^53, so
@@ -145,3 +150,136 @@ def test_modp_rank_and_kernel_take_big_ints_and_arrays():
         assert not (reduced @ K % P).any()
     assert linalg.modp_rank(np.zeros((0, 3)), P) == 0
     assert linalg.modp_kernel([], 3, P).tolist() == np.eye(3, dtype=np.int64).tolist()
+
+
+# -- exact kernels: sparse elimination against a dense reference ------------
+
+KERNEL_TOWERS = [TowerSpec(1, 2), TowerSpec(2, 1)]
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def sparse_rows(draw, tower, nrows, ncols):
+    """Rows with at least half of their entries zero, mixed with zero rows
+    and repeats of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("sparse", "sparse", "zero", "repeat")))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "zero":
+            rows.append([tower.zero()] * ncols)
+        else:
+            support = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2))
+            rows.append([tower.elem(*draw(st.tuples(small, small, small, small)))
+                         if j in support else tower.zero() for j in range(ncols)])
+    return rows
+
+
+def _dense_rref(rows):
+    """Gauss-Jordan that rewrites every entry of every row at each step."""
+    mat = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        pr = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def _dense_nullspace(rows, ncols, tower):
+    red, pivots = _dense_rref(rows)
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [tower.zero()] * ncols
+        v[f] = tower.one()
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f]
+        out.append(v)
+    return out
+
+
+def _dense_solve(rows, rhs, tower):
+    ncols = len(rows[0])
+    red, pivots = _dense_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [tower.zero()] * ncols
+    for row, pc in zip(red, pivots):
+        x[pc] = row[-1]
+    return x
+
+
+def _dense_in_span(red, pivots, v):
+    for row, pc in zip(red, pivots):
+        f = v[pc]
+        v = [a - f * b for a, b in zip(v, row)]
+    return all(x.is_zero() for x in v)
+
+
+def _dense_intersect(a, b, tower):
+    n = len(a[0])
+    red, _ = _dense_rref([r + r for r in a] + [r + [tower.zero()] * n for r in b])
+    tails = [row[n:] for row in red if all(x.is_zero() for x in row[:n])]
+    return _dense_rref([t for t in tails if not all(x.is_zero() for x in t)])[0]
+
+
+def _dense_mat_mul(a, b, tower):
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), tower.zero())
+             for j in range(len(b[0]))] for row in a]
+
+
+def _dense_inverse(mat, tower):
+    n = len(mat)
+    ident = [[tower.one() if i == j else tower.zero() for j in range(n)] for i in range(n)]
+    red, pivots = _dense_rref([r + e for r, e in zip(mat, ident)])
+    return [row[n:] for row in red] if pivots[:n] == list(range(n)) else None
+
+
+@settings(deadline=None, derandomize=True, max_examples=50)
+@given(tower=st.sampled_from(KERNEL_TOWERS), data=st.data())
+def test_exact_kernels_match_dense_reference(tower, data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 7))
+    a = data.draw(sparse_rows(tower, nrows, ncols))
+    b = data.draw(sparse_rows(tower, data.draw(st.integers(1, 5)), ncols))
+    vec = data.draw(sparse_rows(tower, 1, ncols))[0]
+    rhs = data.draw(sparse_rows(tower, 1, nrows + 1))[0][:nrows]
+    square = data.draw(sparse_rows(tower, ncols, ncols))
+    for i in range(ncols):  # make most draws invertible
+        square[i][i] = square[i][i] + 1
+    bt = [list(c) for c in zip(*b)]
+    inputs = [a, b, bt, [vec], [rhs], square]
+    before = [[list(r) for r in m] for m in inputs]
+
+    def same(got, expected):
+        assert got == expected
+        # elimination runs in place, but only on rref's own copies
+        assert [[list(r) for r in m] for m in inputs] == before
+
+    red, pivots = _dense_rref(a)
+    same(linalg.rref(a, tower), (red, pivots))
+    same(linalg.nullspace(a, ncols, tower), _dense_nullspace(a, ncols, tower))
+    same(linalg.solve(a, rhs, tower), _dense_solve(a, rhs, tower))
+    member = [sum((c * row[j] for c, row in zip(rhs, a)), tower.zero()) for j in range(ncols)]
+    same(linalg.in_span(red, pivots, member, tower), True)
+    same(linalg.in_span(red, pivots, vec, tower), _dense_in_span(red, pivots, vec))
+    same(linalg.intersect(a, b, tower), _dense_intersect(a, b, tower))
+    same(linalg.mat_mul(a, bt, tower), _dense_mat_mul(a, bt, tower))
+    for v in (vec, [Fraction(j % 3 - 1, 2) for j in range(ncols)]):  # rationals are coerced
+        column = _dense_mat_mul(a, [[tower.scalar(x)] for x in v], tower)
+        same(linalg.mat_vec(a, v, tower), [row[0] for row in column])
+    inverse = _dense_inverse(square, tower)
+    if inverse is None:
+        with pytest.raises(ValueError):
+            linalg.mat_inverse(square, tower)
+    else:
+        same(linalg.mat_inverse(square, tower), inverse)

@@ -105,6 +105,11 @@ def test_subspace_ops(hs1, tiny_tower):
     assert not any(linalg.in_span(red, piv, v, tiny_tower) for v in w_x.basis)
     # the two halves span V
     assert len(linalg.rref(w_y.basis + w_x.basis, tiny_tower)[0]) == 4
+    # equal spans, not equal dimensions
+    assert w_y == annihilator(hs1.sspace.one().scale(tiny_tower.scalar(3)), hs1)
+    assert w_y != w_x
+    assert linalg.spans_equal(w_y.basis, w_y.basis[::-1], tiny_tower)
+    assert not linalg.spans_equal(w_y.basis, w_x.basis, tiny_tower)
 
 
 def test_wt_conjugate_intersection_trivial(ws6):

@@ -311,3 +311,16 @@ def test_rm_eightfold_pi_image():
     assert [c.name for c in report.checks] == ["lemma.pi-image"]
     check = report.checks[0]
     assert check.status and check.witness["image_dim"] == 4
+
+
+def test_sheared_eightfold_spinor_checks():
+    # Theta = g^T J g for g in SL(8, Z) (perfbench/datum.py, seed 1): the
+    # spinor system of `pure_spinor_of` is 1952 rows over 256 unknowns with
+    # 5120 nonzeros, and elimination over the nonzeros keeps the run to about
+    # a second
+    data = json.loads((Path(__file__).parent / "data" / "eightfold-lie-seed1.json").read_text())
+    report = run_all(WeilDatum.from_json(data), check_filter="spinor.")
+    assert [c.name for c in report.checks] == [
+        "spinor.exponential-pure", "spinor.annihilator-graph",
+        "spinor.conjugate-transverse", "spinor.reflection-equivariance"]
+    assert all(c.status for c in report.checks)

@@ -39,6 +39,10 @@ def test_datum_validation():
     bad_theta[0][3] = 2  # no longer matches the -1 transpose entry
     with pytest.raises(ValueError):
         WeilDatum(tow, 3, eta_hat, bad_theta)
+    # Theta(y_2, y_5) = 1 pairs the second and third vectors of the first half
+    unit = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    with pytest.raises(ValueError, match="not Theta-isotropic"):
+        WeilDatum(tow, 3, eta_hat, theta, [unit[i] for i in (0, 1, 4, 3, 2, 5)])
     # degenerate theta: spinor fails purity at build time
     thin = [[0] * 6 for _ in range(6)]
     thin[0][3] = 1
@@ -188,6 +192,10 @@ def test_xi_forms(ws6, ws4):
                     assert form[i][j] == -form[j][i]
                     assert form[i][j].is_rational()
             rows.append([x for row in form for x in row])
+            # the defining formula Xi_t(e_i, e_j) = (eta_t e_i, e_j)
+            basis = linalg.identity_matrix(ws.space.dim_v, tow)
+            m = ws.eta.of(t_el)
+            assert form == [[ws.space.pair(linalg.mat_vec(m, u, tow), v) for v in basis] for u in basis]
         assert linalg.rank(rows, tow) == tow.e // 2
 
 
@@ -270,6 +278,40 @@ def test_gb_kills_invariant_generators(ws6, ws4):
             iterms = multivector_int_terms(mv)
             for cols in ws._gb_cols:
                 assert not derivation_int(cols, iterms)
+
+
+def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
+    # derivation_int on term dicts is the reference for the table gathers;
+    # a coefficient of 2^80 takes the Python-int path instead of int64
+    from weilspin.weilcm import degree_tables, multivector_int_terms
+
+    big = 2**80 + 1
+    for ws in (ws6, ws4):
+        vspace, tower, dim = ws.space.vspace, ws.datum.tower, ws.space.dim_v
+        gens = list(ws.a2_elements) + ws.HW
+        noise = [Multivector(vspace, {rng.randrange(1 << dim): tower.scalar(rng.randint(1, 3))
+                                      for _ in range(3)}) for _ in range(6)]
+        mixed = vspace.one().scale(tower.scalar(5)) + gens[0] + gens[-1]  # degrees 0, 2 and d
+        bad = noise[0].scale(tower.scalar(big))
+        samples = gens + noise + [mixed, mixed.scale(tower.scalar(big)), bad, gens[0] + bad, bad + gens[0]]
+        verdicts = []
+        for mv in samples:
+            iterms = multivector_int_terms(mv)
+            images = [derivation_int(cols, iterms) for cols in ws._gb_cols]
+            verdicts.append(not any(images))
+            assert ws.gb_kills(mv) == verdicts[-1]
+            for k in {m.bit_count() for m in iterms}:
+                part = {m: c for m, c in iterms.items() if m.bit_count() == k}
+                tables = degree_tables(dim, k)
+                start = np.searchsorted(tables.masks, list(part))
+                small = max(map(abs, part.values())) < 2**40
+                for dtype in (np.int64, object) if small else (object,):
+                    x = np.array(list(part.values()), dtype=dtype)
+                    for cols, image in zip(ws._gb_cols, images):
+                        got = tables.int_image(cols, start, x)
+                        assert {m: c for m, c in zip(tables.masks.tolist(), got.tolist()) if c} == {
+                            m: c for m, c in image.items() if m.bit_count() == k}
+        assert verdicts[len(gens) + len(noise):] == [True, True, False, False, False]
 
 
 def test_invariants_selected_degrees(ws4):
