@@ -3,7 +3,8 @@
     weilspin verify --preset sixfold-q2 [--seed 7] [--out report.json]
     weilspin verify --input datum.json [--check secant]
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input
+or a --check filter that no applicable check name contains.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ y-block, i.e. exterior-algebra data on V with a rewriting product.  The
 generators satisfy v.w + w.v = (v, w) * 1.
 
 The spinor module S is the exterior algebra on the x-block: x's act by
-wedging, y's by contraction, so desymbol (operator -> normal-ordered
+wedging, y's by contraction (`HyperbolicSpace.gamma`, the one definition
+of the action on basis spinors), so desymbol (operator -> normal-ordered
 element) is Wick extraction by annihilation degree instead of a dense
 matrix inversion.
 """
@@ -16,12 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exteralg import (
-    GeneratorSpace,
-    Multivector,
-    contract_gen,
-    wedge,
-)
+from .exteralg import GeneratorSpace, Multivector
 from .fieldtower import FieldElem, TowerSpec
 from .linalg import mat_vec
 
@@ -51,6 +47,16 @@ class HyperbolicSpace:
     def partner(self, i: int) -> int:
         """Index of the unique generator pairing nontrivially with i."""
         return i + 2 * self.n if self.is_x(i) else i - 2 * self.n
+
+    def gamma(self, k: int, mask: int):
+        """The generator k on the basis spinor of `mask`: (sign, mask') with
+        gamma_k x_mask = sign x_mask', or None when it is 0.  x_i wedges and
+        y_i contracts x_i, each passing the bits of the mask below i."""
+        i = k % (2 * self.n)
+        bit = 1 << i
+        if self.is_x(k) == bool(mask & bit):
+            return None
+        return -1 if (mask & (bit - 1)).bit_count() & 1 else 1, mask ^ bit
 
     def gram(self, i: int, j: int) -> int:
         return 1 if self.partner(i) == j else 0
@@ -88,30 +94,24 @@ class HyperbolicSpace:
 def clifford_action(elem: Multivector, lam: Multivector, space: HyperbolicSpace) -> Multivector:
     """Apply a normal-ordered element of C(V) to a spinor in S.
 
-    A monomial x_A y_B acts as the composition of the x-wedges after the
-    y-contractions, each block taken in ascending index order.
+    A monomial x_A y_B is the product of its generators in ascending index
+    order, so it acts through `HyperbolicSpace.gamma` in descending order:
+    the y-contractions first, then the x-wedges.
     """
-    n2 = 2 * space.n
-    out = lam.space.zero()
-    for mask, coeff in elem.terms.items():
-        xmask = mask & ((1 << n2) - 1)
-        cur = _apply_ys(mask >> n2, lam)
-        if cur.is_zero():
-            continue
-        cur = wedge(Multivector(lam.space, {xmask: lam.space.tower.one()}), cur)
-        out = out + cur.scale(coeff)
-    return out
-
-
-def _apply_ys(ymask: int, lam: Multivector) -> Multivector:
-    """The ascending monomial y_B applied to a spinor: its contractions act
-    rightmost first."""
-    for j in reversed(range(ymask.bit_length())):
-        if ymask >> j & 1:
-            lam = contract_gen(j, lam)
-            if lam.is_zero():
-                break
-    return lam
+    out = {}
+    for mono, coeff in elem.terms.items():
+        gens = [k for k in reversed(range(mono.bit_length())) if mono >> k & 1]
+        for mask, c in lam.terms.items():
+            sign = 1
+            for k in gens:
+                hit = space.gamma(k, mask)
+                if hit is None:
+                    break
+                sign, mask = sign * hit[0], hit[1]
+            else:
+                term = coeff * c if sign > 0 else -(coeff * c)
+                out[mask] = out[mask] + term if mask in out else term
+    return Multivector(lam.space, out)
 
 
 def _mono_times_x(space: HyperbolicSpace, xmask: int, ymask: int, i: int):
@@ -339,7 +339,7 @@ def desymbol(op, space: HyperbolicSpace) -> Multivector:
         if resid.is_zero():
             continue
         # sign of y_B applied to x_B
-        s = _apply_ys(bmask, lam).terms.get(0)
+        s = clifford_action(Multivector(space.vspace, {bmask << n2: one}), lam, space).terms.get(0)
         if s is None:
             raise RuntimeError("contraction sign vanished unexpectedly")
         sinv = s.inv()

@@ -281,19 +281,6 @@ def contract(theta, a: Multivector) -> Multivector:
     return Multivector(space, out)
 
 
-def contract_gen(i: int, a: Multivector) -> Multivector:
-    """Contraction with the dual of the i-th generator (fast path)."""
-    bit = 1 << i
-    out = {}
-    for m, c in a.terms.items():
-        if not m & bit:
-            continue
-        if bin(m & (bit - 1)).count("1") & 1:
-            c = -c
-        out[m ^ bit] = c
-    return Multivector(a.space, out)
-
-
 def tau(a: Multivector) -> Multivector:
     """Degree-i part scaled by (-1)^(i(i-1)/2); an involution."""
     out = {}

@@ -6,7 +6,7 @@ nonzero entries: the arithmetic is exact, a - f * 0 = a, and FieldElem is
 canonical, so every row, pivot and kernel vector is that of a dense pass.
 
 For large rank/kernel-dimension questions there is a separate modular
-certificate path (`modp_rank`, `modp_kernel`, `modp_joint_kernel_dim`):
+certificate path (`modp_kernel`, `modp_joint_kernel_dim`):
 ranks computed over a prime field only ever *lower-bound* the rational
 rank, so combining a modular kernel dimension with exactly exhibited kernel
 vectors yields a fully rigorous dimension count at a fraction of the cost.
@@ -215,15 +215,15 @@ def matrix_to_int_global(rows) -> list:
     return [[int(f * den) for f in row] for row in fracs]
 
 
-def _residues(int_rows, p: int) -> np.ndarray:
+def _residues(rows, p: int) -> np.ndarray:
     """int64 array of the entries mod p.
 
     Python ints are reduced before numpy sees them, so entries of any size
     are accepted; an ndarray is reduced in numpy.
     """
-    if isinstance(int_rows, np.ndarray):
-        return int_rows.astype(np.int64) % p
-    return np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+    if isinstance(rows, np.ndarray):
+        return rows.astype(np.int64) % p
+    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
 
 
 def _rref_mod_p(M: np.ndarray, p: int):
@@ -274,18 +274,11 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def modp_rank(int_rows, p: int) -> int:
-    """Rank of an integer matrix mod p; always <= the rank over Q."""
-    if len(int_rows) == 0:
-        return 0
-    return len(_rref_mod_p(_residues(int_rows, p), p))
-
-
-def modp_kernel(int_rows, ncols: int, p: int) -> np.ndarray:
+def modp_kernel(rows, ncols: int, p: int) -> np.ndarray:
     """Kernel basis mod p, as columns of an (ncols x k) int64 array."""
-    if len(int_rows) == 0:
+    if len(rows) == 0:
         return np.eye(ncols, dtype=np.int64)
-    M = _residues(int_rows, p)
+    M = _residues(rows, p)
     pivots = _rref_mod_p(M, p)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]

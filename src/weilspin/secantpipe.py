@@ -286,16 +286,15 @@ class _Runner:
         self.checks.append(Check(name, anchor, bool(status), witness))
 
     def run(self) -> Report:
+        todo = [(name.format(k=k), anchor, partial(method, self, k) if "{k}" in name else partial(method, self))
+                for name, anchor, applies, method in CHECKS if applies(self.datum)
+                for k in (range(4 * self.datum.n + 1) if "{k}" in name else [0])]
+        if self.filter and not any(self.filter in name for name, _, _ in todo):
+            raise ValueError(f"no applicable check name contains {self.filter!r}")
         self.ws = WeilStructure(self.datum)
         self.orl = OrlovTransform(self.datum.n, self.datum.tower)
-        for name, anchor, applies, method in CHECKS:
-            if not applies(self.datum):
-                continue
-            if "{k}" in name:
-                for k in range(4 * self.datum.n + 1):
-                    self.record(name.format(k=k), anchor, partial(method, self, k))
-            else:
-                self.record(name, anchor, partial(method, self))
+        for name, anchor, fn in todo:
+            self.record(name, anchor, fn)
         tow = self.datum.tower
         return Report(
             {"name": self.datum.name or "custom", "p": tow.p,
@@ -402,7 +401,6 @@ class _Runner:
     @_check("clifford.defining-relation", "Clifford defining relation")
     def _clifford_relation(self):
         hs = self.ws.space
-        tow = hs.tower
         ok = True
         dim = hs.dim_v
         for i in range(dim):
@@ -410,23 +408,18 @@ class _Runner:
                 gi, gj = hs.vspace.gen(i), hs.vspace.gen(j)
                 lhs = clifford_mul(gi, gj, hs) + clifford_mul(gj, gi, hs)
                 ok &= lhs == hs.vspace.one().scale(hs.gram(i, j))
-        # operator anticommutation on all basis spinors; the action is linear,
-        # so each generator's images of the basis spinors are built once
-        basis = [Multivector(hs.sspace, {mask: tow.one()}) for mask in range(1 << (2 * hs.n))]
-        images = [[clifford_action(hs.vspace.gen(i), lam, hs) for lam in basis] for i in range(dim)]
-
-        def act(i, lam):
-            out = hs.sspace.zero()
-            for m, c in lam.terms.items():
-                out = out + images[i][m].scale(c)
-            return out
-
+        # operator anticommutation on every basis spinor: each generator sends
+        # a basis spinor to one signed basis spinor or to 0 (`gamma`)
         for i in range(dim):
             for j in range(i, dim):
-                for mask, lam in enumerate(basis):
-                    lhs = act(i, images[j][mask]) + act(j, images[i][mask])
-                    if lhs != lam.scale(hs.gram(i, j)):
-                        ok = False
+                for mask in range(1 << (2 * hs.n)):
+                    out = {}
+                    for a, b in ((i, j), (j, i)):
+                        first = hs.gamma(b, mask)
+                        second = first and hs.gamma(a, first[1])
+                        if second:
+                            out[second[1]] = out.get(second[1], 0) + first[0] * second[0]
+                    ok &= {m: c for m, c in out.items() if c} == ({mask: 1} if hs.gram(i, j) else {})
         return ok, {"pairs": dim * dim}
 
     @_check("clifford.spin-isomorphism", "symbol and Wick extraction round trip")

@@ -20,7 +20,7 @@ killed by the derivations of g_B.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .clifford import HyperbolicSpace, SoPair, int_derivation_cols
 from .exteralg import (
     Multivector,
     column_rows,
-    contract_gen,
+    contract,
     exp_even,
     rational_parts,
     span_basis,
@@ -41,6 +41,7 @@ from .fieldtower import (
     FieldElem,
     TowerSpec,
     enumerate_cm_types,
+    f_embeddings,
     parse_rational,
 )
 from .purespinor import IsotropicSubspace, annihilator, is_pure
@@ -186,7 +187,7 @@ def build_W(datum: WeilDatum, space: HyperbolicSpace) -> IsotropicSubspace:
     rows = []
     mrq = -t.sqrt_minus_q()
     for j in range(n2):
-        cont = contract_gen(j, theta)  # y_j contraction of Theta, degree 1
+        cont = contract([int(i == j) for i in range(n2)], theta)  # y_j contraction of Theta
         row = [t.zero()] * (4 * datum.n)
         for mask, c in cont.terms.items():
             row[mask.bit_length() - 1] = mrq * c
@@ -276,31 +277,18 @@ def build_eta(datum: WeilDatum, space: HyperbolicSpace, w: IsotropicSubspace) ->
 def theta_cm_twist(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType) -> Multivector:
     """The element Theta_T whose exponential is the pure spinor of W_T.
 
-    Theta splits into its two sqrt(p)-eigencomponents; a CM-type picks a
-    sign of sqrt(-q) for each, so Theta_T is the corresponding signed sum.
+    Theta is the sum of sigma(theta_f) over the embeddings sigma of F, and
+    since eta_hat theta_f = sqrt(p) theta_f (`WeilDatum._validate`) these
+    are its sqrt(p)-eigencomponents.  A CM-type picks a sign s_sigma of
+    sqrt(-q) for each, so Theta_T is the sum of s_sigma sigma(theta_f).
     """
-    t = datum.tower
-    theta = theta_element(datum, space)
-    if t.p == 1:
-        return theta.scale(cm_type.choices[0])
-    cq = datum.theta_q_matrix()
     n2 = 2 * datum.n
-    # eta_hat applied to one slot (symmetrized; equal to one-slot twist by bilinearity)
-    h = [Multivector(space.sspace, {1 << k: datum.eta_hat[k][i] for k in range(n2)})
-         for i in range(n2)]
-    twist = space.sspace.zero()
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            c = cq[i][j]
-            if c.is_zero():
-                continue
-            gi, gj = space.sspace.gen(i), space.sspace.gen(j)
-            twist = twist + (wedge(h[i], gj) + wedge(gi, h[j])).scale(c * Fraction(1, 2))
-    inv_rp = t.sqrt_p().inv()
-    plus = (theta + twist.scale(inv_rp)).scale(Fraction(1, 2))
-    minus = (theta - twist.scale(inv_rp)).scale(Fraction(1, 2))
-    s_plus, s_minus = cm_type.choices
-    return plus.scale(s_plus) + minus.scale(s_minus)
+    out = space.sspace.zero()
+    for sign_p, s in zip(f_embeddings(datum.tower), cm_type.choices):
+        sigma = Embedding(sign_p, 1)
+        out = out + Multivector(space.sspace, {(1 << i) | (1 << j): sigma(datum.theta_f[i][j]) * s
+                                               for i in range(n2) for j in range(i + 1, n2)})
+    return out
 
 
 def build_WT(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType):
@@ -514,68 +502,29 @@ class DegreeTables:
         weights = self.bits @ np.array(diagonals, dtype=object).T
         return np.flatnonzero((weights == 0).all(axis=1))
 
-    def _restricted(self, cols, start, dtype=object):
-        """One generator's derivation on the span of the masks in `start`:
-        the exact integer weights (an array of `dtype`) of its diagonal on
-        those masks, and for each off-diagonal entry c a gather table
-        (col, dst, odd, c), col being positions in `start`."""
+    def image(self, cols, start, X):
+        """One generator's derivation applied to the columns of X, an int64
+        or object array whose rows are the coefficients of the masks in
+        `start`; the result has one row per mask of degree k.
+
+        It is the diagonal weights times X in the rows of `start` plus, for
+        each off-diagonal entry c, a signed gather of c times the rows of X:
+        O(nnz * r) work for r columns, and no nmask x nmask matrix.  An
+        entry of the image is a weight (a sum of at most dim entries) times
+        an entry of X plus at most one gather per pair (i, g), so it is below
+        dim^2 max|c| max|X| in absolute value: exact on int64 while that is
+        below 2^63, and always on Python ints (object arrays).
+        """
         diag, off = _split_generator(cols)
-        weights = self.bits[start] @ np.array(diag, dtype=dtype)
         pos = np.full(len(self.masks), -1)
         pos[start] = np.arange(len(start))
-        terms = []
+        out = np.zeros((len(self.masks), X.shape[1]), dtype=X.dtype)
+        out[start] = (self.bits[start] @ np.array(diag, dtype=X.dtype))[:, None] * X
         for i, g, c in off:
             src, dst, odd = self.pairs[i, g]
             col = pos[src]
             keep = col >= 0
-            terms.append((col[keep], dst[keep], odd[keep], c))
-        return weights, terms
-
-    def modp_operator(self, cols, start, p: int):
-        """The map X |-> D E X mod p, for the derivation D of one generator
-        and E the identity columns of the masks in `start`.
-
-        The image is the diagonal weights times X in the rows of `start`
-        plus, for each nonzero off-diagonal entry, a signed gather of the
-        rows of X: O(nnz * r) work for r columns, and no nmask x nmask
-        matrix.  Every term is an integer below p^2 and a row receives at
-        most dim^2 of them, so the int64 sum is exact while
-        dim^2 (p-1)^2 < 2^63 (dim <= 2896 for p < 2^20).
-        """
-        weights, terms = self._restricted(cols, start)
-        weight = (weights % p).astype(np.int64)[:, None]
-        gathers = [(col, dst, np.where(odd, -c % p, c % p)[:, None]) for col, dst, odd, c in terms]
-
-        def apply(X):
-            out = np.zeros((len(self.masks), X.shape[1]), dtype=np.int64)
-            out[start] = weight * X
-            for col, dst, val in gathers:
-                out[dst] += val * X[col]
-            return out
-
-        return apply
-
-    def int_rows(self, cols, start):
-        """The integer matrix of one generator's derivation, as Python rows
-        over all masks, restricted to the columns of the masks in `start`."""
-        weights, terms = self._restricted(cols, start)
-        rows = [[0] * len(start) for _ in range(len(self.masks))]
-        for j, (s, w) in enumerate(zip(start.tolist(), weights.tolist())):
-            rows[s][j] = w
-        for col, dst, odd, c in terms:
-            for j, b, o in zip(col.tolist(), dst.tolist(), odd.tolist()):
-                rows[b][j] += -c if o else c
-        return rows
-
-    def int_image(self, cols, start, x):
-        """One generator's derivation applied to the integer coefficients x
-        (an int64 or object array) of the masks in `start`, as an array over
-        all masks; exact while no entry overflows x's dtype (see `gb_kills`)."""
-        weights, terms = self._restricted(cols, start, x.dtype)
-        out = np.zeros(len(self.masks), dtype=x.dtype)
-        out[start] = weights * x
-        for col, dst, odd, c in terms:
-            out[dst] += np.where(odd, -1, 1) * (c * x[col])
+            out[dst[keep]] += np.where(odd[keep], -1, 1)[:, None] * (c * X[col[keep]])
         return out
 
 
@@ -596,12 +545,15 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     diagonal).  The rational joint kernel N of all generators lies in S,
     where it is the joint kernel of the other generators restricted to S.
     Their joint kernel mod p inside S (`linalg.modp_joint_kernel_dim`, with
-    each derivation applied through `DegreeTables.modp_operator`) is at
-    least as large as N, since a rank over a prime field never exceeds the
-    rank over Q; the generated rows exhibited by the caller lie in N.  So
-    when the modular dimension equals that lower bound the answer is
-    rigorous.  Falls back to exact elimination on the same restricted
-    matrices if no prime in the list certifies.
+    each derivation applied through `DegreeTables.image` to its entries
+    reduced mod p) is at least as large as N, since a rank over a prime
+    field never exceeds the rank over Q; the generated rows exhibited by the
+    caller lie in N.  So when the modular dimension equals that lower bound
+    the answer is rigorous.  The reduced entries and the columns mapped lie
+    in [0, p), so the int64 images are exact while dim^2 (p-1)^2 < 2^63
+    (dim <= 2896 for p < 2^20).  Falls back to exact elimination on the
+    same restricted matrices, on Python ints, if no prime in the list
+    certifies.
     """
     if k == 0:
         return 1, "exact"
@@ -611,7 +563,8 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     start = tables.weight_zero([diag for diag, off in split if not off])
     others = [cols for cols, (_, off) in zip(int_cols, split) if off]
     for p in linalg.MOD_PRIMES:
-        ops = (tables.modp_operator(cols, start, p) for cols in others)
+        ops = (partial(tables.image, [[(i, c % p) for i, c in col] for col in cols], start)
+               for cols in others)
         dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), ops, p)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
@@ -619,12 +572,9 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    stacked = [
-        [t.scalar(x) for x in row]
-        for cols in others
-        for row in tables.int_rows(cols, start)
-        if any(row)
-    ]
+    identity = np.eye(len(start), dtype=object)
+    stacked = [[t.scalar(x) for x in row] for cols in others
+               for row in tables.image(cols, start, identity).tolist() if any(row)]
     kernel = linalg.nullspace(stacked, len(start), t)
     return len(kernel), "exact elimination"
 
@@ -679,10 +629,9 @@ class WeilStructure:
 
         Exact: mv's denominators are cleared, which rescales every image
         without changing whether it vanishes.  A derivation keeps degrees, so
-        each homogeneous part x is mapped alone (`DegreeTables.int_image`).
-        An image entry is a diagonal weight (at most dim entries) times one
-        coefficient plus at most one gather per pair (i, g), so it is below
-        dim^2 max|c| max|x|: int64 while that is below 2^63, else Python ints.
+        each homogeneous part x is mapped alone by `DegreeTables.image`, on
+        int64 while its bound dim^2 max|c| max|x| is below 2^63, else on
+        Python ints.
         """
         parts, dim = {}, self.space.dim_v
         for m, c in multivector_int_terms(mv).items():
@@ -692,7 +641,7 @@ class WeilStructure:
             tables, x = degree_tables(dim, k), list(terms.values())
             x = np.array(x, dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
             start = np.searchsorted(tables.masks, list(terms))
-            if any(tables.int_image(cols, start, x).any() for cols in self._gb_cols):
+            if any(tables.image(cols, start, x[:, None]).any() for cols in self._gb_cols):
                 return False
         return True
 

@@ -1,7 +1,8 @@
 import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import (
@@ -15,7 +16,7 @@ from weilspin.clifford import (
     symbol,
     vector_rep_reflection,
 )
-from weilspin.exteralg import Multivector, wedge
+from weilspin.exteralg import Multivector, contract, wedge
 from weilspin.fieldtower import TowerSpec
 
 from conftest import rand_elem, rand_mv, rand_vec
@@ -39,6 +40,49 @@ def test_defining_relation_all_pairs(n):
             gi, gj = hs.vspace.gen(i), hs.vspace.gen(j)
             lhs = clifford_mul(gi, gj, hs) + clifford_mul(gj, gi, hs)
             assert lhs == hs.vspace.one().scale(hs.gram(i, j))
+
+
+GAMMA_TOWERS = [TowerSpec(1, 2), TowerSpec(2, 1)]
+
+
+def _unit(i, m):
+    return [int(j == i) for j in range(m)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tower", GAMMA_TOWERS, ids=["p1q2", "p2q1"])
+def test_gamma_is_wedge_or_contraction(n, tower):
+    # x_i wedges the i-th spinor generator on the left, y_i contracts it
+    hs = HyperbolicSpace(n, tower)
+    n2 = 2 * n
+    for k in range(hs.dim_v):
+        for mask in range(1 << n2):
+            lam = Multivector(hs.sspace, {mask: tower.one()})
+            ref = wedge(hs.sspace.gen(k), lam) if hs.is_x(k) else contract(_unit(k - n2, n2), lam)
+            hit = hs.gamma(k, mask)
+            got = hs.sspace.zero() if hit is None else Multivector(hs.sspace, {hit[1]: tower.scalar(hit[0])})
+            assert got == ref, (k, mask)
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(n=st.sampled_from([1, 2]), tower=st.sampled_from(GAMMA_TOWERS), data=st.data())
+def test_action_matches_wedge_contract_reference(n, tower, data):
+    # reference: x_A y_B contracts by the y_j of B in descending j, with
+    # `contract` on unit vectors, then wedges the monomial x_A on the left
+    hs = HyperbolicSpace(n, tower)
+    n2 = 2 * n
+    coeff = st.tuples(*[st.integers(-3, 3)] * 4).map(lambda c: tower.elem(*c))
+    elem = Multivector(hs.vspace, data.draw(st.dictionaries(st.integers(0, (1 << hs.dim_v) - 1), coeff, max_size=5)))
+    lam = Multivector(hs.sspace, data.draw(st.dictionaries(st.integers(0, (1 << n2) - 1), coeff, max_size=5)))
+    expected = hs.sspace.zero()
+    for mono, c in elem.terms.items():
+        img = lam
+        for j in reversed(range(n2)):
+            if mono >> (n2 + j) & 1:
+                img = contract(_unit(j, n2), img)
+        x_a = Multivector(hs.sspace, {mono & ((1 << n2) - 1): tower.one()})
+        expected = expected + wedge(x_a, img).scale(c)
+    assert clifford_action(elem, lam, hs) == expected
 
 
 def test_action_anticommutation(hs1, rng):
@@ -204,5 +248,5 @@ def test_action_is_faithful_rank(n):
             img = clifford_action(elem, Multivector(hs.sspace, {mask: hs.tower.one()}), hs)
             flat.extend(int(img.terms[m].as_rational()) if m in img.terms else 0 for m in range(dim_s))
         rows.append(flat)
-    p = linalg.MOD_PRIMES[0]
-    assert linalg.modp_rank(rows, p) == 1 << hs.dim_v
+    p, ncols = linalg.MOD_PRIMES[0], dim_s * dim_s
+    assert ncols - linalg.modp_kernel(rows, ncols, p).shape[1] == 1 << hs.dim_v

@@ -9,7 +9,6 @@ from weilspin.exteralg import (
     GeneratorSpace,
     Multivector,
     contract,
-    contract_gen,
     coordinates,
     exp_even,
     in_span,

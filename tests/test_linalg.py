@@ -141,15 +141,14 @@ def test_no_matrices_leaves_everything():
 def test_modp_rank_and_kernel_take_big_ints_and_arrays():
     big = 10**30
     rows = [[big + 1, -big, 3], [2 * (big + 1), -2 * big, 6], [big * big, 0, 1]]
-    assert linalg.modp_rank(rows, P) == _rank_mod_p(rows, P) == 2
+    assert 3 - linalg.modp_kernel(rows, 3, P).shape[1] == _rank_mod_p(rows, P) == 2
     reduced = np.array([[x % P for x in row] for row in rows], dtype=np.int64)
-    assert linalg.modp_rank(reduced, P) == 2
     for given in (rows, reduced, reduced.astype(np.float64)):
         K = linalg.modp_kernel(given, 3, P)
         assert K.shape == (3, 1)
         assert not (reduced @ K % P).any()
-    assert linalg.modp_rank(np.zeros((0, 3)), P) == 0
-    assert linalg.modp_kernel([], 3, P).tolist() == np.eye(3, dtype=np.int64).tolist()
+    for empty in ([], np.zeros((0, 3))):
+        assert linalg.modp_kernel(empty, 3, P).tolist() == np.eye(3, dtype=np.int64).tolist()
 
 
 # -- exact kernels: sparse elimination against a dense reference ------------

@@ -6,6 +6,7 @@ import pytest
 
 from weilspin import linalg
 from weilspin.cli import main
+from weilspin.clifford import HyperbolicSpace
 from weilspin.exteralg import Multivector, in_span, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
@@ -204,6 +205,38 @@ def test_cli_rejects_invalid_datum(preset, edit, reason, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", "--input", str(path)]) == 2
     assert f"error: invalid datum: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, check", [
+    ("sixfold-q2", "secnat"),  # a typo
+    ("fourfold-rm2", "nosuchcheck"),
+    ("fourfold-rm2", "pipeline."),  # d = 2: no sheaf-chain check applies
+])
+def test_cli_rejects_filter_matching_no_check(preset, check, monkeypatch, capsys):
+    def boom(datum):
+        raise AssertionError("structure built for an empty check list")
+
+    monkeypatch.setattr(secantpipe, "WeilStructure", boom)
+    assert main(["verify", "--preset", preset, "--check", check]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no applicable check name contains {check!r}\n"
+    assert captured.out == ""
+
+
+def test_clifford_relation_check_sees_unsigned_generators(ws4, monkeypatch):
+    # without their Koszul signs, x_i and x_j (i != j) commute instead of
+    # anticommuting on spinors; the operator half of the check must say so
+    runner = secantpipe._Runner(ws4.datum, 0)
+    runner.ws = ws4
+    assert runner._clifford_relation()[0]
+    signed = HyperbolicSpace.gamma
+
+    def unsigned(self, k, mask):
+        hit = signed(self, k, mask)
+        return hit and (1, hit[1])
+
+    monkeypatch.setattr(HyperbolicSpace, "gamma", unsigned)
+    assert not runner._clifford_relation()[0]
 
 
 def test_lie_checks_never_build_the_generated_subalgebra(monkeypatch):

@@ -1,13 +1,16 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weilspin import linalg
-from weilspin.clifford import derivation_int
-from weilspin.exteralg import Multivector, contract_gen, span_basis, wedge
-from weilspin.fieldtower import TowerSpec, k_embeddings, trace_to_Q
+from weilspin.clifford import HyperbolicSpace, derivation_int
+from weilspin.exteralg import Multivector, contract, span_basis, wedge
+from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
+from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
     DegreeTables,
     WeilDatum,
@@ -15,6 +18,8 @@ from weilspin.weilcm import (
     eigenspace,
     hermitian_form,
     pair_f,
+    theta_cm_twist,
+    theta_element,
 )
 
 from conftest import rand_vec
@@ -129,11 +134,47 @@ def test_eta_contraction_formula(ws6):
     for j in range(n2):
         amb = [tow.zero()] * n2 + [tow.scalar(1 if k == j else 0) for k in range(n2)]
         img = linalg.mat_vec(rq, amb, tow)
-        cont = contract_gen(j, ws6.theta)
+        cont = contract([int(i == j) for i in range(n2)], ws6.theta)
         expected = [tow.zero()] * (2 * n2)
         for m, c in cont.terms.items():
             expected[m.bit_length() - 1] = c * tow.q
         assert img == expected
+
+
+def _theta_twist_reference(datum, space, cm_type):
+    """Theta_T from the eta_hat one-slot twist: the sqrt(p)-eigencomponents
+    of Theta are (Theta +- twist / sqrt p) / 2, with twist the symmetrized
+    application of eta_hat to one slot of each term of Theta."""
+    t = datum.tower
+    theta = theta_element(datum, space)
+    if t.p == 1:
+        return theta.scale(cm_type.choices[0])
+    cq = datum.theta_q_matrix()
+    n2 = 2 * datum.n
+    h = [Multivector(space.sspace, {1 << k: datum.eta_hat[k][i] for k in range(n2)}) for i in range(n2)]
+    twist = space.sspace.zero()
+    for i in range(n2):
+        for j in range(i + 1, n2):
+            gi, gj = space.sspace.gen(i), space.sspace.gen(j)
+            twist = twist + (wedge(h[i], gj) + wedge(gi, h[j])).scale(cq[i][j] * Fraction(1, 2))
+    inv_rp = t.sqrt_p().inv()
+    plus = (theta + twist.scale(inv_rp)).scale(Fraction(1, 2))
+    minus = (theta - twist.scale(inv_rp)).scale(Fraction(1, 2))
+    s_plus, s_minus = cm_type.choices
+    return plus.scale(s_plus) + minus.scale(s_minus)
+
+
+@pytest.mark.parametrize("source", ["fourfold-rm2", "sixfold-q2", "eightfold-q2", "eightfold-rm2",
+                                    "eightfold-lie-seed1"])
+def test_theta_cm_twist_matches_eta_twist(source):
+    if source in PRESETS:
+        datum = PRESETS[source]()
+    else:
+        datum = WeilDatum.from_json(json.loads((Path(__file__).parent / "data" / f"{source}.json").read_text()))
+    space = HyperbolicSpace(datum.n, datum.tower)
+    for cm_type in enumerate_cm_types(datum.tower):
+        got = theta_cm_twist(datum, space, cm_type)
+        assert not got.is_zero() and got == _theta_twist_reference(datum, space, cm_type)
 
 
 def test_wt_family(ws6, ws4):
@@ -308,8 +349,9 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
                 for dtype in (np.int64, object) if small else (object,):
                     x = np.array(list(part.values()), dtype=dtype)
                     for cols, image in zip(ws._gb_cols, images):
-                        got = tables.int_image(cols, start, x)
-                        assert {m: c for m, c in zip(tables.masks.tolist(), got.tolist()) if c} == {
+                        got = tables.image(cols, start, x[:, None])
+                        assert got.dtype == x.dtype and got.shape == (len(tables.masks), 1)
+                        assert {m: c for m, c in zip(tables.masks.tolist(), got[:, 0].tolist()) if c} == {
                             m: c for m, c in image.items() if m.bit_count() == k}
         assert verdicts[len(gens) + len(noise):] == [True, True, False, False, False]
 
@@ -381,12 +423,13 @@ def test_table_operators_match_derivation_int(structure, request):
             for i, j, c in entries:
                 expected[i, j] = c % p
             every = np.arange(len(masks))
-            assert (tables.modp_operator(cols, every, p)(identity) % p == expected).all()
+            reduced = [[(i, c % p) for i, c in col] for col in cols]  # as the certificate applies it
+            assert (tables.image(reduced, every, identity) % p == expected).all()
             if k == 3:  # the exact fallback's rows, on every column
                 exact = [[0] * len(masks) for _ in masks]
                 for i, j, c in entries:
                     exact[i][j] = c
-                assert tables.int_rows(cols, every) == exact
+                assert tables.image(cols, every, np.eye(len(masks), dtype=object)).tolist() == exact
 
 
 def _sheared_sixfold():
