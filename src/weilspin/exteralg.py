@@ -84,6 +84,14 @@ class Multivector:
         self.space = space
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
+    @classmethod
+    def _nonzero(cls, space: GeneratorSpace, terms: dict) -> "Multivector":
+        """A multivector owning `terms`, a fresh dict with no zero coefficient
+        (a product of nonzero field elements is nonzero), built unfiltered."""
+        mv = object.__new__(cls)
+        mv.space, mv.terms = space, terms
+        return mv
+
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
@@ -99,10 +107,10 @@ class Multivector:
                     out[m] = s
             else:
                 out[m] = c
-        return Multivector(self.space, out)
+        return Multivector._nonzero(self.space, out)
 
     def __neg__(self):
-        return Multivector(self.space, {m: -c for m, c in self.terms.items()})
+        return Multivector._nonzero(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -111,7 +119,7 @@ class Multivector:
         s = self.space.scalar(s)
         if s.is_zero():
             return self.space.zero()
-        return Multivector(self.space, {m: c * s for m, c in self.terms.items()})
+        return Multivector._nonzero(self.space, {m: c * s for m, c in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -183,7 +191,7 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
                     out[key] = s
             else:
                 out[key] = c
-    return Multivector(a.space, out)
+    return Multivector._nonzero(a.space, out)
 
 
 def column_rows(images) -> list:

@@ -16,12 +16,11 @@ exact integers below 2^53 (see `_matmul_mod`); no float reaches a verdict.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
-from .fieldtower import FieldElem, TowerSpec
+from .fieldtower import TowerSpec
 
 
 def rref(rows, tower: TowerSpec):
@@ -201,18 +200,17 @@ MOD_PRIMES = (1048573, 1048571, 1048559, 1048549)
 
 def matrix_to_int_global(rows) -> list:
     """Clear denominators with one common factor, preserving the operator
-    up to a global scale (so kernels and annihilation are unchanged)."""
-    fracs = []
+    up to a global scale (so kernels and annihilation are unchanged).
+
+    Read straight off each entry's lowest-terms (n, d); raises on an
+    irrational entry.
+    """
     for row in rows:
-        frow = []
         for x in row:
-            frow.append(x.as_rational() if isinstance(x, FieldElem) else Fraction(x))
-        fracs.append(frow)
-    den = 1
-    for row in fracs:
-        for f in row:
-            den = den * f.denominator // gcd(den, f.denominator)
-    return [[int(f * den) for f in row] for row in fracs]
+            if not x.is_rational():
+                raise ValueError(f"{x} is not rational")
+    den = lcm(*{x.d for row in rows for x in row})
+    return [[x.n[0] * (den // x.d) for x in row] for row in rows]
 
 
 def _residues(rows, p: int) -> np.ndarray:

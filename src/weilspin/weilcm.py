@@ -20,7 +20,7 @@ killed by the derivations of g_B.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -443,94 +443,86 @@ def gb_int_cols(gB):
     return [int_derivation_cols(linalg.matrix_to_int_global(pair_obj.ad)) for pair_obj in gB]
 
 
-def _split_generator(cols):
-    """(diagonal entries, off-diagonal (i, g, c) entries) of a generator in
-    sparse-column form: c is the integer at row i, column g."""
-    diag = [0] * len(cols)
-    off = []
-    for g, col in enumerate(cols):
-        for i, c in col:
-            if i == g:
-                diag[g] = c
-            else:
-                off.append((i, g, c))
-    return diag, off
+def weight_zero_masks(dim: int, k: int, diagonal) -> np.ndarray:
+    """The masks of degree k on `dim` generators of weight 0 under every
+    integer matrix in `diagonal`, diagonal ones in sparse-column form.
+
+    E_gg fixes each mask holding g, so a diagonal matrix D acts on a mask by
+    the integer weight sum(D[g][g] for g in the mask); it is computed on
+    int64 while dim max|D| < 2^63, else on Python ints, so always exactly.
+    """
+    masks = np.flatnonzero(np.bitwise_count(np.arange(1 << dim)) == k)
+    if not diagonal:
+        return masks
+    weights = [[col[0][1] if col else 0 for col in cols] for cols in diagonal]
+    dtype = object if dim * max(abs(c) for w in weights for c in w) >> 63 else np.int64
+    bits = ((masks[:, None] >> np.arange(dim)) & 1).astype(dtype)
+    return masks[((bits @ np.array(weights, dtype=dtype).T) == 0).all(axis=1)]
 
 
-class DegreeTables:
-    """Koszul tables of the elementary derivations of wedge^k V.
+class DerivationOperators:
+    """The derivations of integer matrices in sparse-column form on the span
+    of the masks in `start` (all of one degree), as one sparse matrix with a
+    column per start mask and a row per (matrix, destination mask): each
+    operator has rows only over the masks it reaches.
 
-    `masks` is the sorted int64 array of the masks of degree k on `dim`
-    generators.  For each ordered pair i != g, `pairs[i, g]` is the table
-    (src, dst, odd) of the derivation extending the matrix unit E_ig (g is
-    sent to i): it maps the basis element masks[src] to (-1)^odd times
-    masks[dst].  A mask m holding g but not i goes to m - g + i; pulling g
-    to the front of m passes the bits of m below g, and putting i in place
-    passes the bits of m - g below i.  Every other mask goes to 0.  E_gg
-    fixes each mask holding g, so a diagonal matrix D acts on a mask by the
-    integer weight sum(D[g][g] for g in the mask); `bits` holds the bits.
-
-    A generator's derivation is a sum of these pieces over its few nonzero
-    entries, so it is applied to a basis without ever building its
-    nmask x nmask matrix.
+    The derivation extending the matrix unit E_ig (g is sent to i) maps a
+    mask m holding g to (-1)^odd (m - g + i) when m - g lacks i, and every
+    other mask to 0: pulling g to the front of m passes the bits of m below
+    g, and putting i in place passes the bits of m - g below i.  For i = g
+    this is m with sign +1, so a diagonal entry acts by its weight.  A
+    matrix's derivation is the sum of c times these over its entries
+    (i, g, c), so one vectorised pass over the pairs (start mask, entry)
+    gives every nonzero of every operator; no nmask x nmask matrix and no
+    table over all masks of the degree is built.
     """
 
-    def __init__(self, dim: int, k: int):
-        every = np.arange(1 << dim, dtype=np.int64)
-        masks = every[np.bitwise_count(every) == k]
-        self.masks = masks
-        self.bits = (masks[:, None] >> np.arange(dim)) & 1
-        self.pairs = {}
-        for g in range(dim):
-            gbit = 1 << g
-            below_g = np.bitwise_count(masks & (gbit - 1))
-            for i in range(dim):
-                if i == g:
-                    continue
-                ibit = 1 << i
-                src = np.flatnonzero((masks & (gbit | ibit)) == gbit)
-                rest = masks[src] ^ gbit
-                dst = np.searchsorted(masks, rest | ibit)
-                odd = (below_g[src] + np.bitwise_count(rest & (ibit - 1))) & 1
-                self.pairs[i, g] = (src, dst, odd.astype(bool))
+    def __init__(self, int_cols, start):
+        entries = sorted((g, i, j, c) for j, cols in enumerate(int_cols)
+                         for g, col in enumerate(cols) for i, c in col)
+        self.coefs = [c for *_, c in entries]
+        eg, ei, ej = (np.array([e[a] for e in entries], dtype=np.int64) for a in range(3))
+        start, dim = np.asarray(start, dtype=np.int64), len(int_cols[0]) if int_cols else 0
+        # each (start mask, bit g) pair meets the run of entries in column g
+        first = np.searchsorted(eg, np.arange(dim + 1))
+        src, g = np.nonzero((start[:, None] >> np.arange(dim)) & 1)
+        count = first[g + 1] - first[g]
+        src = np.repeat(src, count)
+        e = np.arange(len(src)) + np.repeat(first[g] - (np.cumsum(count) - count), count)
+        gbit = 1 << eg[e]
+        rest = start[src] ^ gbit
+        keep = (rest >> ei[e]) & 1 == 0
+        src, e, gbit, rest = src[keep], e[keep], gbit[keep], rest[keep]
+        ibit = 1 << ei[e]
+        dst = rest | ibit
+        odd = np.bitwise_count(start[src] & (gbit - 1)) + np.bitwise_count(rest & (ibit - 1))
+        order = np.lexsort((dst, ej[e]))
+        gen, dst = ej[e][order], dst[order]
+        self.cols, self.entry, self.odd = src[order], e[order], (odd[order] & 1).astype(bool)
+        new_row = np.ones(len(order) + 1, dtype=bool)
+        new_row[1:-1] = (gen[1:] != gen[:-1]) | (dst[1:] != dst[:-1])
+        #: the first nonzero of each row, then their count; each row's mask and matrix
+        self.row_start = np.flatnonzero(new_row)
+        self.dst, self.gen = dst[self.row_start[:-1]], gen[self.row_start[:-1]]
+        #: the rows of matrix j are rows[j] to rows[j + 1]
+        self.rows = np.searchsorted(self.gen, np.arange(len(int_cols) + 1))
 
-    def weight_zero(self, diagonals) -> np.ndarray:
-        """Indices of the masks of weight 0 under every diagonal matrix in
-        `diagonals` (lists of integer diagonal entries), computed exactly."""
-        if not diagonals:
-            return np.arange(len(self.masks))
-        weights = self.bits @ np.array(diagonals, dtype=object).T
-        return np.flatnonzero((weights == 0).all(axis=1))
+    def image(self, X, gens: range):
+        """The operators of the matrices in `gens`, a range of their
+        indices, applied to the columns of X, an int64 or object array whose
+        rows are the coefficients of the start masks: one row per (matrix,
+        destination mask).
 
-    def image(self, cols, start, X):
-        """One generator's derivation applied to the columns of X, an int64
-        or object array whose rows are the coefficients of the masks in
-        `start`; the result has one row per mask of degree k.
-
-        It is the diagonal weights times X in the rows of `start` plus, for
-        each off-diagonal entry c, a signed gather of c times the rows of X:
-        O(nnz * r) work for r columns, and no nmask x nmask matrix.  An
-        entry of the image is a weight (a sum of at most dim entries) times
-        an entry of X plus at most one gather per pair (i, g), so it is below
+        An image row sums at most one term per entry of its matrix, since
+        the entry (i, g) reaches a mask from one mask only; so it is below
         dim^2 max|c| max|X| in absolute value: exact on int64 while that is
         below 2^63, and always on Python ints (object arrays).
         """
-        diag, off = _split_generator(cols)
-        pos = np.full(len(self.masks), -1)
-        pos[start] = np.arange(len(start))
-        out = np.zeros((len(self.masks), X.shape[1]), dtype=X.dtype)
-        out[start] = (self.bits[start] @ np.array(diag, dtype=X.dtype))[:, None] * X
-        for i, g, c in off:
-            src, dst, odd = self.pairs[i, g]
-            col = pos[src]
-            keep = col >= 0
-            out[dst[keep]] += np.where(odd[keep], -1, 1)[:, None] * (c * X[col[keep]])
-        return out
-
-
-#: DegreeTables(dim, k), kept for the next call at the same degree:
-#: `WeilStructure.invariants_and_generation` tests and certifies one degree
-degree_tables = lru_cache(maxsize=1)(DegreeTables)
+        r0, r1 = self.rows[gens.start], self.rows[gens.stop]
+        lo, hi = self.row_start[[r0, r1]]
+        vals = np.array(self.coefs, dtype=X.dtype)[self.entry[lo:hi]]
+        vals[self.odd[lo:hi]] *= -1
+        return np.add.reduceat(vals[:, None] * X[self.cols[lo:hi]], self.row_start[r0:r1] - lo, axis=0)
 
 
 def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, expected_dim: int):
@@ -545,36 +537,35 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     diagonal).  The rational joint kernel N of all generators lies in S,
     where it is the joint kernel of the other generators restricted to S.
     Their joint kernel mod p inside S (`linalg.modp_joint_kernel_dim`, with
-    each derivation applied through `DegreeTables.image` to its entries
-    reduced mod p) is at least as large as N, since a rank over a prime
-    field never exceeds the rank over Q; the generated rows exhibited by the
-    caller lie in N.  So when the modular dimension equals that lower bound
-    the answer is rigorous.  The reduced entries and the columns mapped lie
-    in [0, p), so the int64 images are exact while dim^2 (p-1)^2 < 2^63
-    (dim <= 2896 for p < 2^20).  Falls back to exact elimination on the
-    same restricted matrices, on Python ints, if no prime in the list
-    certifies.
+    each derivation applied through `DerivationOperators.image` to its
+    entries reduced mod p) is at least as large as N, since a rank over a
+    prime field never exceeds the rank over Q; the generated rows exhibited
+    by the caller lie in N.  So when the modular dimension equals that lower
+    bound the answer is rigorous.  The reduced entries and the columns
+    mapped lie in [0, p), so each signed product is at most (p-1)^2 and the
+    int64 images are exact while dim^2 (p-1)^2 < 2^63 (dim <= 2896 for
+    p < 2^20).  Falls back to exact elimination on the same restricted
+    matrices, on Python ints, if no prime in the list certifies.
     """
     if k == 0:
         return 1, "exact"
     t = space.tower
-    tables = degree_tables(space.dim_v, k)
-    split = [_split_generator(cols) for cols in int_cols]
-    start = tables.weight_zero([diag for diag, off in split if not off])
-    others = [cols for cols, (_, off) in zip(int_cols, split) if off]
+    diagonal = [all(i == g for g, col in enumerate(cols) for i, _ in col) for cols in int_cols]
+    start = weight_zero_masks(space.dim_v, k, [cols for cols, dg in zip(int_cols, diagonal) if dg])
+    others = [cols for cols, dg in zip(int_cols, diagonal) if not dg]
     for p in linalg.MOD_PRIMES:
-        ops = (partial(tables.image, [[(i, c % p) for i, c in col] for col in cols], start)
-               for cols in others)
-        dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), ops, p)
+        reduced = [[[(i, c % p) for i, c in col] for col in cols] for cols in others]
+        ops = DerivationOperators(reduced, start)
+        each = (partial(ops.image, gens=range(j, j + 1)) for j in range(len(others)))
+        dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), each, p)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
         if dim_p < expected_dim:
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    identity = np.eye(len(start), dtype=object)
-    stacked = [[t.scalar(x) for x in row] for cols in others
-               for row in tables.image(cols, start, identity).tolist() if any(row)]
+    exact = DerivationOperators(others, start).image(np.eye(len(start), dtype=object), range(len(others)))
+    stacked = [[t.scalar(x) for x in row] for row in exact.tolist() if any(row)]
     kernel = linalg.nullspace(stacked, len(start), t)
     return len(kernel), "exact elimination"
 
@@ -624,32 +615,35 @@ class WeilStructure:
         `lie.` family) do not pay for it."""
         return generated_subalgebra_degree(self.space, self.a2_elements + self.HW, self.space.dim_v)
 
-    def gb_kills(self, mv: Multivector) -> bool:
-        """Whether every g_B derivation kills the rational multivector mv.
+    def gb_kills(self, *mvs) -> bool:
+        """Whether every g_B derivation kills every rational multivector in mvs.
 
-        Exact: mv's denominators are cleared, which rescales every image
-        without changing whether it vanishes.  A derivation keeps degrees, so
-        each homogeneous part x is mapped alone by `DegreeTables.image`, on
-        int64 while its bound dim^2 max|c| max|x| is below 2^63, else on
-        Python ints.
+        Exact: each mv's denominators are cleared, which rescales its images
+        without changing whether they vanish.  A derivation keeps degrees, so
+        the parts of one degree, a column per mv, are mapped together by
+        `DerivationOperators` over the union of their masks: on int64 while
+        the bound dim^2 max|c| max|x| is below 2^63, else on Python ints.
         """
         parts, dim = {}, self.space.dim_v
-        for m, c in multivector_int_terms(mv).items():
-            parts.setdefault(m.bit_count(), {})[m] = c
+        for col, mv in enumerate(mvs):
+            for m, c in multivector_int_terms(mv).items():
+                parts.setdefault(m.bit_count(), []).append((m, col, c))
         cmax = max((abs(c) for cols in self._gb_cols for col in cols for _, c in col), default=0)
-        for k, terms in parts.items():
-            tables, x = degree_tables(dim, k), list(terms.values())
-            x = np.array(x, dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
-            start = np.searchsorted(tables.masks, list(terms))
-            if any(tables.image(cols, start, x[:, None]).any() for cols in self._gb_cols):
+        for part in parts.values():
+            masks, cols, x = zip(*part)
+            start = sorted(set(masks))
+            X = np.zeros((len(start), len(mvs)),
+                         dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
+            X[np.searchsorted(start, masks), cols] = x
+            if DerivationOperators(self._gb_cols, start).image(X, range(len(self._gb_cols))).any():
                 return False
         return True
 
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""
         generated = self.generated[k]
-        # exact containment: every generated element is killed by every derivation
-        if not all(self.gb_kills(mv) for mv in generated):
+        # exact containment: every derivation kills the generated basis, tested as one block of columns
+        if not self.gb_kills(*generated):
             raise ValueError("generated class is not g_B-invariant")
         dim, method = invariant_dimension_certificate(self.space, self._gb_cols, k, len(generated))
         return dim, generated, dim == len(generated), method

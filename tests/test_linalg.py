@@ -3,6 +3,7 @@ path against exact Python-integer arithmetic."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -149,6 +150,23 @@ def test_modp_rank_and_kernel_take_big_ints_and_arrays():
         assert not (reduced @ K % P).any()
     for empty in ([], np.zeros((0, 3))):
         assert linalg.modp_kernel(empty, 3, P).tolist() == np.eye(3, dtype=np.int64).tolist()
+
+
+def test_matrix_to_int_global_matches_fraction_clearing():
+    # reference: the least common denominator of the Fractions, times each
+    rng = random.Random(11)
+    for tower in (TowerSpec(1, 2), TowerSpec(2, 1)):
+        for _ in range(20):
+            fracs = [[Fraction(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(4)] for _ in range(3)]
+            fracs[0][0] = Fraction(2**70 + 1, 3**5)
+            den = 1
+            for f in (f for row in fracs for f in row):
+                den = den * f.denominator // gcd(den, f.denominator)
+            got = linalg.matrix_to_int_global([[tower.scalar(f) for f in row] for row in fracs])
+            assert got == [[int(f * den) for f in row] for row in fracs]
+        with pytest.raises(ValueError, match="not rational"):
+            linalg.matrix_to_int_global([[tower.one(), tower.sqrt_minus_q()]])
+    assert linalg.matrix_to_int_global([]) == []
 
 
 # -- exact kernels: sparse elimination against a dense reference ------------

@@ -12,7 +12,7 @@ from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, tra
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
-    DegreeTables,
+    DerivationOperators,
     WeilDatum,
     WeilStructure,
     eigenspace,
@@ -321,10 +321,17 @@ def test_gb_kills_invariant_generators(ws6, ws4):
                 assert not derivation_int(cols, iterms)
 
 
+def _rows_of(ops, j):
+    """The destination masks and the row slice of matrix j in `ops`."""
+    rows = slice(ops.rows[j], ops.rows[j + 1])
+    assert (ops.gen[rows] == j).all()
+    return ops.dst[rows].tolist(), rows
+
+
 def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
-    # derivation_int on term dicts is the reference for the table gathers;
+    # derivation_int on term dicts is the reference for the operators;
     # a coefficient of 2^80 takes the Python-int path instead of int64
-    from weilspin.weilcm import degree_tables, multivector_int_terms
+    from weilspin.weilcm import multivector_int_terms
 
     big = 2**80 + 1
     for ws in (ws6, ws4):
@@ -343,17 +350,38 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
             assert ws.gb_kills(mv) == verdicts[-1]
             for k in {m.bit_count() for m in iterms}:
                 part = {m: c for m, c in iterms.items() if m.bit_count() == k}
-                tables = degree_tables(dim, k)
-                start = np.searchsorted(tables.masks, list(part))
+                ops = DerivationOperators(ws._gb_cols, list(part))
                 small = max(map(abs, part.values())) < 2**40
                 for dtype in (np.int64, object) if small else (object,):
                     x = np.array(list(part.values()), dtype=dtype)
-                    for cols, image in zip(ws._gb_cols, images):
-                        got = tables.image(cols, start, x[:, None])
-                        assert got.dtype == x.dtype and got.shape == (len(tables.masks), 1)
-                        assert {m: c for m, c in zip(tables.masks.tolist(), got[:, 0].tolist()) if c} == {
+                    got = ops.image(x[:, None], range(len(ws._gb_cols)))
+                    assert got.dtype == x.dtype and got.shape == (len(ops.dst), 1)
+                    for j, image in enumerate(images):
+                        dst, rows = _rows_of(ops, j)
+                        assert {m: c for m, c in zip(dst, got[rows, 0].tolist()) if c} == {
                             m: c for m, c in image.items() if m.bit_count() == k}
         assert verdicts[len(gens) + len(noise):] == [True, True, False, False, False]
+
+
+@pytest.mark.parametrize("structure", ["ws6", "ws4"])
+def test_batched_containment_matches_each_element(structure, request):
+    # gb_kills maps a degree's whole basis as one block of columns; its
+    # verdict must be the conjunction of the verdicts on single elements
+    ws = request.getfixturevalue(structure)
+    vspace, one = ws.space.vspace, ws.datum.tower.one()
+    for k, basis in enumerate(ws.generated):
+        assert ws.gb_kills(*basis) and all(ws.gb_kills(mv) for mv in basis)
+        if not basis or k in (0, ws.space.dim_v):
+            continue  # every mask of degree 0 or 4n is invariant
+        # a basis mask not killed: one that some generator moves
+        bad = next(Multivector(vspace, {m: one}) for m in range(1 << ws.space.dim_v)
+                   if m.bit_count() == k and any(derivation_int(cols, {m: 1}) for cols in ws._gb_cols))
+        for mvs in (basis + [bad], [bad] + basis, basis[:1] + [bad + basis[0]] + basis[1:]):
+            assert ws.gb_kills(*mvs) is False
+            assert not all(ws.gb_kills(mv) for mv in mvs)
+    # mixed degrees in one call: the invariant generators and kappa-like sums
+    gens = list(ws.a2_elements) + ws.HW
+    assert ws.gb_kills(*gens) and ws.gb_kills(gens[0] + gens[-1], *gens)
 
 
 def test_invariants_selected_degrees(ws4):
@@ -407,29 +435,62 @@ def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
 
 @pytest.mark.parametrize("structure", ["ws6", "ws4"])
 def test_table_operators_match_derivation_int(structure, request):
-    # derivation_int is the independent reference for the Koszul tables
+    # derivation_int is the independent reference for the mask operators
     ws = request.getfixturevalue(structure)
     p = linalg.MOD_PRIMES[0]
     dim = ws.space.dim_v
     for k in (3, dim // 2):
-        tables = DegreeTables(dim, k)
-        masks = tables.masks.tolist()
+        masks = [m for m in range(1 << dim) if m.bit_count() == k]
         index = {m: i for i, m in enumerate(masks)}
         identity = np.eye(len(masks), dtype=np.int64)
-        for cols in ws._gb_cols:
-            entries = [(index[mm], j, c) for j, m in enumerate(masks)
+        ops = DerivationOperators(ws._gb_cols, masks)
+        # the entries reduced mod p, as the certificate applies them
+        reduced = DerivationOperators([[[(i, c % p) for i, c in col] for col in cols]
+                                       for cols in ws._gb_cols], masks)
+        if k == 3:  # the exact fallback's rows, on every column
+            exact_rows = ops.image(np.eye(len(masks), dtype=object), range(len(ws._gb_cols)))
+        for j, cols in enumerate(ws._gb_cols):
+            entries = [(index[mm], jj, c) for jj, m in enumerate(masks)
                        for mm, c in derivation_int(cols, {m: 1}).items()]
             expected = np.zeros_like(identity)
-            for i, j, c in entries:
-                expected[i, j] = c % p
-            every = np.arange(len(masks))
-            reduced = [[(i, c % p) for i, c in col] for col in cols]  # as the certificate applies it
-            assert (tables.image(reduced, every, identity) % p == expected).all()
-            if k == 3:  # the exact fallback's rows, on every column
+            for i, jj, c in entries:
+                expected[i, jj] = c % p
+            dst, rows = _rows_of(ops, j)
+            assert dst == sorted(set(dst)) and _rows_of(reduced, j)[0] == dst
+            assert {i for i, _, _ in entries} <= {index[m] for m in dst}
+            got = np.zeros_like(identity)
+            got[[index[m] for m in dst]] = reduced.image(identity, range(j, j + 1))
+            assert (got % p == expected).all()
+            if k == 3:
                 exact = [[0] * len(masks) for _ in masks]
-                for i, j, c in entries:
-                    exact[i][j] = c
-                assert tables.image(cols, every, np.eye(len(masks), dtype=object)).tolist() == exact
+                for i, jj, c in entries:
+                    exact[i][jj] = c
+                full = [[0] * len(masks) for _ in masks]
+                for m, row in zip(dst, exact_rows[rows].tolist()):
+                    full[index[m]] = row
+                assert full == exact
+
+
+def test_operator_rows_are_per_matrix():
+    # two matrices reaching the same mask keep a row each, keyed by (matrix, mask)
+    unit = [[(1, 3)], [], [], []]  # 3 E_10 on four generators: g = 0 goes to i = 1
+    assert derivation_int(unit, {0b0101: 2}) == {0b0110: 6}
+    ops = DerivationOperators([unit, unit], [0b0101])
+    assert ops.dst.tolist() == [0b0110, 0b0110] and ops.gen.tolist() == [0, 1]
+    X = np.array([[2]], dtype=np.int64)
+    assert ops.image(X, range(2)).tolist() == [[6], [6]]
+    assert ops.image(X, range(1, 2)).tolist() == [[6]]
+
+
+def test_tenfold_middle_degree_certificate():
+    # the principal tenfold (n = 5): wedge^10 V has C(20, 10) = 184756
+    # masks, and the operators have rows only over the masks they reach
+    data = json.loads((Path(__file__).parent / "data" / "tenfold-q2.json").read_text())
+    ws = WeilStructure(WeilDatum.from_json(data))
+    assert ws.space.dim_v == 20 and ws.datum.tower == TowerSpec(1, 2)
+    dim, generated, flag, method = ws.invariants_and_generation(10)
+    assert (dim, len(generated), flag) == (3, 3, True)
+    assert method == f"modular certificate (p={linalg.MOD_PRIMES[0]})"
 
 
 def _sheared_sixfold():
