@@ -2,8 +2,8 @@
 
 Basis elements of the exterior algebra on m generators are subsets of
 {0..m-1} packed as bitmasks; a multivector is a sparse map mask -> FieldElem.
-All Koszul signs come from inversion-counting between masks, so products
-are O(#terms^2) with O(1) sign computation per pair.
+All Koszul signs come from inversion-counting between masks, one popcount
+per pair (`below_parity`), so products are O(#terms^2).
 
 The fixed orientation is g_1 ^ ... ^ g_m |-> 1: the top monomial has
 integral one, and the spinor pairing refers to it.
@@ -17,20 +17,22 @@ from . import linalg
 from .fieldtower import FieldElem, TowerSpec
 
 
-def merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending masks.
+def below_parity(b: int, m: int) -> int:
+    """The mask whose bit i < m is set when an odd number of bits of `b` lie
+    below i, by an xor prefix scan.  Sorting the concatenation of disjoint
+    ascending masks a, b moves each bit i of a past the bits of b below i, so
+    its sign is -1 exactly when a & below_parity(b, m) has odd popcount."""
+    x = b << 1
+    s = 1
+    while s < m:
+        x ^= x << s
+        s <<= 1
+    return x
 
-    Each bit of `a` passes over the bits of `b` below it, so the sign is the
-    parity of the sum of those counts; for a single bit `a` it is the parity
-    of `(b & (a - 1)).bit_count()`.
-    """
-    s = 0
-    aa = a
-    while aa:
-        low = aa & -aa
-        s += (b & (low - 1)).bit_count()
-        aa ^= low
-    return -1 if s & 1 else 1
+
+def degree_two_masks(m: int) -> list:
+    """The masks of degree 2 on m generators, in ascending order."""
+    return [(1 << i) | (1 << j) for j in range(m) for i in range(j)]
 
 
 class GeneratorSpace:
@@ -172,17 +174,23 @@ class Multivector:
 
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
+    """The exterior product.  As e_mb ^ e_ma = (-1)^(|ma| |mb|) e_ma ^ e_mb, the
+    `below_parity` scan runs once per term of the factor with fewer terms."""
     if a.space != b.space:
         raise ValueError("generator space mismatch")
+    swap = len(a.terms) < len(b.terms)
+    outer, inner = (b, a) if swap else (a, b)
+    scanned = [(mi, ci, below_parity(mi, a.space.m), mi.bit_count() & swap) for mi, ci in inner.terms.items()]
     out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
+    for mo, co in outer.terms.items():
+        do = mo.bit_count() & swap
+        for mi, ci, below, di in scanned:
+            if mo & mi:
                 continue
-            c = ca * cb
-            if merge_sign(ma, mb) < 0:
+            c = co * ci
+            if ((mo & below).bit_count() + (do & di)) & 1:
                 c = -c
-            key = ma | mb
+            key = mo | mi
             if key in out:
                 s = out[key] + c
                 if s.is_zero():
@@ -302,7 +310,7 @@ def s_pairing(a: Multivector, b: Multivector) -> FieldElem:
     """Coefficient of the top monomial in tau(a) ^ b."""
     if a.space != b.space:
         raise ValueError("generator space mismatch")
-    top = a.space.top_mask
+    top, m = a.space.top_mask, a.space.m
     tower = a.space.tower
     acc = tower.zero()
     for ma, ca in a.terms.items():
@@ -314,7 +322,7 @@ def s_pairing(a: Multivector, b: Multivector) -> FieldElem:
         c = ca * cb
         if (i * (i - 1) // 2) & 1:
             c = -c
-        if merge_sign(ma, mb) < 0:
+        if (ma & below_parity(mb, m)).bit_count() & 1:
             c = -c
         acc = acc + c
     return acc

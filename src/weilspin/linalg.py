@@ -297,7 +297,8 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     int64 array congruent to M X mod p for one integer matrix M; it is
     consumed one operator at a time, so no matrix of M need ever exist.
     Each M restricts K to K @ ker(M K), which keeps the columns independent.
-    Stops as soon as K is empty.
+    Stops as soon as K is empty.  While K is a square identity, K @ ker(M K)
+    is the kernel basis itself, and an M with M K = 0 mod p leaves K as is.
 
     Soundness: let K be the reduction of an integer matrix, such as
     identity columns, spanning a rational subspace S.  Its columns are
@@ -307,11 +308,16 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     over a prime field never exceeds the rank over Q, so the result
     upper-bounds the dimension of the rational joint kernel inside S.
     """
+    identity = K.shape[0] == K.shape[1] == np.count_nonzero(K) and (K.diagonal() == 1).all()
     for op in ops:
-        MK = op(K)
-        # a sparse operator leaves most rows zero; they do not change the kernel
-        KB = modp_kernel(MK[MK.any(axis=1)], K.shape[1], p)
-        K = _matmul_mod(K.astype(np.float64), KB.astype(np.float64), p).astype(np.int64)
+        MK = op(K) % p
+        # a sparse operator leaves most rows 0 mod p; they do not change the kernel
+        rows = MK[MK.any(axis=1)]
+        if len(rows) == 0:
+            continue
+        KB = modp_kernel(rows, K.shape[1], p)
+        K = KB if identity else _matmul_mod(K.astype(np.float64), KB.astype(np.float64), p).astype(np.int64)
+        identity = False
         if K.shape[1] == 0:
             return 0
     return K.shape[1]

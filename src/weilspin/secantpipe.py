@@ -25,12 +25,15 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
 
+import numpy as np
+
 from . import linalg
 from .clifford import SoPair, clifford_action, clifford_mul, desymbol, symbol, vector_rep_reflection
 from .exteralg import (
     Multivector,
     contract,
     coordinates,
+    degree_two_masks,
     exp_even,
     in_span,
     rational_parts,
@@ -86,11 +89,20 @@ def transform_pair(orl: OrlovTransform, c1: SheafClass, c2: SheafClass, variant:
 
 
 def kappa(c: Multivector) -> Multivector:
-    """ch * exp(-c1/rank); degree-2 part of the result vanishes."""
+    """ch * exp(-c1/rank), the sum of the terms c ^ w^j / j! (w = -c1/rank), each
+    the previous one wedged with w / j; the degree-2 part of the result vanishes."""
     r = c.terms.get(0)
     if r is None or r.is_zero():
         raise ValueError("kappa requires nonzero rank")
-    return wedge(c, exp_even(c.degree_part(2).scale(-r.inv())))
+    w = c.degree_part(2).scale(-r.inv())
+    out = term = c
+    j = 0
+    while True:
+        j += 1
+        term = wedge(term, w.scale(Fraction(1, j)))
+        if term.is_zero():
+            return out
+        out = out + term
 
 
 def dual_sheaf_character(ch_g: Multivector) -> Multivector:
@@ -379,24 +391,19 @@ class _Runner:
 
     @_check("exterior.pairing", "spinor pairing symmetry and nondegeneracy")
     def _pairing(self):
+        # s_pairing(e_a, e_b) is the top coefficient of tau(e_a) ^ e_b, which is 0 or
+        # +-e_(a | b): nonzero only for b = top ^ a.  So the Gram is a signed permutation
+        # matrix (rank dim) of symmetry sign (-1)^n iff each such pairing is +-1 of that sign.
         sp = self.ws.space.sspace
-        tow = sp.tower
-        dim = 1 << sp.m
-        gram = []
-        for i in range(dim):
-            a = Multivector(sp, {i: tow.one()})
-            row = []
-            for j in range(dim):
-                b = Multivector(sp, {j: tow.one()})
-                row.append(s_pairing(a, b))
-            gram.append(row)
-        rank = linalg.rank(gram, tow)
+        one = sp.tower.one()
         sym_sign = 1 if self.datum.n % 2 == 0 else -1
-        symmetric = all(
-            gram[i][j] == (gram[j][i] if sym_sign > 0 else -gram[j][i])
-            for i in range(dim) for j in range(dim)
-        )
-        return rank == dim and symmetric, {"gram_rank": rank, "symmetric_sign": sym_sign}
+        dim = 1 << sp.m
+        good = 0  # the complement pairs that pass; dim exactly when all do
+        for a in range(dim):
+            ea, eb = Multivector(sp, {a: one}), Multivector(sp, {sp.top_mask ^ a: one})
+            v = s_pairing(ea, eb)
+            good += v in (one, -one) and s_pairing(eb, ea) == (v if sym_sign > 0 else -v)
+        return good == dim, {"gram_rank": good, "symmetric_sign": sym_sign}
 
     @_check("clifford.defining-relation", "Clifford defining relation")
     def _clifford_relation(self):
@@ -408,18 +415,19 @@ class _Runner:
                 gi, gj = hs.vspace.gen(i), hs.vspace.gen(j)
                 lhs = clifford_mul(gi, gj, hs) + clifford_mul(gj, gi, hs)
                 ok &= lhs == hs.vspace.one().scale(hs.gram(i, j))
-        # operator anticommutation on every basis spinor: each generator sends
-        # a basis spinor to one signed basis spinor or to 0 (`gamma`)
-        for i in range(dim):
-            for j in range(i, dim):
-                for mask in range(1 << (2 * hs.n)):
-                    out = {}
-                    for a, b in ((i, j), (j, i)):
-                        first = hs.gamma(b, mask)
-                        second = first and hs.gamma(a, first[1])
-                        if second:
-                            out[second[1]] = out.get(second[1], 0) + first[0] * second[0]
-                    ok &= {m: c for m, c in out.items() if c} == ({mask: 1} if hs.gram(i, j) else {})
+        # operator anticommutation on every basis spinor: `gamma` sends one to a signed basis
+        # spinor or 0, so composed (sign, mask) tables give both terms of {gamma_i, gamma_j},
+        # i <= j; with -g_ij at the mask itself the terms must sum to 0 at each destination
+        masks = np.arange(1 << (2 * hs.n))
+        hits = [[hs.gamma(k, mask) or (0, mask) for mask in masks.tolist()] for k in range(dim)]
+        sign, dest = np.moveaxis(np.array(hits, dtype=np.int64), 2, 0)
+        i, j = np.triu_indices(dim)
+        g = np.array([hs.gram(a, b) for a, b in zip(i.tolist(), j.tolist())])[:, None]
+        s1, d1 = sign[j] * np.take_along_axis(sign[i], dest[j], 1), np.take_along_axis(dest[i], dest[j], 1)
+        s2, d2 = sign[i] * np.take_along_axis(sign[j], dest[i], 1), np.take_along_axis(dest[j], dest[i], 1)
+        terms = [(s1, d1), (s2, d2), (-g, masks)]
+        for s, d in terms:
+            ok &= not sum(t * (e == d) for t, e in terms).any()
         return ok, {"pairs": dim * dim}
 
     @_check("clifford.spin-isomorphism", "symbol and Wick extraction round trip")
@@ -437,7 +445,7 @@ class _Runner:
         hs = self.ws.space
         tow = hs.tower
         ok = True
-        deg2 = [m for m in range(1 << hs.dim_v) if bin(m).count("1") == 2]
+        deg2 = degree_two_masks(hs.dim_v)
         for _ in range(6):
             xi = Multivector(hs.vspace, {rng.choice(deg2): tow.one(), rng.choice(deg2): tow.scalar(rng.randint(-2, 2))})
             if xi.is_zero() or any(bin(m).count("1") != 2 for m in xi.terms):
@@ -640,14 +648,15 @@ class _Runner:
 
     @_check("lie.commutes-with-cm", "annihilator algebra commutes with the CM action")
     def _gb_commutes(self):
-        tow = self.datum.tower
+        # rational factors: a nonzero rescaling of either rescales A M and M A alike,
+        # so they commute exactly when their integer forms (denominators cleared) do
+        mats = [np.array(linalg.matrix_to_int_global(self.ws.eta.of(t)), dtype=object)
+                for t in self.ws.eta.k_basis()]
         ok = True
-        mats = [self.ws.eta.of(t_el) for t_el in self.ws.eta.k_basis()]
         for so in self.ws.gB:
+            a = np.array(linalg.matrix_to_int_global(so.ad), dtype=object)
             for m in mats:
-                ok &= linalg.mat_eq(
-                    linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow)
-                )
+                ok &= np.array_equal(a @ m, m @ a)
         return ok, {}
 
     @_check("lie.preserves-type-spaces", "type spaces are infinitesimally invariant")
@@ -712,7 +721,7 @@ class _Runner:
         orl = OrlovTransform(1, tow)
         pt = orl.phi_tilde()
         ok = True
-        for m in [m for m in range(1 << 4) if bin(m).count("1") == 2]:
+        for m in degree_two_masks(4):
             xi = Multivector(orl.hyper.vspace, {m: tow.one()})
             so = SoPair(orl.hyper, xi)
             diag = orl.diagonal_spin(so)
@@ -729,7 +738,7 @@ class _Runner:
         tow = self.datum.tower
         orl = self.orl
         pt = orl.phi_tilde()
-        deg2 = [m for m in range(1 << orl.hyper.dim_v) if bin(m).count("1") == 2]
+        deg2 = degree_two_masks(orl.hyper.dim_v)
         ok = True
         count = 0
         for _ in range(20):
@@ -757,7 +766,7 @@ class _Runner:
         chev = orl.chevalley()
         ok = True
         # equivariance with the Clifford-commutator target
-        for m in [m for m in range(1 << 4) if bin(m).count("1") == 2]:
+        for m in degree_two_masks(4):
             xi = Multivector(orl.hyper.vspace, {m: tow.one()})
             so = SoPair(orl.hyper, xi)
             diag = orl.diagonal_spin(so)

@@ -30,6 +30,7 @@ from .exteralg import (
     Multivector,
     column_rows,
     contract,
+    degree_two_masks,
     exp_even,
     rational_parts,
     span_basis,
@@ -405,7 +406,7 @@ def build_gB(space: HyperbolicSpace, secant):
     """
     t = space.tower
     dim = space.dim_v
-    deg2 = [m for m in range(1 << dim) if bin(m).count("1") == 2]
+    deg2 = degree_two_masks(dim)
     spin_images = []
     for mask in deg2:
         xi = Multivector(space.vspace, {mask: t.one()})

@@ -12,8 +12,9 @@ from weilspin.exteralg import (
     coordinates,
     exp_even,
     in_span,
+    below_parity,
+    degree_two_masks,
     kunneth,
-    merge_sign,
     rational_parts,
     s_pairing,
     span_basis,
@@ -186,16 +187,51 @@ def test_serialization_is_mask_sorted(sp2, tiny_tower):
     assert [d["mask"] for d in data] == [0, 3]
 
 
+def _inversion_sign(a, b):
+    """(-1)^(inversions of the index list of a followed by that of b)."""
+    order = [i for i in range(a.bit_length()) if a >> i & 1]
+    order += [i for i in range(b.bit_length()) if b >> i & 1]
+    return (-1) ** sum(1 for s, x in enumerate(order) for y in order[s + 1:] if x > y)
+
+
 def test_merge_sign_counts_inversions():
-    # every pair of disjoint masks on 6 generators (so on any m <= 6),
-    # against the parity of the inversions of the concatenated index lists
-    for a in range(64):
-        for b in range(64):
-            if a & b:
-                continue
-            order = [i for i in range(6) if a >> i & 1] + [i for i in range(6) if b >> i & 1]
-            inversions = sum(1 for s, x in enumerate(order) for y in order[s + 1:] if x > y)
-            assert merge_sign(a, b) == (-1) ** inversions, (a, b)
+    # every pair of disjoint masks on m <= 6 generators: the one-popcount
+    # sign against the parity of the inversions of the concatenated index lists
+    for m in range(7):
+        for b in range(1 << m):
+            below = below_parity(b, m)
+            for i in range(m):
+                assert (below >> i & 1) == (b & ((1 << i) - 1)).bit_count() % 2, (b, i)
+            for a in range(1 << m):
+                if not a & b:
+                    assert (-1) ** (a & below).bit_count() == _inversion_sign(a, b), (a, b)
+
+
+def _reference_wedge(a, b):
+    """The exterior product with every sign from brute-force inversion counting."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            if not ma & mb:
+                c = ca * cb if _inversion_sign(ma, mb) > 0 else -(ca * cb)
+                out[ma | mb] = out[ma | mb] + c if ma | mb in out else c
+    return Multivector(a.space, out)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(data=st.data(), m=st.integers(0, 12))
+def test_wedge_matches_inversion_counting(data, m):
+    t = TowerSpec(1, 2)
+    sp = GeneratorSpace([f"g{i}" for i in range(m)], t)
+    coeff = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda c: t.elem(c[0], 0, c[1], 0))
+    terms = st.dictionaries(st.integers(0, (1 << m) - 1), coeff, max_size=12)
+    a, b = (Multivector(sp, data.draw(terms)) for _ in range(2))
+    assert wedge(a, b) == _reference_wedge(a, b)
+
+
+def test_degree_two_masks_ascending():
+    for m in range(9):
+        assert degree_two_masks(m) == [x for x in range(1 << m) if x.bit_count() == 2]
 
 
 # -- canonical span bases against a dense rref over all 2^m masks ------------

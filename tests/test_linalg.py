@@ -116,9 +116,39 @@ def test_start_is_used_without_elimination(monkeypatch):
         return _operator(rows)(X)
 
     assert linalg.modp_joint_kernel_dim(start, [op], P) == 15 - _rank_mod_p(rows, P)
-    # the first operator sees the start itself, and K @ KB is the one product
+    # the first operator sees the start itself; on an identity start the
+    # kernel basis becomes K, with no product
     assert seen[0].tolist() == start.tolist()
+    assert calls == []
+    # on a proper coordinate start, K @ KB is the one product
+    cols = list(range(0, 15, 2))
+    start = _start(15, cols)
+    restricted = [[row[c] for c in cols] for row in rows]
+    assert linalg.modp_joint_kernel_dim(start, [op], P) == len(cols) - _rank_mod_p(restricted, P)
+    assert seen[1].tolist() == start.tolist()
     assert calls == [1]
+
+
+@pytest.mark.parametrize("ncols, cols", [(6, range(6)), (6, [0, 2, 4])])
+def test_operator_killing_the_span_makes_no_product(ncols, cols, monkeypatch):
+    calls = []
+    real = linalg._matmul_mod
+    monkeypatch.setattr(linalg, "_matmul_mod", lambda *a: calls.append(1) or real(*a))
+    rows = [[1, 2, 0, 0, 0, 5], [0, 0, 0, 3, 1, 0]]
+    seen = []
+
+    def recorded(op):
+        return lambda X: seen.append(X.copy()) or op(X)
+
+    zero = recorded(lambda X: P * X[:4])  # a nonzero integer matrix, 0 mod p
+    start = _start(ncols, cols)
+    restricted = [[row[c] for c in cols] for row in rows]
+    ops = [zero, recorded(_operator(rows)), zero]
+    assert linalg.modp_joint_kernel_dim(start, ops, P) == len(cols) - _rank_mod_p(restricted, P)
+    # an operator that is 0 mod p leaves K as it was, so the second one sees the start;
+    # only a proper start is multiplied, once, by the second one's kernel
+    assert seen[0].tolist() == seen[1].tolist() == start.tolist()
+    assert calls == ([] if len(cols) == ncols else [1])
 
 
 def test_joint_kernel_stops_when_empty():

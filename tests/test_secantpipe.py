@@ -1,4 +1,6 @@
 import json
+import random
+from types import SimpleNamespace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from weilspin import linalg
 from weilspin.cli import main
 from weilspin.clifford import HyperbolicSpace
-from weilspin.exteralg import Multivector, in_span, wedge
+from weilspin.exteralg import GeneratorSpace, Multivector, exp_even, in_span, s_pairing, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
 from weilspin import secantpipe, weilcm
@@ -85,6 +87,28 @@ def test_kappa(ws6, orl6):
     kap = kappa(che)
     assert kap.degree_part(2).is_zero()
     assert kap.terms[0] == che.terms[0]
+
+
+def _kappa_by_exp(c):
+    """kappa as c ^ exp_even(-c1/rank), the product of two whole series."""
+    return wedge(c, exp_even(c.degree_part(2).scale(-c.terms[0].inv())))
+
+
+def test_kappa_equals_product_with_exponential(ws6, orl6):
+    ch = preset_ch_ideal_curves(ws6)
+    che = dual_sheaf_character(transform_pair(orl6, ch, ch, "G"))
+    assert kappa(che) == _kappa_by_exp(che)
+    rng = random.Random(3)
+    for tow in (TowerSpec(1, 2), TowerSpec(2, 1)):
+        for m in (2, 5, 8):
+            sp = GeneratorSpace([f"g{i}" for i in range(m)], tow)
+            even = [x for x in range(1, 1 << m) if x.bit_count() % 2 == 0]
+            for _ in range(4):
+                terms = {x: tow.elem(*(rng.randint(-3, 3) for _ in range(4)))
+                         for x in rng.sample(even, min(len(even), 9))}
+                terms[0] = tow.elem(rng.randint(1, 4), 0, rng.randint(-1, 1), 0)  # nonzero rank
+                c = Multivector(sp, terms)
+                assert kappa(c) == _kappa_by_exp(c)
 
 
 def test_dual_sheaf_rank(ws6, orl6):
@@ -357,3 +381,113 @@ def test_sheared_eightfold_spinor_checks():
         "spinor.exponential-pure", "spinor.annihilator-graph",
         "spinor.conjugate-transverse", "spinor.reflection-equivariance"]
     assert all(c.status for c in report.checks)
+
+
+@pytest.mark.parametrize("fixture, sign", [("ws6", -1), ("ws4", 1)])
+def test_pairing_check_matches_exhaustive_gram(fixture, sign, request, monkeypatch):
+    ws = request.getfixturevalue(fixture)
+    runner = secantpipe._Runner(ws.datum, 0)
+    runner.ws = ws
+    sp, tow = ws.space.sspace, ws.datum.tower
+    dim = 1 << sp.m
+    basis = [Multivector(sp, {a: tow.one()}) for a in range(dim)]
+    gram = [[s_pairing(a, b) for b in basis] for a in basis]
+    rank = linalg.rank(gram, tow)
+    symmetric = all(gram[i][j] == (gram[j][i] if sign > 0 else -gram[j][i])
+                    for i in range(dim) for j in range(dim))
+    # the disjointness argument: only complement pairs pair nontrivially
+    assert all(gram[i][j].is_zero() for i in range(dim) for j in range(dim) if j != sp.top_mask ^ i)
+    assert runner._pairing() == (rank == dim and symmetric, {"gram_rank": rank, "symmetric_sign": sign})
+    assert rank == dim and symmetric
+    # one complement pairing set to 2: that pair fails in both orders
+    real = secantpipe.s_pairing
+
+    def patched(a, b):
+        if (min(a.terms), min(b.terms)) == (5, sp.top_mask ^ 5):
+            return tow.scalar(2)
+        return real(a, b)
+
+    monkeypatch.setattr(secantpipe, "s_pairing", patched)
+    assert runner._pairing() == (False, {"gram_rank": dim - 2, "symmetric_sign": sign})
+    # one complement pair doubled in both orders: still symmetric, not +-1
+
+    def doubled(a, b):
+        v = real(a, b)
+        return v * tow.scalar(2) if {min(a.terms), min(b.terms)} == {5, sp.top_mask ^ 5} else v
+
+    monkeypatch.setattr(secantpipe, "s_pairing", doubled)
+    assert runner._pairing() == (False, {"gram_rank": dim - 2, "symmetric_sign": sign})
+
+
+def test_clifford_relation_check_sees_each_flipped_sign(ws4, monkeypatch):
+    # every nonzero entry of the generators' sign table takes part in
+    # {x_i, y_i} = 1 on some mask, so flipping any one must fail the check
+    runner = secantpipe._Runner(ws4.datum, 0)
+    runner.ws = ws4
+    hs = ws4.space
+    signed = HyperbolicSpace.gamma
+    entries = [(k, mask) for k in range(hs.dim_v) for mask in range(1 << (2 * hs.n)) if hs.gamma(k, mask)]
+    assert len(entries) == hs.dim_v << (2 * hs.n - 1)
+    for flip in entries:
+        def flipped(self, k, mask, flip=flip):
+            hit = signed(self, k, mask)
+            return hit and ((-hit[0] if (k, mask) == flip else hit[0]), hit[1])
+
+        monkeypatch.setattr(HyperbolicSpace, "gamma", flipped)
+        assert not runner._clifford_relation()[0], flip
+
+
+def _anticommutation_holds(hs):
+    """The operator half of clifford.defining-relation, one mask at a time."""
+    for i in range(hs.dim_v):
+        for j in range(i, hs.dim_v):
+            for mask in range(1 << (2 * hs.n)):
+                out = {}
+                for a, b in ((i, j), (j, i)):
+                    first = hs.gamma(b, mask)
+                    second = first and hs.gamma(a, first[1])
+                    if second:
+                        out[second[1]] = out.get(second[1], 0) + first[0] * second[0]
+                if {m: c for m, c in out.items() if c} != ({mask: 1} if hs.gram(i, j) else {}):
+                    return False
+    return True
+
+
+def test_clifford_relation_tables_match_mask_loop(ws4, monkeypatch):
+    # gamma with a few entries replaced by a random (sign, mask) or by 0: the
+    # table check and the mask-by-mask loop must give the same verdict
+    runner = secantpipe._Runner(ws4.datum, 0)
+    runner.ws = ws4
+    hs = ws4.space
+    signed = HyperbolicSpace.gamma
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(40):
+        bad = {(rng.randrange(hs.dim_v), rng.randrange(16)):
+               rng.choice([None, (rng.choice([-1, 1]), rng.randrange(16))]) for _ in range(rng.randint(1, 3))}
+
+        def corrupted(self, k, mask, bad=bad):
+            return bad[k, mask] if (k, mask) in bad else signed(self, k, mask)
+
+        monkeypatch.setattr(HyperbolicSpace, "gamma", corrupted)
+        expected = _anticommutation_holds(hs)
+        assert runner._clifford_relation()[0] == expected, bad
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_commutes_with_cm_check_on_integer_forms(ws6):
+    runner = secantpipe._Runner(ws6.datum, 0)
+    tow = ws6.datum.tower
+    mats = [ws6.eta.of(t) for t in ws6.eta.k_basis()]
+    # the FieldElem products as reference, and a rescaled generator
+    assert all(linalg.mat_eq(linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow))
+               for so in ws6.gB for m in mats)
+    scaled = [SimpleNamespace(ad=linalg.mat_scale(so.ad, tow.scalar(Fraction(-2, 7)))) for so in ws6.gB]
+    runner.ws = SimpleNamespace(gB=scaled, eta=ws6.eta)
+    assert runner._gb_commutes() == (True, {})
+    # a matrix unit E_01 does not commute with eta(sqrt -q)
+    unit = [[tow.scalar(int((r, c) == (0, 1))) for c in range(12)] for r in range(12)]
+    runner.ws = SimpleNamespace(gB=scaled + [SimpleNamespace(ad=unit)], eta=ws6.eta)
+    assert not linalg.mat_eq(linalg.mat_mul(unit, mats[1], tow), linalg.mat_mul(mats[1], unit, tow))
+    assert runner._gb_commutes() == (False, {})
