@@ -10,12 +10,21 @@ The spinor module S is the exterior algebra on the x-block: x's act by
 wedging, y's by contraction (`HyperbolicSpace.gamma`, the one definition
 of the action on basis spinors), so desymbol (operator -> normal-ordered
 element) is Wick extraction by annihilation degree instead of a dense
-matrix inversion.
+matrix inversion.  The product is left multiplication through the same
+`gamma`, since S = C(V)/C(V)Y: it acts on the x-part of a normal-ordered
+monomial, and a y also wedges onto the y-part.
+
+so(V) also acts on the exterior algebra of V by derivations (the
+Fourier-Mukai side).  `DerivationOperators` is the one applier of
+derivations on masks: `derivation_int`, `SoPair.derivation`, the g_B
+invariant certificate and `WeilStructure.gb_kills` all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .exteralg import GeneratorSpace, Multivector
 from .fieldtower import FieldElem, TowerSpec
@@ -114,65 +123,36 @@ def clifford_action(elem: Multivector, lam: Multivector, space: HyperbolicSpace)
     return Multivector(lam.space, out)
 
 
-def _mono_times_x(space: HyperbolicSpace, xmask: int, ymask: int, i: int):
-    """Normal-order (x_A y_B) * x_i; yields (xmask, ymask, sign) triples."""
-    if not ymask:
-        bit = 1 << i
-        if xmask & bit:
-            return
-        sign = -1 if (xmask >> (i + 1)).bit_count() & 1 else 1
-        yield xmask | bit, 0, sign
-        return
-    b = ymask.bit_length() - 1  # largest y index present
-    rest = ymask ^ (1 << b)
-    if b == i:
-        yield xmask, rest, 1
-    for xm, ym, s in _mono_times_x(space, xmask, rest, i):
-        # re-append y_b at the end of the (smaller) y-block
-        yield xm, ym | (1 << b), -s
-
-
 def clifford_mul(a: Multivector, b: Multivector, space: HyperbolicSpace) -> Multivector:
-    """Normal-ordered product in C(V)."""
+    """Normal-ordered product in C(V): b left-multiplied by the generators of
+    each monomial of a in descending order, as in `clifford_action`.
+
+    On x_A y_B, v_k acts on x_A through `HyperbolicSpace.gamma` (which reads
+    and changes only x-bits), and y_k also wedges onto y_B, passing the bits
+    of x_A y_B below it: y_k x_A = gamma_k x_A + (-1)^|A| x_A y_k.  Once a y
+    appears no generator on the left removes it (S = C(V)/C(V)Y).
+    """
     if a.space != space.vspace or b.space != space.vspace:
         raise ValueError("operands must live on the Clifford generator space")
     n2 = 2 * space.n
-    tower = space.tower
     out = {}
-    for bmask, bcoeff in b.terms.items():
-        # current partial products: (xmask, ymask) -> coefficient
-        cur = {}
-        for amask, acoeff in a.terms.items():
-            key = (amask & ((1 << n2) - 1), amask >> n2)
-            cur[key] = cur.get(key, tower.zero()) + acoeff * bcoeff
-        # multiply by each generator of the b-monomial in normal order
-        gens = [i for i in range(4 * space.n) if bmask >> i & 1]
-        for g in gens:
-            nxt = {}
-            if g < n2:
-                for (xm, ym), c in cur.items():
-                    if c.is_zero():
-                        continue
-                    for xm2, ym2, s in _mono_times_x(space, xm, ym, g):
-                        key = (xm2, ym2)
-                        add = c if s > 0 else -c
-                        nxt[key] = nxt.get(key, tower.zero()) + add
-            else:
-                j = g - n2
-                bit = 1 << j
-                for (xm, ym), c in cur.items():
-                    if c.is_zero() or ym & bit:
-                        continue
-                    above = bin(ym >> (j + 1)).count("1")
-                    add = -c if above & 1 else c
-                    key = (xm, ym | bit)
-                    nxt[key] = nxt.get(key, tower.zero()) + add
-            cur = nxt
-        for (xm, ym), c in cur.items():
-            if c.is_zero():
+    for mono, coeff in a.terms.items():
+        cur = {m: coeff * c for m, c in b.terms.items()}
+        for k in reversed(range(mono.bit_length())):
+            if not mono >> k & 1:
                 continue
-            key = xm | (ym << n2)
-            out[key] = out.get(key, tower.zero()) + c
+            nxt, bit = {}, 1 << k
+            for m, c in cur.items():
+                hit = space.gamma(k, m)
+                if hit is not None:
+                    m2, t = hit[1], c if hit[0] > 0 else -c
+                    nxt[m2] = nxt[m2] + t if m2 in nxt else t
+                if k >= n2 and not m & bit:
+                    m2, t = m | bit, -c if (m & (bit - 1)).bit_count() & 1 else c
+                    nxt[m2] = nxt[m2] + t if m2 in nxt else t
+            cur = nxt
+        for m, c in cur.items():
+            out[m] = out[m] + c if m in out else c
     return Multivector(space.vspace, out)
 
 
@@ -264,12 +244,7 @@ class SoPair:
 
     def derivation(self, a: Multivector) -> Multivector:
         """The unique derivation of the exterior algebra on V extending ad."""
-        return matrix_derivation(self.ad, a)
-
-
-def matrix_derivation(mat, a: Multivector) -> Multivector:
-    """Derivation of the exterior algebra induced by a matrix on generators."""
-    return Multivector(a.space, derivation_int(int_derivation_cols(mat), a.terms))
+        return Multivector(a.space, derivation_int(int_derivation_cols(self.ad), a.terms))
 
 
 def int_derivation_cols(mat):
@@ -279,33 +254,81 @@ def int_derivation_cols(mat):
     return [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0] for j in range(n)]
 
 
+class DerivationOperators:
+    """The derivations of matrices in sparse-column form on the span of the
+    masks in `start`, as one sparse matrix with a column per start mask and
+    a row per (matrix, destination mask): each operator has rows only over
+    the masks it reaches.  The entries are integers, or any field elements
+    when applied to object columns.
+
+    The derivation extending the matrix unit E_ig (g is sent to i) maps a
+    mask m holding g to (-1)^odd (m - g + i) when m - g lacks i, and every
+    other mask to 0: pulling g to the front of m passes the bits of m below
+    g, and putting i in place passes the bits of m - g below i.  For i = g
+    this is m with sign +1, so a diagonal entry acts by its weight.  A
+    matrix's derivation is the sum of c times these over its entries
+    (i, g, c), so one vectorised pass over the pairs (start mask, entry)
+    gives every nonzero of every operator; no nmask x nmask matrix and no
+    table over all masks of the degree is built.
+    """
+
+    def __init__(self, int_cols, start):
+        entries = sorted((g, i, j, c) for j, cols in enumerate(int_cols)
+                         for g, col in enumerate(cols) for i, c in col)
+        self.coefs = [c for *_, c in entries]
+        eg, ei, ej = (np.array([e[a] for e in entries], dtype=np.int64) for a in range(3))
+        start, dim = np.asarray(start, dtype=np.int64), len(int_cols[0]) if int_cols else 0
+        # each (start mask, bit g) pair meets the run of entries in column g
+        first = np.searchsorted(eg, np.arange(dim + 1))
+        src, g = np.nonzero((start[:, None] >> np.arange(dim)) & 1)
+        count = first[g + 1] - first[g]
+        src = np.repeat(src, count)
+        e = np.arange(len(src)) + np.repeat(first[g] - (np.cumsum(count) - count), count)
+        gbit = 1 << eg[e]
+        rest = start[src] ^ gbit
+        keep = (rest >> ei[e]) & 1 == 0
+        src, e, gbit, rest = src[keep], e[keep], gbit[keep], rest[keep]
+        ibit = 1 << ei[e]
+        dst = rest | ibit
+        odd = np.bitwise_count(start[src] & (gbit - 1)) + np.bitwise_count(rest & (ibit - 1))
+        order = np.lexsort((dst, ej[e]))
+        gen, dst = ej[e][order], dst[order]
+        self.cols, self.entry, self.odd = src[order], e[order], (odd[order] & 1).astype(bool)
+        new_row = np.ones(len(order) + 1, dtype=bool)
+        new_row[1:-1] = (gen[1:] != gen[:-1]) | (dst[1:] != dst[:-1])
+        #: the first nonzero of each row, then their count; each row's mask and matrix
+        self.row_start = np.flatnonzero(new_row)
+        self.dst, self.gen = dst[self.row_start[:-1]], gen[self.row_start[:-1]]
+        #: the rows of matrix j are rows[j] to rows[j + 1]
+        self.rows = np.searchsorted(self.gen, np.arange(len(int_cols) + 1))
+
+    def image(self, X, gens: range):
+        """The operators of the matrices in `gens`, a range of their
+        indices, applied to the columns of X, an int64 or object array whose
+        rows are the coefficients of the start masks: one row per (matrix,
+        destination mask).
+
+        An image row sums at most one term per entry of its matrix, since
+        the entry (i, g) reaches a mask from one mask only; so it is below
+        dim^2 max|c| max|X| in absolute value: exact on int64 while that is
+        below 2^63, and always on Python ints (object arrays).
+        """
+        r0, r1 = self.rows[gens.start], self.rows[gens.stop]
+        lo, hi = self.row_start[[r0, r1]]
+        vals = np.array(self.coefs, dtype=X.dtype)[self.entry[lo:hi]]
+        vals[self.odd[lo:hi]] *= -1
+        return np.add.reduceat(vals[:, None] * X[self.cols[lo:hi]], self.row_start[r0:r1] - lo, axis=0)
+
+
 def derivation_int(cols, terms: dict) -> dict:
     """The derivation of a matrix in `int_derivation_cols` form on a
-    {mask: scalar} term dict; the scalars may be ints or any field elements.
-
-    g_S goes to the sum over g in S of the sign pulling g to the front times
-    the image of g wedged onto g_(S without g).
-    """
-    out = {}
-    for m, c in terms.items():
-        pos = 0
-        mm = m
-        while mm:
-            g = (mm & -mm).bit_length() - 1
-            rest = m ^ (1 << g)
-            base = -c if pos & 1 else c
-            for i, mij in cols[g]:
-                bit = 1 << i
-                if rest & bit:
-                    continue
-                coeff = base * mij
-                if (rest & (bit - 1)).bit_count() & 1:
-                    coeff = -coeff
-                key = bit | rest
-                out[key] = out.get(key, 0) + coeff
-            pos += 1
-            mm &= mm - 1
-    return {k: v for k, v in out.items() if v != 0}
+    {mask: scalar} term dict, the scalars ints or any field elements: one
+    object column over the sorted masks through `DerivationOperators`,
+    zero images dropped."""
+    start = sorted(terms)
+    ops = DerivationOperators([cols], start)
+    image = ops.image(np.array([terms[m] for m in start], dtype=object)[:, None], range(1))
+    return {m: c for m, c in zip(ops.dst.tolist(), image[:, 0].tolist()) if c != 0}
 
 
 def symbol(elem: Multivector, space: HyperbolicSpace) -> dict:

@@ -73,10 +73,6 @@ def preset_ch_ideal_curves(ws: WeilStructure) -> SheafClass:
     return SheafClass(ws.alpha + ws.beta)
 
 
-def dualize(c: SheafClass) -> SheafClass:
-    return c.dual()
-
-
 def transform_pair(orl: OrlovTransform, c1: SheafClass, c2: SheafClass, variant: str) -> Multivector:
     """Transform of a boxed pair; degree-0 part of the result is the rank."""
     if variant == "E":
@@ -649,12 +645,16 @@ class _Runner:
     @_check("lie.commutes-with-cm", "annihilator algebra commutes with the CM action")
     def _gb_commutes(self):
         # rational factors: a nonzero rescaling of either rescales A M and M A alike,
-        # so they commute exactly when their integer forms (denominators cleared) do
+        # so they commute exactly when their integer forms (denominators cleared) do;
+        # each g_B generator's form is scattered from its sparse columns
         mats = [np.array(linalg.matrix_to_int_global(self.ws.eta.of(t)), dtype=object)
                 for t in self.ws.eta.k_basis()]
         ok = True
-        for so in self.ws.gB:
-            a = np.array(linalg.matrix_to_int_global(so.ad), dtype=object)
+        for cols in self.ws._gb_cols:
+            a = np.zeros((len(cols), len(cols)), dtype=object)
+            for g, col in enumerate(cols):
+                for i, c in col:
+                    a[i, g] = c
             for m in mats:
                 ok &= np.array_equal(a @ m, m @ a)
         return ok, {}
@@ -844,9 +844,9 @@ class _Runner:
     @_check("pipeline.dual", "dual character", _sheaf_chain)
     def _dual(self):
         ch = self._ch
-        dual = dualize(ch)
+        dual = ch.dual()
         ok = dual.ch == self.ws.alpha - self.ws.beta
-        ok &= dualize(dual).ch == ch.ch
+        ok &= dual.dual().ch == ch.ch
         ok &= in_span(self.ws.B, dual.ch)
         return ok, {}
 

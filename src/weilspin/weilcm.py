@@ -25,7 +25,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import linalg
-from .clifford import HyperbolicSpace, SoPair, int_derivation_cols
+from .clifford import DerivationOperators, HyperbolicSpace, SoPair, int_derivation_cols
 from .exteralg import (
     Multivector,
     column_rows,
@@ -461,71 +461,6 @@ def weight_zero_masks(dim: int, k: int, diagonal) -> np.ndarray:
     return masks[((bits @ np.array(weights, dtype=dtype).T) == 0).all(axis=1)]
 
 
-class DerivationOperators:
-    """The derivations of integer matrices in sparse-column form on the span
-    of the masks in `start` (all of one degree), as one sparse matrix with a
-    column per start mask and a row per (matrix, destination mask): each
-    operator has rows only over the masks it reaches.
-
-    The derivation extending the matrix unit E_ig (g is sent to i) maps a
-    mask m holding g to (-1)^odd (m - g + i) when m - g lacks i, and every
-    other mask to 0: pulling g to the front of m passes the bits of m below
-    g, and putting i in place passes the bits of m - g below i.  For i = g
-    this is m with sign +1, so a diagonal entry acts by its weight.  A
-    matrix's derivation is the sum of c times these over its entries
-    (i, g, c), so one vectorised pass over the pairs (start mask, entry)
-    gives every nonzero of every operator; no nmask x nmask matrix and no
-    table over all masks of the degree is built.
-    """
-
-    def __init__(self, int_cols, start):
-        entries = sorted((g, i, j, c) for j, cols in enumerate(int_cols)
-                         for g, col in enumerate(cols) for i, c in col)
-        self.coefs = [c for *_, c in entries]
-        eg, ei, ej = (np.array([e[a] for e in entries], dtype=np.int64) for a in range(3))
-        start, dim = np.asarray(start, dtype=np.int64), len(int_cols[0]) if int_cols else 0
-        # each (start mask, bit g) pair meets the run of entries in column g
-        first = np.searchsorted(eg, np.arange(dim + 1))
-        src, g = np.nonzero((start[:, None] >> np.arange(dim)) & 1)
-        count = first[g + 1] - first[g]
-        src = np.repeat(src, count)
-        e = np.arange(len(src)) + np.repeat(first[g] - (np.cumsum(count) - count), count)
-        gbit = 1 << eg[e]
-        rest = start[src] ^ gbit
-        keep = (rest >> ei[e]) & 1 == 0
-        src, e, gbit, rest = src[keep], e[keep], gbit[keep], rest[keep]
-        ibit = 1 << ei[e]
-        dst = rest | ibit
-        odd = np.bitwise_count(start[src] & (gbit - 1)) + np.bitwise_count(rest & (ibit - 1))
-        order = np.lexsort((dst, ej[e]))
-        gen, dst = ej[e][order], dst[order]
-        self.cols, self.entry, self.odd = src[order], e[order], (odd[order] & 1).astype(bool)
-        new_row = np.ones(len(order) + 1, dtype=bool)
-        new_row[1:-1] = (gen[1:] != gen[:-1]) | (dst[1:] != dst[:-1])
-        #: the first nonzero of each row, then their count; each row's mask and matrix
-        self.row_start = np.flatnonzero(new_row)
-        self.dst, self.gen = dst[self.row_start[:-1]], gen[self.row_start[:-1]]
-        #: the rows of matrix j are rows[j] to rows[j + 1]
-        self.rows = np.searchsorted(self.gen, np.arange(len(int_cols) + 1))
-
-    def image(self, X, gens: range):
-        """The operators of the matrices in `gens`, a range of their
-        indices, applied to the columns of X, an int64 or object array whose
-        rows are the coefficients of the start masks: one row per (matrix,
-        destination mask).
-
-        An image row sums at most one term per entry of its matrix, since
-        the entry (i, g) reaches a mask from one mask only; so it is below
-        dim^2 max|c| max|X| in absolute value: exact on int64 while that is
-        below 2^63, and always on Python ints (object arrays).
-        """
-        r0, r1 = self.rows[gens.start], self.rows[gens.stop]
-        lo, hi = self.row_start[[r0, r1]]
-        vals = np.array(self.coefs, dtype=X.dtype)[self.entry[lo:hi]]
-        vals[self.odd[lo:hi]] *= -1
-        return np.add.reduceat(vals[:, None] * X[self.cols[lo:hi]], self.row_start[r0:r1] - lo, axis=0)
-
-
 def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, expected_dim: int):
     """Certify dim of the joint kernel of the g_B derivations on wedge^k V.
 
@@ -620,25 +555,22 @@ class WeilStructure:
         """Whether every g_B derivation kills every rational multivector in mvs.
 
         Exact: each mv's denominators are cleared, which rescales its images
-        without changing whether they vanish.  A derivation keeps degrees, so
-        the parts of one degree, a column per mv, are mapped together by
-        `DerivationOperators` over the union of their masks: on int64 while
-        the bound dim^2 max|c| max|x| is below 2^63, else on Python ints.
+        without changing whether they vanish.  The mvs, a column each, are
+        mapped by one `DerivationOperators` over the masks of all their terms,
+        every degree at once (its rows are keyed by destination mask): on
+        int64 while the bound dim^2 max|c| max|x| is below 2^63, else on
+        Python ints.
         """
-        parts, dim = {}, self.space.dim_v
-        for col, mv in enumerate(mvs):
-            for m, c in multivector_int_terms(mv).items():
-                parts.setdefault(m.bit_count(), []).append((m, col, c))
+        terms = [(m, col, c) for col, mv in enumerate(mvs) for m, c in multivector_int_terms(mv).items()]
+        if not terms:
+            return True
+        masks, where, x = zip(*terms)
+        start, dim = sorted(set(masks)), self.space.dim_v
         cmax = max((abs(c) for cols in self._gb_cols for col in cols for _, c in col), default=0)
-        for part in parts.values():
-            masks, cols, x = zip(*part)
-            start = sorted(set(masks))
-            X = np.zeros((len(start), len(mvs)),
-                         dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
-            X[np.searchsorted(start, masks), cols] = x
-            if DerivationOperators(self._gb_cols, start).image(X, range(len(self._gb_cols))).any():
-                return False
-        return True
+        X = np.zeros((len(start), len(mvs)),
+                     dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
+        X[np.searchsorted(start, masks), where] = x
+        return not DerivationOperators(self._gb_cols, start).image(X, range(len(self._gb_cols))).any()
 
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""

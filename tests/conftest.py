@@ -62,3 +62,22 @@ def rand_mv(rng, space, nterms=4):
 
 def rand_vec(rng, hspace, span=3):
     return hspace.vector([rng.randint(-span, span) for _ in range(hspace.dim_v)])
+
+
+def leibniz_derivation(space, cols, terms):
+    """Reference for the derivation of a matrix M in sparse-column form on a
+    {mask: scalar} term dict over `space`, by the Leibniz rule with `wedge`:
+    D(e_s1 ^ ... ^ e_sk) = sum_j (e_s1 ^ ... ^ e_s(j-1)) ^ M e_sj ^ (e_s(j+1) ^ ... ^ e_sk),
+    each bracket the ascending monomial of its generators."""
+    from weilspin.exteralg import Multivector, wedge
+
+    one, out = space.tower.one(), {}
+    images = [Multivector(space, {1 << i: space.scalar(e) for i, e in col}) for col in cols]
+    for mask, c in terms.items():
+        for g in range(space.m):
+            if mask >> g & 1:
+                below, above = mask & ((1 << g) - 1), mask & ~((2 << g) - 1)
+                term = wedge(wedge(Multivector(space, {below: one}), images[g]), Multivector(space, {above: one}))
+                for m, x in term.terms.items():
+                    out[m] = out.get(m, 0) + x * c
+    return {m: x for m, x in out.items() if x != 0}

@@ -10,7 +10,9 @@ from weilspin.clifford import (
     SoPair,
     clifford_action,
     clifford_mul,
+    derivation_int,
     desymbol,
+    int_derivation_cols,
     main_antiinvolution,
     main_involution,
     symbol,
@@ -19,7 +21,7 @@ from weilspin.clifford import (
 from weilspin.exteralg import Multivector, contract, wedge
 from weilspin.fieldtower import TowerSpec
 
-from conftest import rand_elem, rand_mv, rand_vec
+from conftest import leibniz_derivation, rand_elem, rand_mv, rand_vec
 
 
 @pytest.fixture()
@@ -108,20 +110,30 @@ def test_normal_form_examples(hs1):
     assert clifford_mul(x1, x2, hs1) == wedge(x1, x2)
 
 
-def test_mul_matches_composed_action(hs2, rng):
+MUL_TOWERS = [TowerSpec(1, 1), TowerSpec(2, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tower", MUL_TOWERS, ids=["p1q1", "p2q1"])
+def test_mul_matches_composed_action(n, tower, rng):
+    # the composed spin action is the reference for the product
+    hs = HyperbolicSpace(n, tower)
     for _ in range(12):
-        a, b = rand_mv(rng, hs2.vspace), rand_mv(rng, hs2.vspace)
-        lam = rand_mv(rng, hs2.sspace)
-        lhs = clifford_action(clifford_mul(a, b, hs2), lam, hs2)
-        rhs = clifford_action(a, clifford_action(b, lam, hs2), hs2)
+        a, b = rand_mv(rng, hs.vspace), rand_mv(rng, hs.vspace)
+        lam = rand_mv(rng, hs.sspace)
+        lhs = clifford_action(clifford_mul(a, b, hs), lam, hs)
+        rhs = clifford_action(a, clifford_action(b, lam, hs), hs)
         assert lhs == rhs
 
 
-def test_mul_associative(hs2, rng):
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tower", MUL_TOWERS, ids=["p1q1", "p2q1"])
+def test_mul_associative(n, tower, rng):
+    hs = HyperbolicSpace(n, tower)
     for _ in range(8):
-        a, b, c = (rand_mv(rng, hs2.vspace, 3) for _ in range(3))
-        assert clifford_mul(clifford_mul(a, b, hs2), c, hs2) == clifford_mul(
-            a, clifford_mul(b, c, hs2), hs2
+        a, b, c = (rand_mv(rng, hs.vspace, 3) for _ in range(3))
+        assert clifford_mul(clifford_mul(a, b, hs), c, hs) == clifford_mul(
+            a, clifford_mul(b, c, hs), hs
         )
 
 
@@ -250,3 +262,21 @@ def test_action_is_faithful_rank(n):
         rows.append(flat)
     p, ncols = linalg.MOD_PRIMES[0], dim_s * dim_s
     assert ncols - linalg.modp_kernel(rows, ncols, p).shape[1] == 1 << hs.dim_v
+
+
+@pytest.mark.parametrize("tower", GAMMA_TOWERS, ids=["p1q2", "p2q1"])
+def test_derivation_int_matches_leibniz(tower, rng):
+    # K-valued matrices, one column zero, on K-valued term dicts of mixed degree
+    vspace = HyperbolicSpace(2, tower).vspace
+    dim = vspace.m
+    for trial in range(8):
+        mat = [[rand_elem(rng, tower) if rng.random() < 0.3 else tower.zero() for _ in range(dim)]
+               for _ in range(dim)]
+        for row in mat:
+            row[trial] = tower.zero()
+        cols = int_derivation_cols(mat)
+        assert cols[trial] == []
+        terms = rand_mv(rng, vspace, 6).terms
+        assert len({m.bit_count() for m in terms}) > 1
+        assert derivation_int(cols, terms) == leibniz_derivation(vspace, cols, terms)
+        assert derivation_int(cols, {}) == {}

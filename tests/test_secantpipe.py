@@ -20,7 +20,6 @@ from weilspin.secantpipe import (
     SheafClass,
     decompose_kappa,
     dual_sheaf_character,
-    dualize,
     kappa,
     nonvanish_criterion,
     nonvanish_from_tensor,
@@ -28,7 +27,7 @@ from weilspin.secantpipe import (
     run_all,
     transform_pair,
 )
-from weilspin.weilcm import WeilDatum, WeilStructure
+from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
 
 
 def test_preset_names():
@@ -53,9 +52,9 @@ def test_preset_chern_character(ws6):
 
 def test_dualize(ws6):
     ch = preset_ch_ideal_curves(ws6)
-    dual = dualize(ch)
+    dual = ch.dual()
     assert dual.ch == ws6.alpha - ws6.beta
-    assert dualize(dual).ch == ch.ch
+    assert dual.dual().ch == ch.ch
     assert in_span(ws6.B, dual.ch)
 
 
@@ -134,7 +133,7 @@ def test_decompose_kappa(ws6, orl6):
 
 def test_nonvanish(ws6, orl6):
     ch = preset_ch_ideal_curves(ws6)
-    assert nonvanish_criterion(ws6, orl6, ch, dualize(ch))
+    assert nonvanish_criterion(ws6, orl6, ch, ch.dual())
     assert nonvanish_criterion(ws6, orl6, ch, ch)
     # the symmetrized overlap-zero tensor fails the criterion
     t_plus, t_minus = ws6.cm_types[0], ws6.cm_types[1]
@@ -484,10 +483,10 @@ def test_commutes_with_cm_check_on_integer_forms(ws6):
     assert all(linalg.mat_eq(linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow))
                for so in ws6.gB for m in mats)
     scaled = [SimpleNamespace(ad=linalg.mat_scale(so.ad, tow.scalar(Fraction(-2, 7)))) for so in ws6.gB]
-    runner.ws = SimpleNamespace(gB=scaled, eta=ws6.eta)
+    runner.ws = SimpleNamespace(_gb_cols=gb_int_cols(scaled), eta=ws6.eta)
     assert runner._gb_commutes() == (True, {})
     # a matrix unit E_01 does not commute with eta(sqrt -q)
     unit = [[tow.scalar(int((r, c) == (0, 1))) for c in range(12)] for r in range(12)]
-    runner.ws = SimpleNamespace(gB=scaled + [SimpleNamespace(ad=unit)], eta=ws6.eta)
+    runner.ws = SimpleNamespace(_gb_cols=gb_int_cols(scaled + [SimpleNamespace(ad=unit)]), eta=ws6.eta)
     assert not linalg.mat_eq(linalg.mat_mul(unit, mats[1], tow), linalg.mat_mul(mats[1], unit, tow))
     assert runner._gb_commutes() == (False, {})

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from weilspin import linalg
-from weilspin.clifford import HyperbolicSpace, derivation_int
+from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
 from weilspin.exteralg import Multivector, contract, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
-    DerivationOperators,
     WeilDatum,
     WeilStructure,
     eigenspace,
@@ -22,7 +21,7 @@ from weilspin.weilcm import (
     theta_element,
 )
 
-from conftest import rand_vec
+from conftest import leibniz_derivation, rand_vec
 
 
 def _sixfold_inputs(q):
@@ -311,14 +310,10 @@ def test_gb(ws6, ws4):
 
 
 def test_gb_kills_invariant_generators(ws6, ws4):
-    from weilspin.clifford import derivation_int
-    from weilspin.weilcm import multivector_int_terms
-
     for ws in (ws6, ws4):
         for mv in list(ws.a2_elements) + ws.HW:
-            iterms = multivector_int_terms(mv)
             for cols in ws._gb_cols:
-                assert not derivation_int(cols, iterms)
+                assert not leibniz_derivation(ws.space.vspace, cols, mv.terms)
 
 
 def _rows_of(ops, j):
@@ -329,8 +324,9 @@ def _rows_of(ops, j):
 
 
 def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
-    # derivation_int on term dicts is the reference for the operators;
-    # a coefficient of 2^80 takes the Python-int path instead of int64
+    # the Leibniz rule on term dicts is the reference for the operators, one
+    # over the masks of every degree; a coefficient of 2^80 takes the
+    # Python-int path instead of int64
     from weilspin.weilcm import multivector_int_terms
 
     big = 2**80 + 1
@@ -345,21 +341,18 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
         verdicts = []
         for mv in samples:
             iterms = multivector_int_terms(mv)
-            images = [derivation_int(cols, iterms) for cols in ws._gb_cols]
+            images = [leibniz_derivation(vspace, cols, iterms) for cols in ws._gb_cols]
             verdicts.append(not any(images))
             assert ws.gb_kills(mv) == verdicts[-1]
-            for k in {m.bit_count() for m in iterms}:
-                part = {m: c for m, c in iterms.items() if m.bit_count() == k}
-                ops = DerivationOperators(ws._gb_cols, list(part))
-                small = max(map(abs, part.values())) < 2**40
-                for dtype in (np.int64, object) if small else (object,):
-                    x = np.array(list(part.values()), dtype=dtype)
-                    got = ops.image(x[:, None], range(len(ws._gb_cols)))
-                    assert got.dtype == x.dtype and got.shape == (len(ops.dst), 1)
-                    for j, image in enumerate(images):
-                        dst, rows = _rows_of(ops, j)
-                        assert {m: c for m, c in zip(dst, got[rows, 0].tolist()) if c} == {
-                            m: c for m, c in image.items() if m.bit_count() == k}
+            ops = DerivationOperators(ws._gb_cols, list(iterms))
+            small = max(map(abs, iterms.values())) < 2**40
+            for dtype in (np.int64, object) if small else (object,):
+                x = np.array(list(iterms.values()), dtype=dtype)
+                got = ops.image(x[:, None], range(len(ws._gb_cols)))
+                assert got.dtype == x.dtype and got.shape == (len(ops.dst), 1)
+                for j, image in enumerate(images):
+                    dst, rows = _rows_of(ops, j)
+                    assert {m: c for m, c in zip(dst, got[rows, 0].tolist()) if c} == image
         assert verdicts[len(gens) + len(noise):] == [True, True, False, False, False]
 
 
@@ -375,7 +368,8 @@ def test_batched_containment_matches_each_element(structure, request):
             continue  # every mask of degree 0 or 4n is invariant
         # a basis mask not killed: one that some generator moves
         bad = next(Multivector(vspace, {m: one}) for m in range(1 << ws.space.dim_v)
-                   if m.bit_count() == k and any(derivation_int(cols, {m: 1}) for cols in ws._gb_cols))
+                   if m.bit_count() == k and any(leibniz_derivation(vspace, cols, {m: 1})
+                                                 for cols in ws._gb_cols))
         for mvs in (basis + [bad], [bad] + basis, basis[:1] + [bad + basis[0]] + basis[1:]):
             assert ws.gb_kills(*mvs) is False
             assert not all(ws.gb_kills(mv) for mv in mvs)
@@ -435,7 +429,7 @@ def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
 
 @pytest.mark.parametrize("structure", ["ws6", "ws4"])
 def test_table_operators_match_derivation_int(structure, request):
-    # derivation_int is the independent reference for the mask operators
+    # the Leibniz rule is the independent reference for the mask operators
     ws = request.getfixturevalue(structure)
     p = linalg.MOD_PRIMES[0]
     dim = ws.space.dim_v
@@ -450,8 +444,8 @@ def test_table_operators_match_derivation_int(structure, request):
         if k == 3:  # the exact fallback's rows, on every column
             exact_rows = ops.image(np.eye(len(masks), dtype=object), range(len(ws._gb_cols)))
         for j, cols in enumerate(ws._gb_cols):
-            entries = [(index[mm], jj, c) for jj, m in enumerate(masks)
-                       for mm, c in derivation_int(cols, {m: 1}).items()]
+            entries = [(index[mm], jj, int(c.as_rational())) for jj, m in enumerate(masks)
+                       for mm, c in leibniz_derivation(ws.space.vspace, cols, {m: 1}).items()]
             expected = np.zeros_like(identity)
             for i, jj, c in entries:
                 expected[i, jj] = c % p
