@@ -3,8 +3,9 @@
     weilspin verify --preset sixfold-q2 [--seed 7] [--out report.json]
     weilspin verify --input datum.json [--check secant]
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input
-or a --check filter that no applicable check name contains.
+Exit codes: 0 all checks pass, 1 at least one check fails or an internal
+error (one line `error: internal: <Type>: <message>`), 2 invalid input or a
+--check filter that no applicable check name contains.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        raise
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     payload = report.dumps()
     if args.out:
         with open(args.out, "w") as fh:

@@ -242,9 +242,11 @@ class SoPair:
     def ad_vector(self, coords) -> list:
         return mat_vec(self.ad, coords, self.space.tower)
 
-    def derivation(self, a: Multivector) -> Multivector:
-        """The unique derivation of the exterior algebra on V extending ad."""
-        return Multivector(a.space, derivation_int(int_derivation_cols(self.ad), a.terms))
+    def derivation(self, mvs) -> list:
+        """The unique derivation of the exterior algebra on V extending ad,
+        applied to each multivector in the list `mvs` by one operator."""
+        images = derivation_int(int_derivation_cols(self.ad), [a.terms for a in mvs])
+        return [Multivector._nonzero(a.space, img) for a, img in zip(mvs, images)]
 
 
 def int_derivation_cols(mat):
@@ -320,15 +322,21 @@ class DerivationOperators:
         return np.add.reduceat(vals[:, None] * X[self.cols[lo:hi]], self.row_start[r0:r1] - lo, axis=0)
 
 
-def derivation_int(cols, terms: dict) -> dict:
-    """The derivation of a matrix in `int_derivation_cols` form on a
-    {mask: scalar} term dict, the scalars ints or any field elements: one
-    object column over the sorted masks through `DerivationOperators`,
-    zero images dropped."""
-    start = sorted(terms)
+def derivation_int(cols, terms: list) -> list:
+    """The derivation of a matrix in `int_derivation_cols` form on each
+    {mask: scalar} term dict in `terms`, the scalars ints or any field
+    elements: one `DerivationOperators` over the sorted union of their
+    masks, an object column per dict (0 off its masks), zero images dropped."""
+    entries = [(m, j, c) for j, t in enumerate(terms) for m, c in t.items()]
+    if not entries:
+        return [{} for _ in terms]
+    masks, where, x = zip(*entries)
+    start = sorted(set(masks))
+    X = np.zeros((len(start), len(terms)), dtype=object)
+    X[np.searchsorted(start, masks), where] = x
     ops = DerivationOperators([cols], start)
-    image = ops.image(np.array([terms[m] for m in start], dtype=object)[:, None], range(1))
-    return {m: c for m, c in zip(ops.dst.tolist(), image[:, 0].tolist()) if c != 0}
+    image, dst = ops.image(X, range(1)).T.tolist(), ops.dst.tolist()
+    return [{m: c for m, c in zip(dst, col) if c != 0} for col in image]
 
 
 def symbol(elem: Multivector, space: HyperbolicSpace) -> dict:

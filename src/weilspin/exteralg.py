@@ -50,7 +50,7 @@ class GeneratorSpace:
         self.top_mask = (1 << self.m) - 1
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GeneratorSpace)
             and self.labels == other.labels
             and self.tower == other.tower
@@ -175,21 +175,22 @@ class Multivector:
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """The exterior product.  As e_mb ^ e_ma = (-1)^(|ma| |mb|) e_ma ^ e_mb, the
-    `below_parity` scan runs once per term of the factor with fewer terms."""
+    `below_parity` scan runs once per term of the factor with fewer terms.
+    Each scanned term keeps its coefficient c as the pair (c, -c), indexed
+    by the parity of the Koszul sign, so no product negates its result."""
     if a.space != b.space:
         raise ValueError("generator space mismatch")
     swap = len(a.terms) < len(b.terms)
     outer, inner = (b, a) if swap else (a, b)
-    scanned = [(mi, ci, below_parity(mi, a.space.m), mi.bit_count() & swap) for mi, ci in inner.terms.items()]
+    scanned = [(mi, (ci, -ci), below_parity(mi, a.space.m), mi.bit_count() & swap)
+               for mi, ci in inner.terms.items()]
     out = {}
     for mo, co in outer.terms.items():
         do = mo.bit_count() & swap
-        for mi, ci, below, di in scanned:
+        for mi, signed, below, di in scanned:
             if mo & mi:
                 continue
-            c = co * ci
-            if ((mo & below).bit_count() + (do & di)) & 1:
-                c = -c
+            c = co * signed[((mo & below).bit_count() + (do & di)) & 1]
             key = mo | mi
             if key in out:
                 s = out[key] + c

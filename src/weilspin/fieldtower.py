@@ -9,9 +9,12 @@ Every element of every subfield is stored in one fixed coordinate system,
 the basis {1, sqrt(p), sqrt(-q), sqrt(p)*sqrt(-q)}, as four integer
 numerators n over one positive integer denominator d in lowest terms
 (gcd(*n, d) == 1).  That form is canonical, so equality is tuple equality,
-and all arithmetic runs on Python ints: each result is normalised with one
-gcd.  Fractions appear only at the boundaries: `TowerSpec.elem`,
-`FieldElem.as_rational`, JSON and repr.
+and all arithmetic runs on Python ints: each result is normalised with at
+most one gcd, none when d = 1.  Results known without arithmetic are not
+computed: a factor of exactly 0 or +-1 gives the zero, the other factor or
+its negation, a term 0 gives the other term, and each tower's zero() and
+one() are built once (elements are immutable).  Fractions appear only at
+the boundaries: `TowerSpec.elem`, `FieldElem.as_rational`, JSON and repr.
 
 When p = 1, `TowerSpec.elem` folds the sqrt(p) coordinates into the
 rational ones, so n[1] = n[3] = 0; every operation keeps folded elements
@@ -45,7 +48,7 @@ def _is_squarefree(n: int) -> bool:
 class TowerSpec:
     """The pair (p, q) defining the tower Q <= Q(sqrt p) <= Q(sqrt p, sqrt -q)."""
 
-    __slots__ = ("p", "q", "qn", "qd")
+    __slots__ = ("p", "q", "qn", "qd", "_zero", "_one")
 
     def __init__(self, p: int, q: int | Fraction):
         p = int(p)
@@ -59,6 +62,9 @@ class TowerSpec:
         self.q = q
         self.qn = q.numerator
         self.qd = q.denominator
+        # elements are immutable, so every zero() and one() can be these two
+        self._zero = FieldElem(self, _ZERO)
+        self._one = FieldElem(self, _ONE)
 
     @property
     def e(self) -> int:
@@ -96,10 +102,10 @@ class TowerSpec:
         return FieldElem(self, (n0, n1, n2, n3), d)
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, _ZERO)
+        return self._zero
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, _ONE)
+        return self._one
 
     def sqrt_p(self) -> "FieldElem":
         return self.elem(0, 1)
@@ -156,10 +162,11 @@ class FieldElem:
     __slots__ = ("tower", "n", "d")
 
     def __init__(self, tower: TowerSpec, n: tuple, d: int = 1):
-        g = gcd(n[0], n[1], n[2], n[3], d)
-        if g != 1:
-            n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
-            d //= g
+        if d != 1:  # gcd(*n, 1) == 1
+            g = gcd(n[0], n[1], n[2], n[3], d)
+            if g != 1:
+                n = (n[0] // g, n[1] // g, n[2] // g, n[3] // g)
+                d //= g
         self.tower = tower
         self.n = n
         self.d = d
@@ -206,6 +213,10 @@ class FieldElem:
             other = self._check(other)
         a0, a1, a2, a3 = self.n
         b0, b1, b2, b3 = other.n
+        if not (a0 or a1 or a2 or a3):  # adding zero needs no arithmetic
+            return other
+        if not (b0 or b1 or b2 or b3):
+            return self
         da, db = self.d, other.d
         if da == db:
             return FieldElem(self.tower, (a0 + b0, a1 + b1, a2 + b2, a3 + b3), da)
@@ -222,7 +233,18 @@ class FieldElem:
         return FieldElem(self.tower, (-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        if other.__class__ is not FieldElem or other.tower is not self.tower:
+            other = self._check(other)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return FieldElem(self.tower, (a0 - b0, a1 - b1, a2 - b2, a3 - b3), da)
+        return FieldElem(
+            self.tower,
+            (a0 * db - b0 * da, a1 * db - b1 * da, a2 * db - b2 * da, a3 * db - b3 * da),
+            da * db,
+        )
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -232,11 +254,17 @@ class FieldElem:
             other = self._check(other)
         a0, a1, a2, a3 = self.n
         b0, b1, b2, b3 = other.n
-        d = self.d * other.d
-        if not (a1 or a2 or a3):  # rational fast path
-            return FieldElem(self.tower, (a0 * b0, a0 * b1, a0 * b2, a0 * b3), d)
-        if not (b1 or b2 or b3):
-            return FieldElem(self.tower, (a0 * b0, a1 * b0, a2 * b0, a3 * b0), d)
+        da, db = self.d, other.d
+        a_rat, b_rat = not (a1 or a2 or a3), not (b1 or b2 or b3)
+        # a factor of 0 or +-1 (so d = 1) needs no arithmetic
+        if a_rat and da == 1 and -1 <= a0 <= 1:
+            return other if a0 == 1 else -other if a0 else self
+        if b_rat and db == 1 and -1 <= b0 <= 1:
+            return self if b0 == 1 else -self if b0 else other
+        if a_rat:  # rational fast paths
+            return FieldElem(self.tower, (a0 * b0, a0 * b1, a0 * b2, a0 * b3), da * db)
+        if b_rat:
+            return FieldElem(self.tower, (a0 * b0, a1 * b0, a2 * b0, a3 * b0), da * db)
         # (a0 + a1 rp + a2 rq + a3 rp rq)(b0 + ...) with rp^2 = p, rq^2 = -qn/qd;
         # the qd of every sqrt(-q)^2 term goes into the denominator
         t = self.tower
@@ -247,7 +275,7 @@ class FieldElem:
         v1 = a2 * b3 + a3 * b2
         c2 = a0 * b2 + a2 * b0 + p * (a1 * b3 + a3 * b1)
         c3 = a0 * b3 + a3 * b0 + a1 * b2 + a2 * b1
-        return FieldElem(t, (qd * u0 - qn * v0, qd * u1 - qn * v1, qd * c2, qd * c3), d * qd)
+        return FieldElem(t, (qd * u0 - qn * v0, qd * u1 - qn * v1, qd * c2, qd * c3), da * db * qd)
 
     __rmul__ = __mul__
 

@@ -725,12 +725,11 @@ class _Runner:
             xi = Multivector(orl.hyper.vspace, {m: tow.one()})
             so = SoPair(orl.hyper, xi)
             diag = orl.diagonal_spin(so)
-            for _ in range(3):
-                c = orl.pa_xx.box(
-                    Multivector(orl.sx, {self.rng.randrange(4): tow.one()}),
-                    Multivector(orl.sx2, {self.rng.randrange(4): tow.one()}),
-                )
-                ok &= pt(diag(c)) == so.derivation(pt(c))
+            cs = [orl.pa_xx.box(
+                Multivector(orl.sx, {self.rng.randrange(4): tow.one()}),
+                Multivector(orl.sx2, {self.rng.randrange(4): tow.one()}),
+            ) for _ in range(3)]
+            ok &= [pt(diag(c)) for c in cs] == so.derivation([pt(c) for c in cs])
         return ok, {"basis_size": 6}
 
     @_check("fm.equivariance-sampled", "transform equivariance, seeded sample", _sheaf_chain)
@@ -754,7 +753,7 @@ class _Runner:
                 Multivector(orl.sx, {self.rng.randrange(1 << orl.sx.m): tow.one()}),
                 Multivector(orl.sx2, {self.rng.randrange(1 << orl.sx2.m): tow.one()}),
             )
-            ok &= pt(diag(c)) == so.derivation(pt(c))
+            ok &= [pt(diag(c))] == so.derivation([pt(c)])
             count += 1
         return ok and count >= 15, {"sampled": count}
 

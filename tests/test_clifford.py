@@ -276,7 +276,9 @@ def test_derivation_int_matches_leibniz(tower, rng):
             row[trial] = tower.zero()
         cols = int_derivation_cols(mat)
         assert cols[trial] == []
-        terms = rand_mv(rng, vspace, 6).terms
-        assert len({m.bit_count() for m in terms}) > 1
-        assert derivation_int(cols, terms) == leibniz_derivation(vspace, cols, terms)
-        assert derivation_int(cols, {}) == {}
+        # several dicts, one of them empty, share one operator: each image
+        # equals the dict's own
+        terms = [rand_mv(rng, vspace, 6).terms for _ in range(3)] + [{}]
+        assert all(len({m.bit_count() for m in t}) > 1 for t in terms[:3])
+        assert derivation_int(cols, terms) == [leibniz_derivation(vspace, cols, t) for t in terms]
+        assert derivation_int(cols, [{}]) == [{}] and derivation_int(cols, []) == []

@@ -229,6 +229,36 @@ def test_wedge_matches_inversion_counting(data, m):
     assert wedge(a, b) == _reference_wedge(a, b)
 
 
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(data=st.data(), m=st.integers(0, 10))
+def test_wedge_unit_and_k_coefficients_match_inversion_counting(data, m):
+    # coefficients +-1 (a product by them needs no arithmetic) beside
+    # K-valued ones over a tower with q = 7/3, in both orientations
+    t = TowerSpec(2, Fraction(7, 3))
+    sp = GeneratorSpace([f"g{i}" for i in range(m)], t)
+    unit = st.sampled_from([t.one(), -t.one()])
+    k_val = st.tuples(*[st.integers(-3, 3)] * 4).map(lambda c: t.elem(c[0], Fraction(c[1], 2), c[2], c[3]))
+    terms = st.dictionaries(st.integers(0, (1 << m) - 1), st.one_of(unit, k_val), max_size=10)
+    a, b = (Multivector(sp, data.draw(terms)) for _ in range(2))
+    assert wedge(a, b) == _reference_wedge(a, b)
+    assert wedge(b, a) == _reference_wedge(b, a)
+
+
+def test_equal_distinct_generator_spaces(rng):
+    # two spaces built separately (over equal, distinct towers) are one space
+    s1 = GeneratorSpace(["a", "b", "c"], TowerSpec(2, Fraction(7, 3)))
+    s2 = GeneratorSpace(["a", "b", "c"], TowerSpec(2, Fraction(7, 3)))
+    assert s1 == s2 and s1 is not s2 and hash(s1) == hash(s2)
+    assert s1 != GeneratorSpace(["a", "b", "d"], s1.tower)
+    for _ in range(10):
+        a, b = rand_mv(rng, s1), rand_mv(rng, s2)
+        b1 = Multivector(s1, b.terms)
+        assert wedge(a, b) == wedge(a, b1) == _reference_wedge(a, b1)
+        assert a + b == a + b1 and b == b1
+    with pytest.raises(ValueError):
+        wedge(s1.gen(0), GeneratorSpace(["a", "b", "d"], s1.tower).gen(0))
+
+
 def test_degree_two_masks_ascending():
     for m in range(9):
         assert degree_two_masks(m) == [x for x in range(1 << m) if x.bit_count() == 2]

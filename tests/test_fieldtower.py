@@ -247,3 +247,59 @@ def test_rational_operands_and_json(tower, ca, r):
     assert_canonical(tower.scalar(r))
     assert FieldElem.from_json(tower, a.to_json()) == a
     assert TowerSpec.from_json(tower.to_json()) == tower
+
+
+# -- operands with a known result: 0, +-1 and 1/3 (same n as 1, d = 3) -----
+
+SPECIAL = [1, -1, 0, Fraction(1, 3)]
+
+
+def special_forms(tower, s):
+    """s as an int or Fraction, as a fresh element, and as the shared one or
+    zero where it is one of those."""
+    forms = [s, tower.scalar(s)]
+    if s in (1, -1):
+        forms.append(tower.one() if s == 1 else -tower.one())
+    if s == 0:
+        forms.append(tower.zero())
+    return forms
+
+
+@settings(deadline=None, derandomize=True)
+@given(tower=st.sampled_from(TOWERS), ca=coords, s=st.sampled_from(SPECIAL), t=st.sampled_from(SPECIAL))
+def test_special_operands_match_reference(tower, ca, s, t):
+    rs, rt = (Fraction(s), 0, 0, 0), (Fraction(t), 0, 0, 0)
+    # a K-valued element, and a special element, against each special operand
+    for a, ra in ((tower.elem(*ca), ref_fold(tower, ca)), (tower.scalar(t), rt)):
+        for x in special_forms(tower, s):
+            results = {
+                "a*s": (a * x, ref_mul(tower, ra, rs)),
+                "s*a": (x * a, ref_mul(tower, rs, ra)),
+                "a+s": (a + x, tuple(u + v for u, v in zip(ra, rs))),
+                "s+a": (x + a, tuple(u + v for u, v in zip(rs, ra))),
+                "a-s": (a - x, tuple(u - v for u, v in zip(ra, rs))),
+                "s-a": (x - a, tuple(u - v for u, v in zip(rs, ra))),
+            }
+            for op, (got, want) in results.items():
+                assert coords_of(got) == want, (op, s)
+                assert_canonical(got)
+    # the shared constants are never changed by the arithmetic above
+    assert tower.one() is tower.one() and tower.zero() is tower.zero()
+    assert (tower.one().n, tower.one().d) == ((1, 0, 0, 0), 1)
+    assert (tower.zero().n, tower.zero().d) == ((0, 0, 0, 0), 1)
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=str)
+def test_products_by_one_of_an_equal_tower(tower, rng):
+    # an equal but distinct TowerSpec has its own one; products stay exact
+    twin = TowerSpec(tower.p, tower.q)
+    assert twin == tower and twin is not tower and twin.one() is not tower.one()
+    for _ in range(5):
+        a = rand_elem(rng, tower)
+        assert a * twin.one() == twin.one() * a == a
+        assert a * -twin.one() == -twin.one() * a == -a
+        assert coords_of(a - twin.one()) == (coords_of(a)[0] - 1,) + coords_of(a)[1:]
+        assert (a * twin.zero()).is_zero() and a + twin.zero() == a
+    # +-1 and 0 need no arithmetic: the result is the other operand itself
+    a = rand_elem(rng, tower)
+    assert a * tower.one() is a and tower.one() * a is a and a + tower.zero() is a

@@ -246,6 +246,25 @@ def test_cli_rejects_filter_matching_no_check(preset, check, monkeypatch, capsys
     assert captured.out == ""
 
 
+def test_cli_reports_internal_error_in_one_line(monkeypatch, capsys):
+    def boom(self, datum):
+        raise RuntimeError("structure build broke")
+
+    monkeypatch.setattr(WeilStructure, "__init__", boom)
+    assert main(["verify", "--preset", "fourfold-rm2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal: RuntimeError: structure build broke\n"
+    assert captured.out == ""
+
+    def out_of_memory(self, datum):
+        raise MemoryError
+
+    # a resource failure is not reported as an internal error
+    monkeypatch.setattr(WeilStructure, "__init__", out_of_memory)
+    with pytest.raises(MemoryError):
+        main(["verify", "--preset", "fourfold-rm2"])
+
+
 def test_clifford_relation_check_sees_unsigned_generators(ws4, monkeypatch):
     # without their Koszul signs, x_i and x_j (i != j) commute instead of
     # anticommuting on spinors; the operator half of the check must say so

@@ -468,7 +468,7 @@ def test_table_operators_match_derivation_int(structure, request):
 def test_operator_rows_are_per_matrix():
     # two matrices reaching the same mask keep a row each, keyed by (matrix, mask)
     unit = [[(1, 3)], [], [], []]  # 3 E_10 on four generators: g = 0 goes to i = 1
-    assert derivation_int(unit, {0b0101: 2}) == {0b0110: 6}
+    assert derivation_int(unit, [{0b0101: 2}]) == [{0b0110: 6}]
     ops = DerivationOperators([unit, unit], [0b0101])
     assert ops.dst.tolist() == [0b0110, 0b0110] and ops.gen.tolist() == [0, 1]
     X = np.array([[2]], dtype=np.int64)
