@@ -282,6 +282,10 @@ class FieldElem:
     def inv(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower field")
+        a0, a1, a2, a3 = self.n
+        # 1 and -1 (so d = 1) are their own inverses
+        if not (a1 or a2 or a3) and self.d == 1 and (a0 == 1 or a0 == -1):
+            return self
         # clear sqrt(-q) first: f = x * iota(x) lies in F, then invert in F
         xb = self.iota()
         f = self * xb

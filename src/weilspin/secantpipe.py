@@ -466,11 +466,12 @@ class _Runner:
 
     @_check("spinor.annihilator-graph", "annihilator equals the contraction graph")
     def _annihilator_graph(self):
-        ann = annihilator(self.ws.exp_spinor, self.ws.space)
-        ok = linalg.spans_equal(ann.basis, self.ws.W.basis, self.datum.tower)
-        lam = pure_spinor_of(self.ws.W, self.ws.space)
-        ok &= lam == self.ws.exp_spinor
-        return ok, {"dim": ann.dim}
+        ok, dims = True, []
+        for T, w in self.ws.WT.items():
+            ann = annihilator(self.ws.ell[T], self.ws.space)
+            ok &= ann == w and pure_spinor_of(w, self.ws.space) == self.ws.ell[T]
+            dims.append(ann.dim)
+        return ok, {"dim": min(dims)}
 
     @_check("spinor.conjugate-transverse", "the graph meets its conjugate trivially")
     def _conjugate_transverse(self):

@@ -2,9 +2,10 @@
 
 Starting from a real-multiplication action eta_hat on H1(X) and a compatible
 nondegenerate alternating class Theta, this module constructs, in order: the
-exponential pure spinor and its rational halves, the maximal isotropic
-subspace W, the complex multiplication eta of K on V = H1(X) + H1(Xhat), the
-family of isotropic subspaces W_T indexed by CM-types, the rational secant
+family of pure spinors exp(sqrt(-q) Theta_T) and their maximal isotropic
+subspaces W_T, indexed by CM-types, whose all-plus member is the exponential
+spinor with its rational halves and the subspace W; the complex
+multiplication eta of K on V = H1(X) + H1(Xhat); the rational secant
 space B, the alternating forms Xi_t and hermitian forms H_t, the Weil
 subspace of middle exterior degree, and the annihilator Lie algebra g_B of
 the secant space.  Every construction is exact; each derived object carries
@@ -29,7 +30,6 @@ from .clifford import DerivationOperators, HyperbolicSpace, SoPair, int_derivati
 from .exteralg import (
     Multivector,
     column_rows,
-    contract,
     degree_two_masks,
     exp_even,
     rational_parts,
@@ -45,7 +45,7 @@ from .fieldtower import (
     f_embeddings,
     parse_rational,
 )
-from .purespinor import IsotropicSubspace, annihilator, is_pure
+from .purespinor import IsotropicSubspace
 
 
 class WeilDatum:
@@ -121,6 +121,10 @@ class WeilDatum:
         gram = linalg.mat_mul(linalg.mat_mul(half, self.theta_f, t), [list(c) for c in zip(*half)], t)
         if any(not x.is_zero() for row in gram for x in row):
             raise ValueError("first half of dual_f_basis is not Theta-isotropic")
+        # W, the graph of b = sqrt(-q) Theta (`build_W`), meets iota(W), the
+        # graph of -b, in the c with iota_c Theta = 0; CmAction needs V = W + iota(W)
+        if linalg.rank(self.theta_q_matrix(), t) < dim:
+            raise ValueError("Theta is degenerate")
 
     def theta_q_matrix(self):
         """Entrywise trace to Q: coefficients of Theta in wedge^2 H1(X)."""
@@ -152,56 +156,33 @@ class WeilDatum:
 # -- construction steps --------------------------------------------------------
 
 
-def theta_element(datum: WeilDatum, space: HyperbolicSpace) -> Multivector:
-    cq = datum.theta_q_matrix()
-    terms = {}
-    for i in range(2 * datum.n):
-        for j in range(i + 1, 2 * datum.n):
-            if not cq[i][j].is_zero():
-                terms[(1 << i) | (1 << j)] = cq[i][j]
-    return Multivector(space.sspace, terms)
-
-
-def build_spinor(datum: WeilDatum, space: HyperbolicSpace):
-    """The pure exponential spinor and its rational halves (alpha, beta)."""
-    t = datum.tower
-    theta = theta_element(datum, space)
-    expo = exp_even(theta.scale(t.sqrt_minus_q()))
+def build_spinor(expo: Multivector):
+    """The rational halves (alpha, beta) of expo = alpha + sqrt(-q) beta."""
+    rq = expo.space.tower.sqrt_minus_q()
     conj = expo.map_coefficients(lambda c: c.iota())
     alpha = (expo + conj).scale(Fraction(1, 2))
-    beta = (expo - conj).scale(t.sqrt_minus_q().inv() * Fraction(1, 2))
+    beta = (expo - conj).scale(rq.inv() * Fraction(1, 2))
     for mv in (alpha, beta):
         for c in mv.terms.values():
             if not c.is_rational():
                 raise ValueError("alpha/beta failed to be rational")
-    flag, ann = is_pure(expo, space)
-    if not flag:
-        raise ValueError("exponential spinor is not pure; Theta is degenerate")
-    return alpha, beta, expo, ann
+    return alpha, beta
 
 
-def build_W(datum: WeilDatum, space: HyperbolicSpace) -> IsotropicSubspace:
-    """W = {(-sqrt(-q) (theta-contraction), theta)}, maximal isotropic over K."""
-    t = datum.tower
-    theta = theta_element(datum, space)
-    n2 = 2 * datum.n
-    rows = []
-    mrq = -t.sqrt_minus_q()
-    for j in range(n2):
-        cont = contract([int(i == j) for i in range(n2)], theta)  # y_j contraction of Theta
-        row = [t.zero()] * (4 * datum.n)
-        for mask, c in cont.terms.items():
-            row[mask.bit_length() - 1] = mrq * c
-        row[n2 + j] = t.one()
-        rows.append(row)
-    w = IsotropicSubspace(space, rows, coeff="K")
-    if not w.is_maximal():
-        raise ValueError("W is not maximal isotropic")
-    iw = w.map_rows(lambda c: c.iota())
-    inter = linalg.intersect(w.basis, iw.basis, t)
-    if inter:
-        raise ValueError("W meets iota(W); Theta is degenerate")
-    return w
+def build_W(space: HyperbolicSpace, b: Multivector) -> IsotropicSubspace:
+    """The graph {y_j - iota_(y_j) b} of a 2-form b on the x-block: the
+    annihilator of exp(b), maximal isotropic for every b, since
+    (y_j - iota_(y_j) b) exp(b) = iota_(y_j) exp(b) - iota_(y_j) b ^ exp(b) = 0
+    and the pairing of rows j, k is -b_jk - b_kj = 0."""
+    t = space.tower
+    n2 = 2 * space.n
+    rows = [[t.one() if i == n2 + j else t.zero() for i in range(2 * n2)] for j in range(n2)]
+    for mask, c in b.terms.items():
+        lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        # iota_(y_lo) (x_lo ^ x_hi) = x_hi and iota_(y_hi) (x_lo ^ x_hi) = -x_lo
+        rows[lo][hi] = -c
+        rows[hi][lo] = c
+    return IsotropicSubspace(space, rows)
 
 
 class CmAction:
@@ -293,13 +274,10 @@ def theta_cm_twist(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType) ->
 
 
 def build_WT(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType):
-    """(pure spinor of W_T, W_T) over the full tower field."""
-    t = datum.tower
-    ell = exp_even(theta_cm_twist(datum, space, cm_type).scale(t.sqrt_minus_q()))
-    w_t = annihilator(ell, space, coeff="K")
-    if not w_t.is_maximal():
-        raise ValueError("W_T is not maximal isotropic")
-    return ell, w_t
+    """(pure spinor of W_T, W_T) over the full tower field: exp(b) and its
+    graph, for b = sqrt(-q) Theta_T."""
+    b = theta_cm_twist(datum, space, cm_type).scale(datum.tower.sqrt_minus_q())
+    return exp_even(b), build_W(space, b)
 
 
 def build_B(space: HyperbolicSpace, spinors):
@@ -518,17 +496,17 @@ class WeilStructure:
         self.datum = datum
         t = datum.tower
         self.space = HyperbolicSpace(datum.n, t)
-        self.theta = theta_element(datum, self.space)
-        self.alpha, self.beta, self.exp_spinor, _ = build_spinor(datum, self.space)
-        self.W = build_W(datum, self.space)
-        self.eta = build_eta(datum, self.space, self.W)
         self.cm_types = enumerate_cm_types(t)
         self.ell = {}
         self.WT = {}
         for T in self.cm_types:
-            ell, w_t = build_WT(datum, self.space, T)
-            self.ell[T] = ell
-            self.WT[T] = w_t
+            self.ell[T], self.WT[T] = build_WT(datum, self.space, T)
+        # the all-plus CM type, listed first, has Theta_T = Theta (every sign +1)
+        plus = self.cm_types[0]
+        self.theta = theta_cm_twist(datum, self.space, plus)
+        self.exp_spinor, self.W = self.ell[plus], self.WT[plus]
+        self.alpha, self.beta = build_spinor(self.exp_spinor)
+        self.eta = build_eta(datum, self.space, self.W)
         self.B = build_B(self.space, [self.ell[T] for T in self.cm_types])
         self.HW = build_HW(datum, self.space, self.eta)
         self.a2_elements = []

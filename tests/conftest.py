@@ -81,3 +81,24 @@ def leibniz_derivation(space, cols, terms):
                 for m, x in term.terms.items():
                     out[m] = out.get(m, 0) + x * c
     return {m: x for m, x in out.items() if x != 0}
+
+
+def pure_spinor_solve(w, space):
+    """Reference for `purespinor.pure_spinor_of`: the spinor line of a maximal
+    isotropic subspace as the solution space of w . lam = 0 for every basis
+    row w, a linear system with 2^(2n) unknowns, normalized the same way
+    (lowest-mask coefficient 1)."""
+    from weilspin import linalg
+    from weilspin.clifford import clifford_action
+    from weilspin.exteralg import Multivector, column_rows
+
+    dim_s = 1 << (2 * space.n)
+    basis = [Multivector(space.sspace, {mask: space.tower.one()}) for mask in range(dim_s)]
+    rows = []
+    for vec in w.basis:
+        vmv = space.vector_to_mv(vec)
+        rows.extend(column_rows([clifford_action(vmv, lam, space) for lam in basis]))
+    kernel = linalg.nullspace(rows, dim_s, space.tower)
+    assert len(kernel) == 1, f"spinor solution space has dimension {len(kernel)}, not 1"
+    lam = Multivector(space.sspace, dict(enumerate(kernel[0])))
+    return lam.scale(lam.terms[min(lam.terms)].inv())

@@ -280,9 +280,16 @@ def test_special_operands_match_reference(tower, ca, s, t):
                 "a-s": (a - x, tuple(u - v for u, v in zip(ra, rs))),
                 "s-a": (x - a, tuple(u - v for u, v in zip(rs, ra))),
             }
+            if s != 0:
+                results["inv"] = (tower.scalar(x).inv(), ref_inv(tower, rs))
             for op, (got, want) in results.items():
                 assert coords_of(got) == want, (op, s)
                 assert_canonical(got)
+    # 1 and -1 are their own inverses, returned without arithmetic
+    for x in (tower.one(), -tower.one(), tower.scalar(1), tower.scalar(-1)):
+        assert x.inv() is x
+    with pytest.raises(ZeroDivisionError):
+        tower.zero().inv()
     # the shared constants are never changed by the arithmetic above
     assert tower.one() is tower.one() and tower.zero() is tower.zero()
     assert (tower.one().n, tower.one().d) == ((1, 0, 0, 0), 1)

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import HyperbolicSpace, clifford_action, vector_rep_reflection
-from weilspin.exteralg import Multivector, exp_even, wedge
+from weilspin.exteralg import Multivector, degree_two_masks, exp_even, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.purespinor import (
     IsotropicSubspace,
@@ -10,6 +14,8 @@ from weilspin.purespinor import (
     is_pure,
     pure_spinor_of,
 )
+
+from conftest import pure_spinor_solve
 
 
 @pytest.fixture()
@@ -77,10 +83,37 @@ def test_pure_spinor_of(hs1, tiny_tower):
     lam_odd = pure_spinor_of(w_odd, hs1)
     assert lam_odd == hs1.sspace.gen(0)
     assert lam_odd.degrees() == [1]
+    for sub in (y_span, w, w_odd):
+        assert pure_spinor_of(sub, hs1) == pure_spinor_solve(sub, hs1)
     # a non-maximal subspace has no spinor line
     small = IsotropicSubspace(hs1, [hs1.vector([0, 0, 1, 0])])
     with pytest.raises(ValueError):
         pure_spinor_of(small, hs1)
+
+
+SOLVE_TOWERS = [TowerSpec(1, 1), TowerSpec(1, 2), TowerSpec(2, Fraction(7, 3))]
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(n=st.integers(1, 3), tower=st.sampled_from(SOLVE_TOWERS), data=st.data())
+def test_pure_spinor_of_matches_solve(n, tower, data):
+    # v_1 ... v_k exp(b) for non-null v_i is pure, of parity k, and with no
+    # degree-0 term its annihilator is not a graph over the y-block
+    hs = HyperbolicSpace(n, tower)
+    small = st.integers(-2, 2)
+    coeff = st.builds(tower.elem, small, small, small, small)
+    b = Multivector(hs.sspace, {m: data.draw(coeff) for m in degree_two_masks(2 * n)})
+    lam = exp_even(b)
+    # (v, v) = 2 sum x_i y_i
+    non_null = st.lists(small, min_size=4 * n, max_size=4 * n).filter(
+        lambda v: sum(v[i] * v[i + 2 * n] for i in range(2 * n)) != 0)
+    for _ in range(data.draw(st.integers(0, 3))):
+        lam = clifford_action(hs.vector_to_mv(hs.vector(data.draw(non_null))), lam, hs)
+    w = annihilator(lam, hs)
+    assert w.is_maximal()
+    got = pure_spinor_of(w, hs)
+    assert got == pure_spinor_solve(w, hs)
+    assert got == lam.scale(lam.terms[min(lam.terms)].inv())
 
 
 def test_parity_concentration(hs1, tiny_tower):

@@ -210,6 +210,11 @@ def _theta_outside_f(data):
     data["theta"][3][0] = [[-1, 1], [0, 1], [-1, 1], [0, 1]]
 
 
+def _theta_degenerate(data):
+    # Theta(y_3, y_6) = 0 leaves y_3 and y_6 in the kernel of Theta
+    data["theta"][2][5] = data["theta"][5][2] = [[0, 1], [0, 1]]
+
+
 def _dual_rows_of_length(length):
     def edit(data):
         data["dual_f_basis"] = [(row + [[0, 1]])[:length] for row in data["dual_f_basis"]]
@@ -218,9 +223,10 @@ def _dual_rows_of_length(length):
 
 @pytest.mark.parametrize("preset, edit, reason", [
     ("sixfold-q2", _theta_outside_f, "theta entries must lie in F"),
+    ("sixfold-q2", _theta_degenerate, "Theta is degenerate"),
     ("fourfold-rm2", _dual_rows_of_length(3), "dual_f_basis rows must have 2n entries"),
     ("fourfold-rm2", _dual_rows_of_length(5), "dual_f_basis rows must have 2n entries"),
-], ids=["theta-outside-F", "dual-rows-3", "dual-rows-5"])
+], ids=["theta-outside-F", "theta-degenerate", "dual-rows-3", "dual-rows-5"])
 def test_cli_rejects_invalid_datum(preset, edit, reason, tmp_path, capsys):
     data = PRESETS[preset]().to_json()
     edit(data)
@@ -279,6 +285,19 @@ def test_clifford_relation_check_sees_unsigned_generators(ws4, monkeypatch):
 
     monkeypatch.setattr(HyperbolicSpace, "gamma", unsigned)
     assert not runner._clifford_relation()[0]
+
+
+def test_annihilator_graph_check_sees_every_cm_type(ws4, monkeypatch):
+    runner = secantpipe._Runner(ws4.datum, 0)
+    runner.ws = ws4
+    assert runner._annihilator_graph() == (True, {"dim": 4})
+    first, last = ws4.cm_types[0], ws4.cm_types[-1]
+    # twice the spinor has the same annihilator but is not the normalized line
+    monkeypatch.setitem(ws4.ell, last, ws4.ell[last].scale(2))
+    assert not runner._annihilator_graph()[0]
+    monkeypatch.undo()
+    monkeypatch.setitem(ws4.WT, last, ws4.WT[first])
+    assert not runner._annihilator_graph()[0]
 
 
 def test_lie_checks_never_build_the_generated_subalgebra(monkeypatch):
@@ -389,10 +408,8 @@ def test_rm_eightfold_pi_image():
 
 
 def test_sheared_eightfold_spinor_checks():
-    # Theta = g^T J g for g in SL(8, Z) (perfbench/datum.py, seed 1): the
-    # spinor system of `pure_spinor_of` is 1952 rows over 256 unknowns with
-    # 5120 nonzeros, and elimination over the nonzeros keeps the run to about
-    # a second
+    # Theta = g^T J g for g in SL(8, Z) (perfbench/datum.py, seed 1): a dense
+    # Theta, so the annihilators solved by the checks have dense images
     data = json.loads((Path(__file__).parent / "data" / "eightfold-lie-seed1.json").read_text())
     report = run_all(WeilDatum.from_json(data), check_filter="spinor.")
     assert [c.name for c in report.checks] == [

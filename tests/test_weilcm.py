@@ -14,11 +14,11 @@ from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
     WeilDatum,
     WeilStructure,
+    build_WT,
     eigenspace,
     hermitian_form,
     pair_f,
     theta_cm_twist,
-    theta_element,
 )
 
 from conftest import leibniz_derivation, rand_vec
@@ -47,12 +47,12 @@ def test_datum_validation():
     unit = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     with pytest.raises(ValueError, match="not Theta-isotropic"):
         WeilDatum(tow, 3, eta_hat, theta, [unit[i] for i in (0, 1, 4, 3, 2, 5)])
-    # degenerate theta: spinor fails purity at build time
+    # degenerate theta: W would meet its conjugate
     thin = [[0] * 6 for _ in range(6)]
     thin[0][3] = 1
     thin[3][0] = -1
-    with pytest.raises(ValueError):
-        WeilStructure(WeilDatum(tow, 3, eta_hat, thin))
+    with pytest.raises(ValueError, match="Theta is degenerate"):
+        WeilDatum(tow, 3, eta_hat, thin)
 
 
 def test_rm_bilinearity_validation(ws4):
@@ -145,11 +145,11 @@ def _theta_twist_reference(datum, space, cm_type):
     of Theta are (Theta +- twist / sqrt p) / 2, with twist the symmetrized
     application of eta_hat to one slot of each term of Theta."""
     t = datum.tower
-    theta = theta_element(datum, space)
-    if t.p == 1:
-        return theta.scale(cm_type.choices[0])
     cq = datum.theta_q_matrix()
     n2 = 2 * datum.n
+    theta = Multivector(space.sspace, {(1 << i) | (1 << j): cq[i][j] for i in range(n2) for j in range(i + 1, n2)})
+    if t.p == 1:
+        return theta.scale(cm_type.choices[0])
     h = [Multivector(space.sspace, {1 << k: datum.eta_hat[k][i] for k in range(n2)}) for i in range(n2)]
     twist = space.sspace.zero()
     for i in range(n2):
@@ -163,17 +163,30 @@ def _theta_twist_reference(datum, space, cm_type):
     return plus.scale(s_plus) + minus.scale(s_minus)
 
 
+def _datum(source):
+    if source in PRESETS:
+        return PRESETS[source]()
+    return WeilDatum.from_json(json.loads((Path(__file__).parent / "data" / f"{source}.json").read_text()))
+
+
 @pytest.mark.parametrize("source", ["fourfold-rm2", "sixfold-q2", "eightfold-q2", "eightfold-rm2",
                                     "eightfold-lie-seed1"])
 def test_theta_cm_twist_matches_eta_twist(source):
-    if source in PRESETS:
-        datum = PRESETS[source]()
-    else:
-        datum = WeilDatum.from_json(json.loads((Path(__file__).parent / "data" / f"{source}.json").read_text()))
+    datum = _datum(source)
     space = HyperbolicSpace(datum.n, datum.tower)
     for cm_type in enumerate_cm_types(datum.tower):
         got = theta_cm_twist(datum, space, cm_type)
         assert not got.is_zero() and got == _theta_twist_reference(datum, space, cm_type)
+
+
+@pytest.mark.parametrize("source", ["fourfold-rm2", "sixfold-q2", "eightfold-rm2", "eightfold-lie-seed1"])
+def test_wt_graph_is_annihilator(source):
+    # the contraction graph of sqrt(-q) Theta_T against the solved annihilator of its exponential
+    datum = _datum(source)
+    space = HyperbolicSpace(datum.n, datum.tower)
+    for cm_type in enumerate_cm_types(datum.tower):
+        ell, w_t = build_WT(datum, space, cm_type)
+        assert w_t.is_maximal() and w_t == annihilator(ell, space)
 
 
 def test_wt_family(ws6, ws4):
@@ -182,6 +195,10 @@ def test_wt_family(ws6, ws4):
         assert len(ws.WT) == 2 ** (tow.e // 2)
         for T, w in ws.WT.items():
             assert w.is_maximal()
+        # W and its spinor are the all-plus member of the family
+        plus = ws.cm_types[0]
+        assert plus.choices == (1,) * len(plus.choices)
+        assert ws.W is ws.WT[plus] and ws.exp_spinor is ws.ell[plus]
     # e = 2: W_T = W and W_Tbar = iota(W)
     tow = ws6.datum.tower
     plus = [T for T in ws6.cm_types if T.choices == (1,)][0]
