@@ -10,11 +10,13 @@ the basis {1, sqrt(p), sqrt(-q), sqrt(p)*sqrt(-q)}, as four integer
 numerators n over one positive integer denominator d in lowest terms
 (gcd(*n, d) == 1).  That form is canonical, so equality is tuple equality,
 and all arithmetic runs on Python ints: each result is normalised with at
-most one gcd, none when d = 1.  Results known without arithmetic are not
-computed: a factor of exactly 0 or +-1 gives the zero, the other factor or
-its negation, a term 0 gives the other term, and each tower's zero() and
-one() are built once (elements are immutable).  Fractions appear only at
-the boundaries: `TowerSpec.elem`, `FieldElem.as_rational`, JSON and repr.
+most one gcd, none when d = 1 or for a sign flip (negation, iota, an
+embedding), which keeps an element in lowest terms.  Results known without
+arithmetic are not computed: a factor of exactly 0 or +-1 gives the zero,
+the other factor or its negation, a term 0 gives the other term, and each
+tower's zero() and one() are built once (elements are immutable).
+Fractions appear only at the boundaries: `TowerSpec.elem`,
+`FieldElem.as_rational`, JSON and repr.
 
 When p = 1, `TowerSpec.elem` folds the sqrt(p) coordinates into the
 rational ones, so n[1] = n[3] = 0; every operation keeps folded elements
@@ -171,6 +173,13 @@ class FieldElem:
         self.n = n
         self.d = d
 
+    @classmethod
+    def _reduced(cls, tower: TowerSpec, n: tuple, d: int) -> "FieldElem":
+        """n / d, given in lowest terms, built without the gcd."""
+        x = object.__new__(cls)
+        x.tower, x.n, x.d = tower, n, d
+        return x
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -230,7 +239,7 @@ class FieldElem:
 
     def __neg__(self):
         a0, a1, a2, a3 = self.n
-        return FieldElem(self.tower, (-a0, -a1, -a2, -a3), self.d)
+        return FieldElem._reduced(self.tower, (-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
         if other.__class__ is not FieldElem or other.tower is not self.tower:
@@ -319,7 +328,7 @@ class FieldElem:
     def iota(self) -> "FieldElem":
         """Conjugation over F: negates the sqrt(-q) coordinates."""
         a0, a1, a2, a3 = self.n
-        return FieldElem(self.tower, (a0, a1, -a2, -a3), self.d)
+        return FieldElem._reduced(self.tower, (a0, a1, -a2, -a3), self.d)
 
     # -- comparison / hashing -------------------------------------------------
 
@@ -379,7 +388,7 @@ class Embedding:
     def __call__(self, a: FieldElem) -> FieldElem:
         n0, n1, n2, n3 = a.n
         sp, sq = self.sign_p, self.sign_q
-        return FieldElem(a.tower, (n0, sp * n1, sq * n2, sp * sq * n3), a.d)
+        return FieldElem._reduced(a.tower, (n0, sp * n1, sq * n2, sp * sq * n3), a.d)
 
     def __eq__(self, other):
         return (

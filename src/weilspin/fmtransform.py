@@ -2,15 +2,22 @@
 
 The cohomology of a product is the graded tensor product of the factors'
 exterior algebras; transforms are maps defined on sparse basis monomials and
-materialized lazily.  The chain assembled here:
+materialized lazily.  Every map of the chain is a signed-mask formula on
+monomials:
 
-    correspondence transform along a Poincare kernel  (both directions),
-    the shear automorphism (x, y) -> (x + y, y) of X x X,
+    the correspondence transform along a Poincare kernel, x_S -> +-y_(S^c)
+      (both directions, and the inverse read off the monomial bijection),
+    the shear automorphism (x, y) -> (x + y, y) of X x X, a signed sum over
+      the subsets of the first factor's generators,
     their composition's inverse (the derived-equivalence shadow),
     the equivariant normalization phi_tilde,
     Chevalley's bilinear-form construction, for cross-checking,
     the filtration by lowest exterior degree, and
     the grading of the secant tensor square by CM-type overlap.
+
+The closed forms are derived next to their code from the defining recipes
+(pull back, wedge with the kernel, integrate over the first factor; the
+shear extended multiplicatively), which the tests keep as the reference.
 
 Sign conventions (orientation of the fiber integration, the sign of the
 Poincare class on each product, the half-twist in phi_tilde) are not forced
@@ -27,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .clifford import HyperbolicSpace, clifford_mul, desymbol
-from .exteralg import GeneratorSpace, Multivector, coordinates, exp_even, kunneth, s_pairing, wedge
+from .exteralg import GeneratorSpace, Multivector, below_parity, coordinates, exp_even, kunneth, s_pairing, wedge
 from .fieldtower import TowerSpec
 
 #: frozen orientation constants: one class c1(P) = sum x_i ^ y_i everywhere
@@ -49,11 +56,6 @@ class ProductAlgebra:
         self.space = GeneratorSpace(first.labels + second.labels, first.tower)
         self.shift = first.m
 
-    def embed_first(self, mv: Multivector) -> Multivector:
-        if mv.space != self.first:
-            raise ValueError("not a first-factor element")
-        return Multivector(self.space, dict(mv.terms))
-
     def split_mask(self, mask: int):
         return mask & ((1 << self.shift) - 1), mask >> self.shift
 
@@ -61,33 +63,21 @@ class ProductAlgebra:
         """Kunneth product a (x) b."""
         return kunneth(a, b, self.space)
 
-    def pushforward_first(self, mv: Multivector) -> Multivector:
-        """Integrate over the first factor: coefficient of its top monomial."""
-        top1 = self.first.top_mask
-        out = {}
-        for m, c in mv.terms.items():
-            m1, m2 = self.split_mask(m)
-            if m1 == top1:
-                out[m2] = c
-        return Multivector(self.second, out)
-
 
 class TransformMap:
     """A linear map between generator spaces, stored by its basis action.
 
-    Images are computed lazily and memoized; composition is by chaining.
-    An inverse, when attached, is itself a TransformMap and round-trips are
-    asserted by the tests rather than trusted.
+    Images of basis monomials are computed lazily and memoized; applying the
+    map sums the images, scaled, into one term dict.
     """
 
-    __slots__ = ("src", "dst", "_fn", "_memo", "inverse")
+    __slots__ = ("src", "dst", "_fn", "_memo")
 
-    def __init__(self, src: GeneratorSpace, dst: GeneratorSpace, fn, inverse=None):
+    def __init__(self, src: GeneratorSpace, dst: GeneratorSpace, fn):
         self.src = src
         self.dst = dst
         self._fn = fn
         self._memo = {}
-        self.inverse = inverse
 
     def image_of_mask(self, mask: int) -> Multivector:
         got = self._memo.get(mask)
@@ -99,35 +89,12 @@ class TransformMap:
     def __call__(self, mv: Multivector) -> Multivector:
         if mv.space != self.src:
             raise ValueError("argument lives on the wrong space")
-        out = self.dst.zero()
+        out = {}
         for m, c in mv.terms.items():
-            out = out + self.image_of_mask(m).scale(c)
-        return out
-
-    def compose(self, inner: "TransformMap") -> "TransformMap":
-        """self after inner."""
-        if inner.dst != self.src:
-            raise ValueError("composition mismatch")
-
-        def fn(mask):
-            return self(inner.image_of_mask(mask))
-
-        return TransformMap(inner.src, self.dst, fn)
-
-    def scale(self, s) -> "TransformMap":
-        return TransformMap(self.src, self.dst, lambda m: self.image_of_mask(m).scale(s))
-
-
-def antipode(space: GeneratorSpace) -> TransformMap:
-    """Pullback of inversion: (-1)^k on exterior degree k."""
-
-    def fn(mask):
-        c = space.tower.one()
-        if bin(mask).count("1") & 1:
-            c = -c
-        return Multivector(space, {mask: c})
-
-    return TransformMap(space, space, fn)
+            for mm, cc in self.image_of_mask(m).terms.items():
+                x = out.get(mm)
+                out[mm] = cc * c if x is None else x + cc * c
+        return Multivector(self.dst, out)
 
 
 def poincare_class(pa: ProductAlgebra, sign: int) -> Multivector:
@@ -138,24 +105,34 @@ def poincare_class(pa: ProductAlgebra, sign: int) -> Multivector:
     """
     if pa.first.m != pa.second.m:
         raise ValueError("Poincare class needs factors of equal rank")
-    one = pa.space.tower.one()
-    c = one if sign > 0 else -one
-    terms = {}
-    for i in range(pa.first.m):
-        terms[(1 << i) | (1 << (pa.shift + i))] = c
-    return Multivector(pa.space, terms)
+    c = pa.space.tower.one() if sign > 0 else -pa.space.tower.one()
+    return Multivector(pa.space, {(1 << i) | (1 << (pa.shift + i)): c for i in range(pa.first.m)})
 
 
-def fm_along(pa: ProductAlgebra, kernel: Multivector) -> TransformMap:
-    """The correspondence transform from the first factor to the second:
-    pull back, multiply by the kernel, integrate over the first factor."""
-    one = pa.space.tower.one()
+def complement_transform(src: GeneratorSpace, dst: GeneratorSpace, sign: int) -> TransformMap:
+    """The correspondence transform src -> dst along the kernel
+    exp(poincare_class(src x dst, sign)): pull back, multiply by the kernel,
+    integrate over src.  With g_i, h_i the generators of src and dst:
+
+    - exp(sign sum_i g_i h_i) = prod_i (1 + sign g_i h_i), because the
+      factors are even and commute;
+    - from g_S, only the term of U = S^c reaches the top of src;
+    - prod_(i in U) g_i h_i = (-1)^C(|U|,2) g_U h_U (each h_i passes the
+      later g_j), and g_S ^ g_U = (-1)^merge(S, U) g_top with the merge sign
+      merge(S, U) = popcount(S & below_parity(U));
+    - so g_S -> (-1)^(C(|U|,2) + merge(S, U)) sign^|U| h_U.
+    """
+    one = src.tower.one()
+    signs = (one, -one)
+    flip = 1 if sign < 0 else 0
 
     def fn(mask):
-        emb = pa.embed_first(Multivector(pa.first, {mask: one}))
-        return pa.pushforward_first(wedge(emb, kernel))
+        u = src.top_mask ^ mask
+        k = u.bit_count()
+        parity = k * (k - 1) // 2 + (mask & below_parity(u, src.m)).bit_count() + k * flip
+        return Multivector._nonzero(dst, {u: signs[parity & 1]})
 
-    return TransformMap(pa.first, pa.second, fn)
+    return TransformMap(src, dst, fn)
 
 
 class OrlovTransform:
@@ -171,19 +148,20 @@ class OrlovTransform:
         self.sx, self.sy, self.sx2 = sx, sy, sx2
         self.pa_xx = ProductAlgebra(sx, sx2)      # H*(X x X)
         self.pa_xy = ProductAlgebra(sx, sy)       # H*(X x Xhat) = wedge* V
-        self.pa_hx = ProductAlgebra(sy, sx)       # Xhat x X, carries the kernel
         if self.pa_xy.space != self.hyper.vspace:
             raise AssertionError("product algebra misaligned with the Clifford space")
         # correspondence transforms in the two directions
-        k_hx = exp_even(poincare_class(self.pa_hx, POINCARE_SIGN_HAT_FIRST))
-        k_xy = exp_even(poincare_class(self.pa_xy, POINCARE_SIGN_UN_FIRST))
-        self.phi_hat_to_un = fm_along(self.pa_hx, k_hx)   # H*(Xhat)->H*(X)
-        self.phi_un_to_hat = fm_along(self.pa_xy, k_xy)   # H*(X)->H*(Xhat)
-        sgn = self.tower.one() if n % 2 == 0 else -self.tower.one()
-        self.phi_hat_to_un_inv = antipode(sy).compose(self.phi_un_to_hat).scale(sgn)
-        self.phi_un_to_hat_inv = antipode(sx).compose(self.phi_hat_to_un).scale(sgn)
-        self.phi_hat_to_un.inverse = self.phi_hat_to_un_inv
-        self.phi_un_to_hat.inverse = self.phi_un_to_hat_inv
+        self.phi_hat_to_un = complement_transform(sy, sx, POINCARE_SIGN_HAT_FIRST)  # H*(Xhat)->H*(X)
+        self.phi_un_to_hat = complement_transform(sx, sy, POINCARE_SIGN_UN_FIRST)   # H*(X)->H*(Xhat)
+        # phi_hat_to_un is a signed bijection of monomials, y_(U^c) -> eps x_U
+        # with eps = +-1, so its inverse sends x_U to eps y_(U^c)
+        fwd = self.phi_hat_to_un
+
+        def inverse(mask):
+            comp = sx.top_mask ^ mask
+            return Multivector._nonzero(sy, {comp: fwd.image_of_mask(comp).terms[mask]})
+
+        self.phi_hat_to_un_inv = TransformMap(sx, sy, inverse)
         self._phiH = None
         self._chevalley = None
 
@@ -193,83 +171,67 @@ class OrlovTransform:
 
     # -- shear automorphism ---------------------------------------------------
 
-    def shear(self, sign: int) -> TransformMap:
-        """Multiplicative extension of the pullback of (x, y) -> (x + sign y, y).
+    def shear(self) -> TransformMap:
+        """The pullback of the shear mu: (x, y) -> (x + y, y), which sends
+        g_i to g_i + h_i and h_i to h_i, extended multiplicatively.
 
-        sign = 1 is the pullback of the shear mu, sign = -1 that of its
-        inverse, which is mu's pushforward.
+        In prod_(i in m1) (g_i + h_i), choosing h_i for i in T leaves
+        g_(m1-T) h_T after merge(m1 - T, T) transpositions (each h_i passes
+        the later g_j), and h_T ^ h_(m2) = (-1)^merge(T, m2) h_(T|m2) when T
+        misses m2, else 0.  So g_(m1) h_(m2) goes to the sum over T in
+        m1 - m2 of (-1)^(merge(m1 - T, T) + merge(T, m2)) g_(m1-T) h_(T|m2).
         """
         pa = self.pa_xx
+        m = shift = pa.shift
         one = self.tower.one()
-        sone = one if sign > 0 else -one
+        signs = (one, -one)
 
         def fn(mask):
             m1, m2 = pa.split_mask(mask)
-            out = pa.space.one()
-            mm = m1
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                g = Multivector(pa.space, {1 << i: one, 1 << (pa.shift + i): sone})
-                out = wedge(out, g)
-                mm &= mm - 1
-            mm = m2
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                out = wedge(out, Multivector(pa.space, {1 << (pa.shift + i): one}))
-                mm &= mm - 1
-            return out
+            free = m1 & ~m2
+            below2 = below_parity(m2, m)
+            out = {}
+            t = free
+            while True:  # every subset t of free, down to 0
+                rest = m1 ^ t
+                parity = (rest & below_parity(t, m)).bit_count() + (t & below2).bit_count()
+                out[rest | ((t | m2) << shift)] = signs[parity & 1]
+                if not t:
+                    return Multivector._nonzero(pa.space, out)
+                t = (t - 1) & free
 
         return TransformMap(pa.space, pa.space, fn)
 
     # -- the derived-equivalence shadow ----------------------------------------
 
     def phiH(self) -> TransformMap:
-        """H*(X x X) -> H*(X x Xhat): inverse of mu_* after (id (x) Phi_P)."""
+        """H*(X x X) -> H*(X x Xhat): inverse of mu_* after (id (x) Phi_P),
+        i.e. the shear pullback, then Phi_P's inverse on the second factor."""
         if self._phiH is not None:
             return self._phiH
-        pa_xx, pa_xy = self.pa_xx, self.pa_xy
-        mu_pull, mu_push = self.shear(1), self.shear(-1)
-        t_inv = self.phi_hat_to_un_inv
+        split, shift, space = self.pa_xx.split_mask, self.pa_xy.shift, self.pa_xy.space
+        mu_pull, t_inv = self.shear(), self.phi_hat_to_un_inv
 
         def fn(mask):
-            sheared = mu_pull.image_of_mask(mask)
-            out = pa_xy.space.zero()
-            for m, c in sheared.terms.items():
-                m1, m2 = pa_xx.split_mask(m)
-                img = t_inv.image_of_mask(m2)  # second factor X -> Xhat
-                out = out + Multivector(
-                    pa_xy.space,
-                    {m1 | (mm << pa_xy.shift): cc * c for mm, cc in img.terms.items()},
-                )
-            return out
+            # t_inv sends each monomial to one signed monomial, and the shear
+            # image's monomials are distinct, so every key below is new
+            out = {}
+            for m, c in mu_pull.image_of_mask(mask).terms.items():
+                m1, m2 = split(m)
+                (mm, cc), = t_inv.image_of_mask(m2).terms.items()
+                out[m1 | (mm << shift)] = cc * c
+            return Multivector._nonzero(space, out)
 
-        fwd = TransformMap(pa_xx.space, pa_xy.space, fn)
-
-        def fn_inv(mask):
-            m1, m2 = pa_xy.split_mask(mask)
-            img = self.phi_hat_to_un.image_of_mask(m2)
-            back = Multivector(
-                pa_xx.space,
-                {m1 | (mm << pa_xx.shift): cc for mm, cc in img.terms.items()},
-            )
-            return mu_push(back)
-
-        inv = TransformMap(pa_xy.space, pa_xx.space, fn_inv)
-        fwd.inverse = inv
-        inv.inverse = fwd
-        self._phiH = fwd
-        return fwd
+        self._phiH = TransformMap(self.pa_xx.space, space, fn)
+        return self._phiH
 
     def id_tensor_tau(self) -> TransformMap:
         pa = self.pa_xx
+        signs = (self.tower.one(), -self.tower.one())
 
         def fn(mask):
-            m1, m2 = pa.split_mask(mask)
-            k = bin(m2).count("1")
-            c = self.tower.one()
-            if (k * (k - 1) // 2) & 1:
-                c = -c
-            return Multivector(pa.space, {mask: c})
+            k = pa.split_mask(mask)[1].bit_count()
+            return Multivector._nonzero(pa.space, {mask: signs[k * (k - 1) // 2 & 1]})
 
         return TransformMap(pa.space, pa.space, fn)
 
@@ -280,9 +242,7 @@ class OrlovTransform:
         the derivation action of the same generator on the target.
         """
         phi = self.phiH()
-        twist = exp_even(
-            poincare_class(self.pa_xy, -PHI_TILDE_TWIST_SIGN).scale(Fraction(1, 2))
-        )
+        twist = exp_even(poincare_class(self.pa_xy, -PHI_TILDE_TWIST_SIGN).scale(Fraction(1, 2)))
         idt = self.id_tensor_tau()
 
         def fn(mask):
@@ -296,9 +256,7 @@ class OrlovTransform:
         """s (x) s' -> the Clifford element acting as lam -> (s', lam)_S s."""
         if self._chevalley is not None:
             return self._chevalley
-        pa = self.pa_xx
-        sx = self.sx
-        one = self.tower.one()
+        pa, sx, one = self.pa_xx, self.sx, self.tower.one()
 
         def fn(mask):
             m1, m2 = pa.split_mask(mask)
@@ -380,6 +338,4 @@ def bb_decompose(orlov: OrlovTransform, ell_by_type: dict, c: Multivector):
 
 def pi_to_weil(orlov: OrlovTransform, d: int, gamma: Multivector) -> Multivector:
     """Degree-d graded piece of the transform of (id (x) tau)(gamma)."""
-    phi = orlov.phiH()
-    idt = orlov.id_tensor_tau()
-    return phi(idt(gamma)).degree_part(d)
+    return orlov.phiH()(orlov.id_tensor_tau()(gamma)).degree_part(d)

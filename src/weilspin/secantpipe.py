@@ -711,7 +711,6 @@ class _Runner:
                 good &= orl.phi_un_to_hat(orl.phi_hat_to_un(b)) == b.scale(sgn * (-1) ** k)
                 a = Multivector(orl.sx, {mask: self.datum.tower.one()})
                 good &= orl.phi_hat_to_un(orl.phi_un_to_hat(a)) == a.scale(sgn * (-1) ** k)
-            # projection formula for the pushforward
             wit[f"n={n_small}"] = good
             ok &= good
         return ok, wit

@@ -102,3 +102,84 @@ def pure_spinor_solve(w, space):
     assert len(kernel) == 1, f"spinor solution space has dimension {len(kernel)}, not 1"
     lam = Multivector(space.sspace, dict(enumerate(kernel[0])))
     return lam.scale(lam.terms[min(lam.terms)].inv())
+
+
+def embed_first(pa, mv):
+    """A class on the first factor of the product algebra `pa`, pulled back to the product."""
+    from weilspin.exteralg import Multivector
+
+    if mv.space != pa.first:
+        raise ValueError("not a first-factor element")
+    return Multivector(pa.space, dict(mv.terms))
+
+
+def pushforward_first(pa, mv):
+    """Integrate over the first factor of `pa`: the coefficient of its top monomial."""
+    from weilspin.exteralg import Multivector
+
+    out = {}
+    for m, c in mv.terms.items():
+        m1, m2 = pa.split_mask(m)
+        if m1 == pa.first.top_mask:
+            out[m2] = c
+    return Multivector(pa.second, out)
+
+
+def fm_along_reference(pa, sign):
+    """Reference for `fmtransform.complement_transform(pa.first, pa.second, sign)`:
+    pull back, wedge with the kernel exp(poincare_class(pa, sign)), integrate
+    over the first factor."""
+    from weilspin.exteralg import Multivector, exp_even, wedge
+    from weilspin.fmtransform import TransformMap, poincare_class
+
+    kernel = exp_even(poincare_class(pa, sign))
+    one = pa.space.tower.one()
+
+    def fn(mask):
+        return pushforward_first(pa, wedge(embed_first(pa, Multivector(pa.first, {mask: one})), kernel))
+
+    return TransformMap(pa.first, pa.second, fn)
+
+
+def shear_reference(orl, sign):
+    """Reference for `OrlovTransform.shear`: the pullback of (x, y) -> (x + sign y, y)
+    on H*(X x X), one `wedge` per generator of the monomial.  sign = -1 gives
+    the pullback of mu's inverse, which is mu's pushforward."""
+    from weilspin.exteralg import Multivector, wedge
+    from weilspin.fmtransform import TransformMap
+
+    pa = orl.pa_xx
+    one = orl.tower.one()
+    sone = one if sign > 0 else -one
+
+    def fn(mask):
+        m1, m2 = pa.split_mask(mask)
+        out = pa.space.one()
+        for i in range(pa.shift):
+            if m1 >> i & 1:
+                out = wedge(out, Multivector(pa.space, {1 << i: one, 1 << (pa.shift + i): sone}))
+        for i in range(pa.shift):
+            if m2 >> i & 1:
+                out = wedge(out, Multivector(pa.space, {1 << (pa.shift + i): one}))
+        return out
+
+    return TransformMap(pa.space, pa.space, fn)
+
+
+def phiH_inverse_reference(orl):
+    """The inverse of `OrlovTransform.phiH`, H*(X x Xhat) -> H*(X x X): the
+    kernel transform Xhat -> X of `fm_along_reference` on the second factor,
+    then mu's pushforward `shear_reference(orl, -1)`."""
+    from weilspin.exteralg import Multivector
+    from weilspin.fmtransform import POINCARE_SIGN_HAT_FIRST, ProductAlgebra, TransformMap
+
+    pa_xx, pa_xy = orl.pa_xx, orl.pa_xy
+    hat_to_un = fm_along_reference(ProductAlgebra(orl.sy, orl.sx), POINCARE_SIGN_HAT_FIRST)
+    mu_push = shear_reference(orl, -1)
+
+    def fn(mask):
+        m1, m2 = pa_xy.split_mask(mask)
+        img = hat_to_un.image_of_mask(m2)
+        return mu_push(Multivector(pa_xx.space, {m1 | (mm << pa_xx.shift): cc for mm, cc in img.terms.items()}))
+
+    return TransformMap(pa_xy.space, pa_xx.space, fn)

@@ -285,6 +285,16 @@ def test_special_operands_match_reference(tower, ca, s, t):
             for op, (got, want) in results.items():
                 assert coords_of(got) == want, (op, s)
                 assert_canonical(got)
+        # sign flips skip the gcd: each matches the reference, and its (n, d)
+        # is that of a freshly reduced element
+        for b, rb in ((a, ra), (tower.scalar(s), rs)):
+            flips = {"neg": (-b, tuple(-v for v in rb)), "iota": (b.iota(), (rb[0], rb[1], -rb[2], -rb[3]))}
+            for sp in (1, -1):
+                for sq in (1, -1):
+                    flips[(sp, sq)] = (Embedding(sp, sq)(b), (rb[0], sp * rb[1], sq * rb[2], sp * sq * rb[3]))
+            for op, (got, want) in flips.items():
+                fresh = FieldElem(tower, got.n, got.d)
+                assert coords_of(got) == want and (got.n, got.d) == (fresh.n, fresh.d), (op, s)
     # 1 and -1 are their own inverses, returned without arithmetic
     for x in (tower.one(), -tower.one(), tower.scalar(1), tower.scalar(-1)):
         assert x.inv() is x

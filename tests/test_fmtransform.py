@@ -13,10 +13,18 @@ from weilspin.fmtransform import (
     filtration_level,
     pi_to_weil,
     poincare_class,
+    POINCARE_SIGN_HAT_FIRST,
     POINCARE_SIGN_UN_FIRST,
 )
 
-from conftest import rand_mv
+from conftest import (
+    embed_first,
+    fm_along_reference,
+    phiH_inverse_reference,
+    pushforward_first,
+    rand_mv,
+    shear_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +37,13 @@ def test_pushforward_normalization(orl1, rng):
     for _ in range(8):
         b = rand_mv(rng, pa.second, 3)
         full = wedge(
-            pa.embed_first(Multivector(pa.first, {pa.first.top_mask: pa.space.tower.one()})),
+            embed_first(pa, Multivector(pa.first, {pa.first.top_mask: pa.space.tower.one()})),
             pa.box(pa.first.one(), b),
         )
-        assert pa.pushforward_first(full) == b
+        assert pushforward_first(pa, full) == b
         # nothing survives without the full top of the integrated factor
         partial = pa.box(pa.first.one(), b)
-        assert pa.pushforward_first(partial).is_zero()
+        assert pushforward_first(pa, partial).is_zero()
 
 
 def test_projection_formula(orl1, rng):
@@ -43,8 +51,8 @@ def test_projection_formula(orl1, rng):
     for _ in range(10):
         c = rand_mv(rng, pa.second, 3)   # class on the target factor
         a = rand_mv(rng, pa.space, 4)    # class on the product
-        lhs = pa.pushforward_first(wedge(pa.box(pa.first.one(), c), a))
-        rhs_parts = pa.pushforward_first(a)
+        lhs = pushforward_first(pa, wedge(pa.box(pa.first.one(), c), a))
+        rhs_parts = pushforward_first(pa, a)
         # pullback(c) ^ a pushes to c ^ pushforward(a), degree by degree
         assert lhs == wedge(c, rhs_parts)
 
@@ -91,14 +99,46 @@ def test_mukai_inversion(n):
 
 def test_phiH_regression_and_roundtrip(orl1, rng):
     phi = orl1.phiH()
+    inverse = phiH_inverse_reference(orl1)
     # frozen: the unit class maps to the top of the dual block
     img = phi.image_of_mask(0)
     assert img == Multivector(orl1.pa_xy.space, {0b1100: orl1.tower.one()})
     for _ in range(10):
         c = rand_mv(rng, orl1.pa_xx.space, 4)
-        assert phi.inverse(phi(c)) == c
+        assert inverse(phi(c)) == c
         u = rand_mv(rng, orl1.pa_xy.space, 4)
-        assert phi(phi.inverse(u)) == u
+        assert phi(inverse(u)) == u
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tower", [TowerSpec(1, 1), TowerSpec(2, 1)], ids=str)
+def test_closed_forms_match_references(n, tower):
+    # every monomial: the signed complements against the kernel integrals, the
+    # inverse against phi_hat_to_un, and the signed subset sum against the
+    # per-generator wedge product
+    orl = OrlovTransform(n, tower)
+    hat_to_un = fm_along_reference(ProductAlgebra(orl.sy, orl.sx), POINCARE_SIGN_HAT_FIRST)
+    un_to_hat = fm_along_reference(orl.pa_xy, POINCARE_SIGN_UN_FIRST)
+    for mask in range(1 << (2 * n)):
+        assert orl.phi_hat_to_un.image_of_mask(mask) == hat_to_un.image_of_mask(mask)
+        assert orl.phi_un_to_hat.image_of_mask(mask) == un_to_hat.image_of_mask(mask)
+        y = Multivector(orl.sy, {mask: tower.one()})
+        assert orl.phi_hat_to_un_inv(orl.phi_hat_to_un(y)) == y
+        x = Multivector(orl.sx, {mask: tower.one()})
+        assert orl.phi_hat_to_un(orl.phi_hat_to_un_inv(x)) == x
+    shear, reference = orl.shear(), shear_reference(orl, 1)
+    for mask in range(1 << (4 * n)):
+        assert shear.image_of_mask(mask) == reference.image_of_mask(mask)
+
+
+def test_phiH_matches_reference_inverse():
+    # the signs do not depend on the tower, so one tower at n = 3; the reference
+    # inverse is a bijection, so inverting phiH's image of a monomial tests the image
+    orl = OrlovTransform(3, TowerSpec(1, 1))
+    phi, inverse = orl.phiH(), phiH_inverse_reference(orl)
+    for mask in range(1 << 12):
+        x = Multivector(orl.pa_xx.space, {mask: orl.tower.one()})
+        assert inverse(phi(x)) == x
 
 
 @pytest.mark.parametrize("n", [1, 2])
