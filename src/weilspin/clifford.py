@@ -156,26 +156,6 @@ def clifford_mul(a: Multivector, b: Multivector, space: HyperbolicSpace) -> Mult
     return Multivector(space.vspace, out)
 
 
-def main_involution(a: Multivector) -> Multivector:
-    """Negate the odd part of C(V)."""
-    return Multivector(
-        a.space,
-        {m: -c if bin(m).count("1") & 1 else c for m, c in a.terms.items()},
-    )
-
-
-def main_antiinvolution(a: Multivector, space: HyperbolicSpace) -> Multivector:
-    """Reverse each monomial v_1...v_r to v_r...v_1 and re-normal-order."""
-    out = space.vspace.zero()
-    for mask, coeff in a.terms.items():
-        gens = [i for i in range(4 * space.n) if mask >> i & 1]
-        prod = space.vspace.one()
-        for g in reversed(gens):
-            prod = clifford_mul(prod, space.vspace.gen(g), space)
-        out = out + prod.scale(coeff)
-    return out
-
-
 def vector_rep_reflection(space: HyperbolicSpace, v, w) -> list:
     """rho_v(w) = v.w.v^(-1) in C(V) for (v,v) = +-2, restricted to V.
 

@@ -167,11 +167,6 @@ class Multivector:
     def map_coefficients(self, f) -> "Multivector":
         return Multivector(self.space, {m: f(c) for m, c in self.terms.items()})
 
-    def to_json(self) -> list:
-        return [
-            {"mask": m, "coeff": self.terms[m].to_json()} for m in sorted(self.terms)
-        ]
-
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """The exterior product.  As e_mb ^ e_ma = (-1)^(|ma| |mb|) e_ma ^ e_mb, the

@@ -365,10 +365,6 @@ class FieldElem:
             out.append([x // g, self.d // g])
         return out
 
-    @classmethod
-    def from_json(cls, tower: TowerSpec, data) -> "FieldElem":
-        return tower.elem(*[parse_rational(x) for x in data])
-
 
 class Embedding:
     """An embedding of K into C at desk scale: a pair of sign flips.

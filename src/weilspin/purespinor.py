@@ -54,9 +54,6 @@ class IsotropicSubspace:
     def map_rows(self, f) -> "IsotropicSubspace":
         return IsotropicSubspace(self.space, [[f(x) for x in row] for row in self.basis])
 
-    def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self.basis]
-
 
 def annihilator(lam: Multivector, space: HyperbolicSpace) -> IsotropicSubspace:
     """The subspace of V over the tower field annihilating a nonzero spinor."""

@@ -48,37 +48,23 @@ from .purespinor import annihilator, is_pure, pure_spinor_of
 from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree, hermitian_form
 
 
-class SheafClass:
-    """A coherent sheaf represented by its Chern character."""
-
-    __slots__ = ("ch",)
-
-    def __init__(self, ch: Multivector):
-        self.ch = ch
-
-    @property
-    def rank(self):
-        return self.ch.terms.get(0, self.ch.space.tower.zero())
-
-    def dual(self) -> "SheafClass":
-        return SheafClass(tau(self.ch))
-
-
-def preset_ch_ideal_curves(ws: WeilStructure) -> SheafClass:
+def preset_ch_ideal_curves(ws: WeilStructure) -> Multivector:
     """Chern character of the twisted ideal sheaf of translated curves.
 
     For the principal sixfold presets this is alpha + beta, which lies in
-    the secant space with coordinates (1, 1) and has rank one.
+    the secant space with coordinates (1, 1) and has rank one (its degree-0
+    coefficient); the character of the dual sheaf is its `tau`.
     """
-    return SheafClass(ws.alpha + ws.beta)
+    return ws.alpha + ws.beta
 
 
-def transform_pair(orl: OrlovTransform, c1: SheafClass, c2: SheafClass, variant: str) -> Multivector:
-    """Transform of a boxed pair; degree-0 part of the result is the rank."""
+def transform_pair(orl: OrlovTransform, c1: Multivector, c2: Multivector, variant: str) -> Multivector:
+    """Transform of a boxed pair of Chern characters; degree-0 part of the
+    result is the rank."""
     if variant == "E":
-        boxed = orl.box(c1.ch, tau(c2.ch))
+        boxed = orl.box(c1, tau(c2))
     elif variant == "G":
-        boxed = orl.box(c2.ch, c1.ch)
+        boxed = orl.box(c2, c1)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return orl.phiH()(boxed)
@@ -140,10 +126,6 @@ def nonvanish_from_tensor(ws: WeilStructure, orl: OrlovTransform, tensor: Multiv
         if not acc.is_zero():
             return True
     return False
-
-
-def nonvanish_criterion(ws: WeilStructure, orl: OrlovTransform, c1: SheafClass, c2: SheafClass) -> bool:
-    return nonvanish_from_tensor(ws, orl, orl.box(c1.ch, c2.ch))
 
 
 # -- presets --------------------------------------------------------------------
@@ -314,7 +296,7 @@ class _Runner:
     # -- the sheaf chain, computed once and shared by the pipeline checks -------
 
     @cached_property
-    def _ch(self) -> SheafClass:
+    def _ch(self) -> Multivector:
         return preset_ch_ideal_curves(self.ws)
 
     @cached_property
@@ -833,20 +815,20 @@ class _Runner:
     def _secant_chern(self):
         tow = self.datum.tower
         ch = self._ch
-        ok = in_span(self.ws.B, ch.ch)
-        ok &= ch.rank == tow.one()
+        ok = in_span(self.ws.B, ch)
+        ok &= ch.terms.get(0) == tow.one()  # rank one
         # coordinates (1, 1) against (alpha, beta)
-        sol = coordinates([self.ws.alpha, self.ws.beta], ch.ch)
+        sol = coordinates([self.ws.alpha, self.ws.beta], ch)
         ok &= sol is not None and sol[0] == tow.one() and sol[1] == tow.one()
         return ok, {"coords": [str(x) for x in (sol or [])]}
 
     @_check("pipeline.dual", "dual character", _sheaf_chain)
     def _dual(self):
         ch = self._ch
-        dual = ch.dual()
-        ok = dual.ch == self.ws.alpha - self.ws.beta
-        ok &= dual.dual().ch == ch.ch
-        ok &= in_span(self.ws.B, dual.ch)
+        dual = tau(ch)
+        ok = dual == self.ws.alpha - self.ws.beta
+        ok &= tau(dual) == ch
+        ok &= in_span(self.ws.B, dual)
         return ok, {}
 
     # The expected ranks come from the spinor pairing, not from the transform:
@@ -857,7 +839,7 @@ class _Runner:
     @_check("pipeline.rank", "transform rank", _sheaf_chain)
     def _rank(self):
         tow = self.datum.tower
-        ch = self._ch.ch
+        ch = self._ch
         r = self._g.terms.get(0, tow.zero()).as_rational()
         expected = abs(s_pairing(tau(ch), ch).as_rational())
         return abs(r) == expected, {"rank": str(r), "expected_abs": str(expected)}
@@ -867,7 +849,7 @@ class _Runner:
         tow = self.datum.tower
         ch = self._ch
         r = transform_pair(self.orl, ch, ch, "E").terms.get(0, tow.zero()).as_rational()
-        return abs(r) == abs(s_pairing(ch.ch, ch.ch).as_rational()), {"rank": str(r)}
+        return abs(r) == abs(s_pairing(ch, ch).as_rational()), {"rank": str(r)}
 
     @_check("pipeline.kappa-invariant", "normalized character is invariant", _sheaf_chain)
     def _kappa_invariant(self):
@@ -887,7 +869,7 @@ class _Runner:
 
     @_check("pipeline.nonvanish", "overlap-one component criterion", _sheaf_chain)
     def _nonvanish(self):
-        ok = nonvanish_criterion(self.ws, self.orl, self._ch, self._ch)
+        ok = nonvanish_from_tensor(self.ws, self.orl, self.orl.box(self._ch, self._ch))
         # degenerate tensor inside the overlap-zero part must fail the criterion
         types = self.ws.cm_types
         t_plus = types[0]

@@ -8,8 +8,10 @@ spinor with its rational halves and the subspace W; the complex
 multiplication eta of K on V = H1(X) + H1(Xhat); the rational secant
 space B, the alternating forms Xi_t and hermitian forms H_t, the Weil
 subspace of middle exterior degree, and the annihilator Lie algebra g_B of
-the secant space.  Every construction is exact; each derived object carries
-enough data for the verification checks in `verify_*` functions.
+the secant space.  Every construction is exact.  The CM stage is a set of
+closed forms in (Theta, q): eta(sqrt(-q)) is (x, y) -> (-q Theta y,
+Theta^-1 x), each character space V_sigma is read off W or iota(W), and the
+rational halves of the spinor are its coordinates; none solves a system.
 
 Group-level invariance statements are verified at the Lie-algebra level
 throughout: g_B is cut out by the spin action (with its normal-ordering
@@ -43,6 +45,7 @@ from .fieldtower import (
     TowerSpec,
     enumerate_cm_types,
     f_embeddings,
+    k_embeddings,
     parse_rational,
 )
 from .purespinor import IsotropicSubspace
@@ -121,8 +124,8 @@ class WeilDatum:
         gram = linalg.mat_mul(linalg.mat_mul(half, self.theta_f, t), [list(c) for c in zip(*half)], t)
         if any(not x.is_zero() for row in gram for x in row):
             raise ValueError("first half of dual_f_basis is not Theta-isotropic")
-        # W, the graph of b = sqrt(-q) Theta (`build_W`), meets iota(W), the
-        # graph of -b, in the c with iota_c Theta = 0; CmAction needs V = W + iota(W)
+        # eta(sqrt(-q)), which sends (x, y) to (-q Theta y, Theta^-1 x), needs
+        # Theta^-1 (`CmAction`)
         if linalg.rank(self.theta_q_matrix(), t) < dim:
             raise ValueError("Theta is degenerate")
 
@@ -157,16 +160,12 @@ class WeilDatum:
 
 
 def build_spinor(expo: Multivector):
-    """The rational halves (alpha, beta) of expo = alpha + sqrt(-q) beta."""
-    rq = expo.space.tower.sqrt_minus_q()
-    conj = expo.map_coefficients(lambda c: c.iota())
-    alpha = (expo + conj).scale(Fraction(1, 2))
-    beta = (expo - conj).scale(rq.inv() * Fraction(1, 2))
-    for mv in (alpha, beta):
-        for c in mv.terms.values():
-            if not c.is_rational():
-                raise ValueError("alpha/beta failed to be rational")
-    return alpha, beta
+    """The rational halves (alpha, beta) of expo = alpha + sqrt(-q) beta.
+
+    expo = exp(sqrt(-q) Theta) with Theta rational has its coefficients in
+    Q(sqrt(-q)), so alpha and beta are its 1 and sqrt(-q) coordinates."""
+    parts = rational_parts(expo)
+    return parts[0], parts[2]
 
 
 def build_W(space: HyperbolicSpace, b: Multivector) -> IsotropicSubspace:
@@ -186,32 +185,39 @@ def build_W(space: HyperbolicSpace, b: Multivector) -> IsotropicSubspace:
 
 
 class CmAction:
-    """The embedding of K into rational endomorphisms of V."""
+    """The embedding eta of K into rational endomorphisms of V = H1(X) + H1(Xhat).
 
-    __slots__ = ("datum", "space", "mats", "_of")
+    On (x, y), x in the x-block and y in the y-block, eta(sqrt(-q))(x, y) =
+    (-q Theta y, Theta^-1 x) for the rational Theta of
+    `WeilDatum.theta_q_matrix`.  W has rows (-sqrt(-q) Theta[j], e_j) and
+    iota(W) rows (sqrt(-q) Theta[j], e_j) (`build_W`), so
+    v = sum c_j w_j + sum d_j iota(w_j) has y = c + d and
+    x = sqrt(-q) Theta (c - d).  eta(sqrt(-q)) multiplies the W part by
+    sqrt(-q) and the iota(W) part by -sqrt(-q): the image has y-part
+    sqrt(-q) (c - d) = Theta^-1 x and x-part sqrt(-q) Theta sqrt(-q) (c + d)
+    = -q Theta y.  eta(sqrt(p)) is eta_hat on the x-block and its adjoint on
+    the y-block.
+    """
 
-    def __init__(self, datum: WeilDatum, space: HyperbolicSpace, w: IsotropicSubspace):
+    __slots__ = ("datum", "mats", "_of")
+
+    def __init__(self, datum: WeilDatum):
         self.datum = datum
-        self.space = space
         t = datum.tower
         dim = 4 * datum.n
         n2 = 2 * datum.n
-        # sqrt(-q) acts by sqrt(-q) on W and by -sqrt(-q) on iota(W): in the
-        # basis of M's columns, the rows of W then of iota(W), it is diagonal
-        cols = w.basis + [[c.iota() for c in row] for row in w.basis]
-        m = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        rq, zero = t.sqrt_minus_q(), t.zero()
-        diag = [[(rq if i < n2 else -rq) if i == j else zero for j in range(dim)] for i in range(dim)]
-        eta_rq = linalg.mat_mul(linalg.mat_mul(m, diag, t), linalg.mat_inverse(m, t), t)
-        if not all(x.is_rational() for row in eta_rq for x in row):
-            raise ValueError("eta_sqrt(-q) failed to be rational")
+        theta = datum.theta_q_matrix()
+        theta_inv = linalg.mat_inverse(theta, t)
+        minus_q = t.scalar(-t.q)
+        eta_rq, eta_rp = ([[t.zero()] * dim for _ in range(dim)] for _ in range(2))
+        for i in range(n2):
+            for j in range(n2):
+                eta_rq[i][n2 + j] = theta[i][j] * minus_q
+                eta_rq[n2 + i][j] = theta_inv[i][j]
+                eta_rp[i][j] = datum.eta_hat[i][j]
+                eta_rp[n2 + i][n2 + j] = datum.eta_hat[j][i]
         mats = {"1": linalg.identity_matrix(dim, t), "rq": eta_rq}
         if t.p != 1:
-            eta_rp = [[zero] * dim for _ in range(dim)]
-            for i in range(n2):
-                for j in range(n2):
-                    eta_rp[i][j] = datum.eta_hat[i][j]
-                    eta_rp[n2 + i][n2 + j] = datum.eta_hat[j][i]  # adjoint on the dual block
             mats["rp"] = eta_rp
             mats["rprq"] = linalg.mat_mul(eta_rp, eta_rq, t)
         self.mats = mats
@@ -251,9 +257,9 @@ class CmAction:
         return basis
 
 
-def build_eta(datum: WeilDatum, space: HyperbolicSpace, w: IsotropicSubspace) -> CmAction:
+def build_eta(datum: WeilDatum) -> CmAction:
     """The CM stage of the build; `perfbench/tracer.py` times it under this name."""
-    return CmAction(datum, space, w)
+    return CmAction(datum)
 
 
 def theta_cm_twist(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType) -> Multivector:
@@ -286,32 +292,34 @@ def build_B(space: HyperbolicSpace, spinors):
     return span_basis([part for ell in spinors for part in rational_parts(ell)])
 
 
-def eigenspace(space: HyperbolicSpace, eta: CmAction, sigma: Embedding):
-    """V_sigma: the subspace of V (x) Ktilde where eta acts through sigma."""
-    t = space.tower
-    dim = space.dim_v
-    rows = []
-    rq = t.sqrt_minus_q()
-    m = linalg.mat_sub(eta.mats["rq"], linalg.mat_scale(linalg.identity_matrix(dim, t), sigma(rq)))
-    rows.extend(m)
-    if t.p != 1:
-        rp = t.sqrt_p()
-        m2 = linalg.mat_sub(eta.mats["rp"], linalg.mat_scale(linalg.identity_matrix(dim, t), sigma(rp)))
-        rows.extend(m2)
-    return linalg.nullspace(rows, dim, t)
+def eigenspace(w: IsotropicSubspace, eta: CmAction, sigma: Embedding):
+    """V_sigma, the subspace of V (x) Ktilde where eta acts through sigma, as a
+    reduced echelon basis.
+
+    eta(sqrt(-q)) is sqrt(-q) on W and -sqrt(-q) on iota(W) (`CmAction`), so
+    V_sigma lies in W when sigma(sqrt(-q)) = sqrt(-q), else in iota(W).
+    eta(sqrt(p)) commutes with eta(sqrt(-q)), so it preserves both, and
+    (eta(sqrt(p)) - sigma(sqrt(p))) (eta(sqrt(p)) + sigma(sqrt(p))) =
+    eta(p) - p = 0: eta(sqrt(p)) + sigma(sqrt(p)) maps that half onto its
+    sigma(sqrt(p))-eigenspace, which is V_sigma.
+    """
+    t = w.space.tower
+    rows = w.basis if sigma.sign_q == 1 else [[c.iota() for c in row] for row in w.basis]
+    if t.p == 1:
+        return rows
+    rp = sigma(t.sqrt_p())
+    return linalg.rref([[x + rp * y for x, y in zip(linalg.mat_vec(eta.mats["rp"], row, t), row)]
+                        for row in rows], t)[0]
 
 
-def build_HW(datum: WeilDatum, space: HyperbolicSpace, eta: CmAction):
+def build_HW(datum: WeilDatum, w: IsotropicSubspace, eta: CmAction):
     """Rational form of the sum of the top powers of the eta-character spaces,
     as a canonical basis of multivectors on V."""
-    from .fieldtower import k_embeddings
-
-    t = datum.tower
-    d = datum.d
+    space = w.space
     lines = []
-    for sigma in k_embeddings(t):
-        basis = eigenspace(space, eta, sigma)
-        if len(basis) != d:
+    for sigma in k_embeddings(datum.tower):
+        basis = eigenspace(w, eta, sigma)
+        if len(basis) != datum.d:
             raise ValueError("eta character space has wrong dimension")
         mv = space.vspace.one()
         for row in basis:
@@ -506,9 +514,9 @@ class WeilStructure:
         self.theta = theta_cm_twist(datum, self.space, plus)
         self.exp_spinor, self.W = self.ell[plus], self.WT[plus]
         self.alpha, self.beta = build_spinor(self.exp_spinor)
-        self.eta = build_eta(datum, self.space, self.W)
+        self.eta = build_eta(datum)
         self.B = build_B(self.space, [self.ell[T] for T in self.cm_types])
-        self.HW = build_HW(datum, self.space, self.eta)
+        self.HW = build_HW(datum, self.W, self.eta)
         self.a2_elements = []
         self.a2_forms = []
         for t_el in self.eta.k_minus_basis():

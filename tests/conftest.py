@@ -183,3 +183,63 @@ def phiH_inverse_reference(orl):
         return mu_push(Multivector(pa_xx.space, {m1 | (mm << pa_xx.shift): cc for mm, cc in img.terms.items()}))
 
     return TransformMap(pa_xy.space, pa_xx.space, fn)
+
+
+def eta_rq_reference(datum, w):
+    """Reference for `weilcm.CmAction`'s eta(sqrt(-q)): M D M^-1, where M has
+    as columns the rows of W then those of iota(W), and D is diagonal with
+    sqrt(-q) on the W columns and -sqrt(-q) on the others; an exact inverse
+    of a 4n x 4n matrix over the tower field."""
+    from weilspin import linalg
+
+    t = datum.tower
+    dim, n2 = 4 * datum.n, 2 * datum.n
+    cols = w.basis + [[c.iota() for c in row] for row in w.basis]
+    m = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    rq, zero = t.sqrt_minus_q(), t.zero()
+    diag = [[(rq if i < n2 else -rq) if i == j else zero for j in range(dim)] for i in range(dim)]
+    return linalg.mat_mul(linalg.mat_mul(m, diag, t), linalg.mat_inverse(m, t), t)
+
+
+def eigenspace_reference(eta, sigma):
+    """Reference for `weilcm.eigenspace`: V_sigma as the joint kernel of
+    eta(sqrt(-q)) - sigma(sqrt(-q)) and, when F != Q, eta(sqrt(p)) - sigma(sqrt(p))."""
+    from weilspin import linalg
+
+    t = eta.datum.tower
+    roots = {"rq": t.sqrt_minus_q(), "rp": t.sqrt_p()} if t.p != 1 else {"rq": t.sqrt_minus_q()}
+    rows = []
+    for key, root in roots.items():
+        s = sigma(root)
+        rows.extend([x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(eta.mats[key]))
+    return linalg.nullspace(rows, 4 * eta.datum.n, t)
+
+
+def random_f_q_datum(rng, n):
+    """A seeded valid datum with F = Q: a polarisation type (d_1|...|d_n),
+    Theta = g^T J_D g for J_D = sum_i d_i y_i ^ y_(i+n) and a unimodular g
+    (a product of elementary column operations), the dual F-basis the
+    columns of g^-1, and q = a/b.  Then b_a^T Theta b_c = J_D[a][c], which
+    is 0 for a, c < n, so the first half of the basis is Theta-isotropic."""
+    from fractions import Fraction
+
+    from weilspin.weilcm import WeilDatum
+
+    dim = 2 * n
+    types = sorted(rng.randint(1, 6) for _ in range(n))
+    theta0 = [[0] * dim for _ in range(dim)]
+    for i, d in enumerate(types):
+        theta0[i][i + n], theta0[i + n][i] = d, -d
+    g = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    ginv = [row[:] for row in g]
+    for _ in range(rng.randint(0, 3 * dim)):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for r in range(dim):
+            g[r][j] += c * g[r][i]  # g <- g (I + c E_ij)
+            ginv[i][r] -= c * ginv[j][r]  # g^-1 <- (I - c E_ij) g^-1
+    theta = [[sum(g[k][a] * theta0[k][l] * g[l][b] for k in range(dim) for l in range(dim))
+              for b in range(dim)] for a in range(dim)]
+    q = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+    return WeilDatum(TowerSpec(1, q), n, [[int(i == j) for j in range(dim)] for i in range(dim)], theta,
+                     [list(col) for col in zip(*ginv)], name=f"random-{'-'.join(map(str, types))}")

@@ -13,8 +13,6 @@ from weilspin.clifford import (
     derivation_int,
     desymbol,
     int_derivation_cols,
-    main_antiinvolution,
-    main_involution,
     symbol,
     vector_rep_reflection,
 )
@@ -134,26 +132,6 @@ def test_mul_associative(n, tower, rng):
         a, b, c = (rand_mv(rng, hs.vspace, 3) for _ in range(3))
         assert clifford_mul(clifford_mul(a, b, hs), c, hs) == clifford_mul(
             a, clifford_mul(b, c, hs), hs
-        )
-
-
-def test_involutions(hs1, rng):
-    x1, y1 = hs1.vspace.gen(0), hs1.vspace.gen(2)
-    x1y1 = clifford_mul(x1, y1, hs1)
-    # one rewriting step: reversal of x1 y1 is y1 x1 = 1 - x1 y1
-    assert main_antiinvolution(x1y1, hs1) == hs1.vspace.one() - x1y1
-    assert main_involution(x1) == -x1
-    for _ in range(8):
-        a = rand_mv(rng, hs1.vspace)
-        # conjugation, the main anti-involution after the main involution, squares to 1
-        conj = main_antiinvolution(main_involution(a), hs1)
-        assert main_antiinvolution(main_involution(conj), hs1) == a
-        assert main_antiinvolution(main_antiinvolution(a, hs1), hs1) == a
-    # the main anti-involution is an algebra anti-homomorphism
-    for _ in range(6):
-        a, b = rand_mv(rng, hs1.vspace, 3), rand_mv(rng, hs1.vspace, 3)
-        assert main_antiinvolution(clifford_mul(a, b, hs1), hs1) == clifford_mul(
-            main_antiinvolution(b, hs1), main_antiinvolution(a, hs1), hs1
         )
 
 

@@ -181,12 +181,6 @@ def test_kunneth_koszul_against_wedge(rng, tiny_tower):
     assert rhs == -kunneth(odd_a, odd_b, joint)
 
 
-def test_serialization_is_mask_sorted(sp2, tiny_tower):
-    mv = wedge(sp2.gen(0), sp2.gen(1)) + sp2.one()
-    data = mv.to_json()
-    assert [d["mask"] for d in data] == [0, 3]
-
-
 def _inversion_sign(a, b):
     """(-1)^(inversions of the index list of a followed by that of b)."""
     order = [i for i in range(a.bit_length()) if a >> i & 1]

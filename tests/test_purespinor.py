@@ -166,8 +166,3 @@ def test_reflection_equivariance(hs1, tiny_tower):
         reflected = [vector_rep_reflection(hs1, v, row) for row in w.basis]
         assert linalg.spans_equal(ann2.basis, reflected, tiny_tower)
 
-
-def test_serialization(hs1):
-    w = annihilator(hs1.sspace.one(), hs1)
-    data = w.to_json()
-    assert len(data) == 2 and len(data[0]) == 4

@@ -1,9 +1,12 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
@@ -12,8 +15,10 @@ from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, tra
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
+    CmAction,
     WeilDatum,
     WeilStructure,
+    build_spinor,
     build_WT,
     eigenspace,
     hermitian_form,
@@ -21,7 +26,13 @@ from weilspin.weilcm import (
     theta_cm_twist,
 )
 
-from conftest import leibniz_derivation, rand_vec
+from conftest import (
+    eigenspace_reference,
+    eta_rq_reference,
+    leibniz_derivation,
+    rand_vec,
+    random_f_q_datum,
+)
 
 
 def _sixfold_inputs(q):
@@ -47,7 +58,7 @@ def test_datum_validation():
     unit = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     with pytest.raises(ValueError, match="not Theta-isotropic"):
         WeilDatum(tow, 3, eta_hat, theta, [unit[i] for i in (0, 1, 4, 3, 2, 5)])
-    # degenerate theta: W would meet its conjugate
+    # degenerate theta: eta(sqrt(-q)) needs Theta^-1
     thin = [[0] * 6 for _ in range(6)]
     thin[0][3] = 1
     thin[3][0] = -1
@@ -215,13 +226,42 @@ def test_wt_family(ws6, ws4):
 def test_eta_eigenspaces(ws4):
     tow = ws4.datum.tower
     for sigma in k_embeddings(tow):
-        basis = eigenspace(ws4.space, ws4.eta, sigma)
+        basis = eigenspace(ws4.W, ws4.eta, sigma)
         assert len(basis) == ws4.d
         rq = ws4.eta.of(tow.sqrt_minus_q())
         for row in basis:
             img = linalg.mat_vec(rq, row, tow)
             scal = sigma(tow.sqrt_minus_q())
             assert img == [scal * x for x in row]
+
+
+def _assert_cm_stage_matches_references(datum):
+    # eta(sqrt(-q)), each V_sigma and (alpha, beta) from their closed forms
+    # against M D M^-1, the joint kernels and the spinor's conjugation halves
+    tow = datum.tower
+    expo, w = build_WT(datum, HyperbolicSpace(datum.n, tow), enumerate_cm_types(tow)[0])
+    eta = CmAction(datum)
+    assert eta.mats["rq"] == eta_rq_reference(datum, w)
+    for sigma in k_embeddings(tow):
+        basis = eigenspace(w, eta, sigma)
+        assert len(basis) == datum.d
+        assert linalg.spans_equal(basis, eigenspace_reference(eta, sigma), tow)
+    alpha, beta = build_spinor(expo)
+    conj = expo.map_coefficients(lambda c: c.iota())
+    assert alpha == (expo + conj).scale(Fraction(1, 2))
+    assert beta == (expo - conj).scale(tow.sqrt_minus_q().inv() * Fraction(1, 2))
+
+
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1"])
+def test_cm_stage_matches_references(source):
+    _assert_cm_stage_matches_references(_datum(source))
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+def test_cm_stage_on_random_data(seed, n):
+    _assert_cm_stage_matches_references(random_f_q_datum(random.Random(seed), n))
 
 
 def test_secant_dimensions(ws6, ws4):
