@@ -4,8 +4,10 @@
     weilspin verify --input datum.json [--check secant]
 
 Exit codes: 0 all checks pass, 1 at least one check fails or an internal
-error (one line `error: internal: <Type>: <message>`), 2 invalid input or a
---check filter that no applicable check name contains.
+error (one line `error: internal: <Type>: <message>`, also for a ValueError
+raised while building the structure or the transforms), 2 an unreadable or
+invalid datum, an unknown preset, or a --check filter that no applicable
+check name contains.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .secantpipe import PRESETS, run_all
+from .secantpipe import PRESETS, InputError, run_all
 from .weilcm import WeilDatum
 
 
@@ -50,7 +52,7 @@ def main(argv=None) -> int:
             return 2
     try:
         report = run_all(target, seed=args.seed, check_filter=args.check)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -7,12 +7,14 @@ y-block, i.e. exterior-algebra data on V with a rewriting product.  The
 generators satisfy v.w + w.v = (v, w) * 1.
 
 The spinor module S is the exterior algebra on the x-block: x's act by
-wedging, y's by contraction (`HyperbolicSpace.gamma`, the one definition
-of the action on basis spinors), so desymbol (operator -> normal-ordered
-element) is Wick extraction by annihilation degree instead of a dense
-matrix inversion.  The product is left multiplication through the same
-`gamma`, since S = C(V)/C(V)Y: it acts on the x-part of a normal-ordered
-monomial, and a y also wedges onto the y-part.
+wedging, y's by contraction.  `HyperbolicSpace.gamma` is the one definition
+of the action on basis spinors, and so of contraction: the interior product
+with sum theta_i x_i^* is the action of sum theta_i y_i.  desymbol
+(operator -> normal-ordered element) is Wick extraction by annihilation
+degree instead of a dense matrix inversion.  The product is left
+multiplication through the same `gamma`, since S = C(V)/C(V)Y: it acts on
+the x-part of a normal-ordered monomial, and a y also wedges onto the
+y-part.
 
 so(V) also acts on the exterior algebra of V by derivations (the
 Fourier-Mukai side).  `DerivationOperators` is the one applier of
@@ -91,14 +93,6 @@ class HyperbolicSpace:
             {1 << i: self.tower.scalar(c) for i, c in enumerate(coords)},
         )
 
-    def mv_to_vector(self, mv: Multivector) -> list:
-        out = [self.tower.zero()] * self.dim_v
-        for m, c in mv.terms.items():
-            if bin(m).count("1") != 1:
-                raise ValueError("not a degree-1 element")
-            out[m.bit_length() - 1] = c
-        return out
-
 
 def clifford_action(elem: Multivector, lam: Multivector, space: HyperbolicSpace) -> Multivector:
     """Apply a normal-ordered element of C(V) to a spinor in S.
@@ -157,20 +151,18 @@ def clifford_mul(a: Multivector, b: Multivector, space: HyperbolicSpace) -> Mult
 
 
 def vector_rep_reflection(space: HyperbolicSpace, v, w) -> list:
-    """rho_v(w) = v.w.v^(-1) in C(V) for (v,v) = +-2, restricted to V.
+    """rho_v(w) = v.w.v^(-1) in C(V) for (v,v) = +-2, as a coordinate vector.
 
-    This is minus the reflection through the hyperplane orthogonal to v.
+    v.w + w.v = (v, w) gives v.w.v = (v, w) v - v.v.w with v.v = (v,v)/2,
+    and v^(-1) = 2v/(v,v), so rho_v(w) = 2(v,w)/(v,v) v - w: minus the
+    reflection through the hyperplane orthogonal to v.  2/(v,v) = +-1.
     """
+    v, w = space.vector(v), space.vector(w)
     vv = space.pair(v, v)
     if not (vv == 2 or vv == -2):
         raise ValueError("reflection requires (v,v) = +-2")
-    vmv = space.vector_to_mv(v)
-    wmv = space.vector_to_mv(w)
-    # v^2 = (v,v)/2 = +-1, so v^(-1) = v / (v^2)
-    prod = clifford_mul(clifford_mul(vmv, wmv, space), vmv, space)
-    half = space.tower.scalar(Fraction(2) / vv)
-    prod = prod.scale(half)
-    return space.mv_to_vector(prod)
+    c = space.pair(v, w) if vv == 2 else -space.pair(v, w)
+    return [c * a - b for a, b in zip(v, w)]
 
 
 class SoPair:
@@ -319,31 +311,21 @@ def derivation_int(cols, terms: list) -> list:
     return [{m: c for m, c in zip(dst, col) if c != 0} for col in image]
 
 
-def symbol(elem: Multivector, space: HyperbolicSpace) -> dict:
-    """Materialize the action of a Clifford element on all basis spinors."""
-    out = {}
-    for mask in range(1 << (2 * space.n)):
-        lam = Multivector(space.sspace, {mask: space.tower.one()})
-        out[mask] = clifford_action(elem, lam, space)
-    return out
-
-
 def desymbol(op, space: HyperbolicSpace) -> Multivector:
     """Normal-ordered Clifford element with the prescribed action on S.
 
-    `op`: either a dict {spinor mask -> Multivector} or a callable taking a
-    basis mask.  Coefficients are peeled off by annihilation degree: the
+    `op`: a callable taking a basis spinor's mask to its image, a
+    Multivector in S.  Coefficients are peeled off by annihilation degree: the
     value on the basis spinor x_B determines the coefficients of the
     monomials x_A y_B once all y-subsets of B are known.
     """
     n2 = 2 * space.n
-    get = op.__getitem__ if isinstance(op, dict) else op
     acc = space.vspace.zero()  # element built so far
     order = sorted(range(1 << n2), key=lambda m: (bin(m).count("1"), m))
     one = space.tower.one()
     for bmask in order:
         lam = Multivector(space.sspace, {bmask: one})
-        target = get(bmask)
+        target = op(bmask)
         if not isinstance(target, Multivector):
             raise TypeError("operator values must be multivectors in S")
         resid = target - clifford_action(acc, lam, space)

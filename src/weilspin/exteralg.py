@@ -259,40 +259,6 @@ def coordinates(vectors, mv: Multivector):
     return linalg.solve([row[:-1] for row in aug], [row[-1] for row in aug], mv.space.tower)
 
 
-def contract(theta, a: Multivector) -> Multivector:
-    """Interior product with the dual vector given by coefficients on generators.
-
-    A graded derivation of degree -1: on a basis monomial g_S it gives
-    sum over i in S of (-1)^(position of i in S) theta_i * g_(S without i).
-    """
-    space = a.space
-    if len(theta) != space.m:
-        raise ValueError("dual-vector coefficient list has wrong length")
-    theta = [space.scalar(t) for t in theta]
-    out = {}
-    for m, c in a.terms.items():
-        pos = 0
-        mm = m
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            if not theta[i].is_zero():
-                coeff = theta[i] * c
-                if pos & 1:
-                    coeff = -coeff
-                key = m ^ (1 << i)
-                if key in out:
-                    s = out[key] + coeff
-                    if s.is_zero():
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = coeff
-            pos += 1
-            mm &= mm - 1
-    return Multivector(space, out)
-
-
 def tau(a: Multivector) -> Multivector:
     """Degree-i part scaled by (-1)^(i(i-1)/2); an involution."""
     out = {}

@@ -5,11 +5,12 @@ exterior algebras; transforms are maps defined on sparse basis monomials and
 materialized lazily.  Every map of the chain is a signed-mask formula on
 monomials:
 
-    the correspondence transform along a Poincare kernel, x_S -> +-y_(S^c)
-      (both directions, and the inverse read off the monomial bijection),
-    the shear automorphism (x, y) -> (x + y, y) of X x X, a signed sum over
-      the subsets of the first factor's generators,
-    their composition's inverse (the derived-equivalence shadow),
+    the correspondence transform along a Poincare kernel, x_S -> +-y_(S^c),
+      in both directions,
+    the derived-equivalence shadow Phi_H: the pullback along the shear
+      (x, y) -> (x + y, y) of X x X, then the inverse kernel transform on
+      the second factor, as one signed sum over the subsets of the first
+      factor's generators,
     the equivariant normalization phi_tilde,
     Chevalley's bilinear-form construction, for cross-checking,
     the filtration by lowest exterior degree, and
@@ -17,7 +18,9 @@ monomials:
 
 The closed forms are derived next to their code from the defining recipes
 (pull back, wedge with the kernel, integrate over the first factor; the
-shear extended multiplicatively), which the tests keep as the reference.
+shear extended multiplicatively; the kernel transform inverted), which the
+tests keep as the reference: the kernel integrals, the shear and Phi_H's
+inverse built from them.
 
 Sign conventions (orientation of the fiber integration, the sign of the
 Poincare class on each product, the half-twist in phi_tilde) are not forced
@@ -32,6 +35,7 @@ the vector representation.  The tests reject every other combination.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .clifford import HyperbolicSpace, clifford_mul, desymbol
 from .exteralg import GeneratorSpace, Multivector, below_parity, coordinates, exp_even, kunneth, s_pairing, wedge
@@ -153,78 +157,56 @@ class OrlovTransform:
         # correspondence transforms in the two directions
         self.phi_hat_to_un = complement_transform(sy, sx, POINCARE_SIGN_HAT_FIRST)  # H*(Xhat)->H*(X)
         self.phi_un_to_hat = complement_transform(sx, sy, POINCARE_SIGN_UN_FIRST)   # H*(X)->H*(Xhat)
-        # phi_hat_to_un is a signed bijection of monomials, y_(U^c) -> eps x_U
-        # with eps = +-1, so its inverse sends x_U to eps y_(U^c)
-        fwd = self.phi_hat_to_un
-
-        def inverse(mask):
-            comp = sx.top_mask ^ mask
-            return Multivector._nonzero(sy, {comp: fwd.image_of_mask(comp).terms[mask]})
-
-        self.phi_hat_to_un_inv = TransformMap(sx, sy, inverse)
-        self._phiH = None
-        self._chevalley = None
 
     def box(self, a: Multivector, b: Multivector) -> Multivector:
         """a (x) b in H*(X x X) for two classes a, b in H*(X)."""
         return self.pa_xx.box(a, Multivector(self.sx2, dict(b.terms)))
 
-    # -- shear automorphism ---------------------------------------------------
+    # -- the derived-equivalence shadow ----------------------------------------
 
-    def shear(self) -> TransformMap:
-        """The pullback of the shear mu: (x, y) -> (x + y, y), which sends
-        g_i to g_i + h_i and h_i to h_i, extended multiplicatively.
+    @cached_property
+    def phiH(self) -> TransformMap:
+        """H*(X x X) -> H*(X x Xhat): the shear pullback mu^*, then the inverse
+        of phi_hat_to_un on the second factor, in one signed subset sum.
 
+        mu: (x, y) -> (x + y, y) pulls g_i back to g_i + h_i and h_i to h_i.
         In prod_(i in m1) (g_i + h_i), choosing h_i for i in T leaves
         g_(m1-T) h_T after merge(m1 - T, T) transpositions (each h_i passes
-        the later g_j), and h_T ^ h_(m2) = (-1)^merge(T, m2) h_(T|m2) when T
-        misses m2, else 0.  So g_(m1) h_(m2) goes to the sum over T in
-        m1 - m2 of (-1)^(merge(m1 - T, T) + merge(T, m2)) g_(m1-T) h_(T|m2).
+        the later g_j), and h_T ^ h_(m2) = (-1)^merge(T, m2) h_U with
+        U = T | m2 when T misses m2, else 0.  phi_hat_to_un sends y_(U^c) to
+        (-1)^(C(|U|,2) + merge(U^c, U)) sign^|U| x_U with
+        sign = POINCARE_SIGN_HAT_FIRST (`complement_transform`), a signed
+        bijection of monomials, so its inverse sends x_U back with the same
+        sign.  Together g_(m1) h_(m2) goes to the sum over T in m1 - m2 of
+        (-1)^P x_(m1-T) y_(U^c), where
+        P = merge(m1 - T, T) + merge(T, m2) + C(|U|,2) + merge(U^c, U)
+        + |U| [sign < 0].  The images of distinct T are distinct monomials.
         """
-        pa = self.pa_xx
-        m = shift = pa.shift
+        m = self.pa_xx.shift
+        top, space = self.sx.top_mask, self.pa_xy.space
         one = self.tower.one()
         signs = (one, -one)
+        flip = 1 if POINCARE_SIGN_HAT_FIRST < 0 else 0
 
         def fn(mask):
-            m1, m2 = pa.split_mask(mask)
+            m1, m2 = mask & top, mask >> m
             free = m1 & ~m2
             below2 = below_parity(m2, m)
             out = {}
             t = free
             while True:  # every subset t of free, down to 0
-                rest = m1 ^ t
-                parity = (rest & below_parity(t, m)).bit_count() + (t & below2).bit_count()
-                out[rest | ((t | m2) << shift)] = signs[parity & 1]
+                rest, u = m1 ^ t, t | m2
+                uc, k = top ^ u, u.bit_count()
+                parity = ((rest & below_parity(t, m)).bit_count() + (t & below2).bit_count()
+                          + k * (k - 1) // 2 + (uc & below_parity(u, m)).bit_count() + k * flip)
+                out[rest | (uc << m)] = signs[parity & 1]
                 if not t:
-                    return Multivector._nonzero(pa.space, out)
+                    return Multivector._nonzero(space, out)
                 t = (t - 1) & free
 
-        return TransformMap(pa.space, pa.space, fn)
+        return TransformMap(self.pa_xx.space, space, fn)
 
-    # -- the derived-equivalence shadow ----------------------------------------
-
-    def phiH(self) -> TransformMap:
-        """H*(X x X) -> H*(X x Xhat): inverse of mu_* after (id (x) Phi_P),
-        i.e. the shear pullback, then Phi_P's inverse on the second factor."""
-        if self._phiH is not None:
-            return self._phiH
-        split, shift, space = self.pa_xx.split_mask, self.pa_xy.shift, self.pa_xy.space
-        mu_pull, t_inv = self.shear(), self.phi_hat_to_un_inv
-
-        def fn(mask):
-            # t_inv sends each monomial to one signed monomial, and the shear
-            # image's monomials are distinct, so every key below is new
-            out = {}
-            for m, c in mu_pull.image_of_mask(mask).terms.items():
-                m1, m2 = split(m)
-                (mm, cc), = t_inv.image_of_mask(m2).terms.items()
-                out[m1 | (mm << shift)] = cc * c
-            return Multivector._nonzero(space, out)
-
-        self._phiH = TransformMap(self.pa_xx.space, space, fn)
-        return self._phiH
-
+    @cached_property
     def id_tensor_tau(self) -> TransformMap:
         pa = self.pa_xx
         signs = (self.tower.one(), -self.tower.one())
@@ -235,15 +217,15 @@ class OrlovTransform:
 
         return TransformMap(pa.space, pa.space, fn)
 
+    @cached_property
     def phi_tilde(self) -> TransformMap:
         """The equivariant normalization: half-twist after phiH after (id (x) tau).
 
         Intertwines the diagonal (corrected) spin action on the source with
         the derivation action of the same generator on the target.
         """
-        phi = self.phiH()
+        phi, idt = self.phiH, self.id_tensor_tau
         twist = exp_even(poincare_class(self.pa_xy, -PHI_TILDE_TWIST_SIGN).scale(Fraction(1, 2)))
-        idt = self.id_tensor_tau()
 
         def fn(mask):
             return wedge(twist, phi(idt.image_of_mask(mask)))
@@ -252,24 +234,18 @@ class OrlovTransform:
 
     # -- Chevalley's construction ----------------------------------------------
 
+    @cached_property
     def chevalley(self) -> TransformMap:
         """s (x) s' -> the Clifford element acting as lam -> (s', lam)_S s."""
-        if self._chevalley is not None:
-            return self._chevalley
         pa, sx, one = self.pa_xx, self.sx, self.tower.one()
 
         def fn(mask):
             m1, m2 = pa.split_mask(mask)
             a = Multivector(sx, {m1: one})
             b = Multivector(sx, {m2: one})
-            op = {}
-            for lam_mask in range(1 << sx.m):
-                lam = Multivector(sx, {lam_mask: one})
-                op[lam_mask] = a.scale(s_pairing(b, lam))
-            return desymbol(op, self.hyper)
+            return desymbol(lambda lam: a.scale(s_pairing(b, Multivector(sx, {lam: one}))), self.hyper)
 
-        self._chevalley = TransformMap(pa.space, self.pa_xy.space, fn)
-        return self._chevalley
+        return TransformMap(pa.space, self.pa_xy.space, fn)
 
     # -- actions used by the equivariance check ---------------------------------
 
@@ -338,4 +314,4 @@ def bb_decompose(orlov: OrlovTransform, ell_by_type: dict, c: Multivector):
 
 def pi_to_weil(orlov: OrlovTransform, d: int, gamma: Multivector) -> Multivector:
     """Degree-d graded piece of the transform of (id (x) tau)(gamma)."""
-    return orlov.phiH()(orlov.id_tensor_tau()(gamma)).degree_part(d)
+    return orlov.phiH(orlov.id_tensor_tau(gamma)).degree_part(d)

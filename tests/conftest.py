@@ -83,6 +83,48 @@ def leibniz_derivation(space, cols, terms):
     return {m: x for m, x in out.items() if x != 0}
 
 
+def contract(theta, a):
+    """Reference for the action of the y-vector sum theta_i y_i on spinors
+    (`HyperbolicSpace.gamma`): the interior product with the dual vector of
+    coefficients theta on the generators, a graded derivation of degree -1.
+    On a basis monomial g_S it gives the sum over i in S of
+    (-1)^(position of i in S) theta_i g_(S without i)."""
+    from weilspin.exteralg import Multivector
+
+    space = a.space
+    if len(theta) != space.m:
+        raise ValueError("dual-vector coefficient list has wrong length")
+    theta, zero = [space.scalar(t) for t in theta], space.tower.zero()
+    out = {}
+    for m, c in a.terms.items():
+        for pos, i in enumerate(i for i in range(space.m) if m >> i & 1):
+            term = theta[i] * c
+            key = m ^ (1 << i)
+            out[key] = out.get(key, zero) + (-term if pos & 1 else term)
+    return Multivector(space, out)
+
+
+def mv_to_vector(space, mv):
+    """The coordinate vector of a degree-1 element of C(V) on `space`."""
+    out = [space.tower.zero()] * space.dim_v
+    for m, c in mv.terms.items():
+        assert m.bit_count() == 1, "not a degree-1 element"
+        out[m.bit_length() - 1] = c
+    return out
+
+
+def reflection_reference(space, v, w):
+    """Reference for `clifford.vector_rep_reflection`: v.w.v^(-1) as two
+    `clifford_mul` products, with v^(-1) = v / v^2 and v^2 = (v,v)/2."""
+    from fractions import Fraction
+
+    from weilspin.clifford import clifford_mul
+
+    vmv, wmv = space.vector_to_mv(v), space.vector_to_mv(w)
+    prod = clifford_mul(clifford_mul(vmv, wmv, space), vmv, space)
+    return mv_to_vector(space, prod.scale(space.tower.scalar(Fraction(2) / space.pair(v, v))))
+
+
 def pure_spinor_solve(w, space):
     """Reference for `purespinor.pure_spinor_of`: the spinor line of a maximal
     isotropic subspace as the solution space of w . lam = 0 for every basis

@@ -193,7 +193,7 @@ def test_criterion_6_equivariance_and_inversion():
     tow = TowerSpec(1, 2)
     # all 6 basis generators at n = 1
     orl1 = OrlovTransform(1, tow)
-    pt1 = orl1.phi_tilde()
+    pt1 = orl1.phi_tilde
     for m in [m for m in range(16) if bin(m).count("1") == 2]:
         xi = Multivector(orl1.hyper.vspace, {m: tow.one()})
         so = SoPair(orl1.hyper, xi)
@@ -207,7 +207,7 @@ def test_criterion_6_equivariance_and_inversion():
                 ok &= [pt1(diag(c))] == so.derivation([pt1(c)])
     # 20 seeded random generators at n = 3
     orl3 = OrlovTransform(3, tow)
-    pt3 = orl3.phi_tilde()
+    pt3 = orl3.phi_tilde
     deg2 = [m for m in range(1 << 12) if bin(m).count("1") == 2]
     count = 0
     while count < 20:
@@ -248,7 +248,7 @@ def test_criterion_7_filtration_lemma(structures, orlovs):
                 boxed = orl.pa_xx.box(
                     ws.ell[t1], Multivector(orl.sx2, dict(tau(ws.ell[t2]).terms))
                 )
-                img = orl.phiH()(boxed)
+                img = orl.phiH(boxed)
                 ok &= filtration_level(img) >= d * k
                 bottom = img.degree_part(d * k)
                 inter = linalg.intersect(ws.WT[t1].basis, ws.WT[t2].basis, tow)

@@ -13,13 +13,12 @@ from weilspin.clifford import (
     derivation_int,
     desymbol,
     int_derivation_cols,
-    symbol,
     vector_rep_reflection,
 )
-from weilspin.exteralg import Multivector, contract, wedge
+from weilspin.exteralg import Multivector, wedge
 from weilspin.fieldtower import TowerSpec
 
-from conftest import leibniz_derivation, rand_elem, rand_mv, rand_vec
+from conftest import contract, leibniz_derivation, mv_to_vector, rand_elem, rand_mv, rand_vec, reflection_reference
 
 
 @pytest.fixture()
@@ -143,6 +142,24 @@ def test_reflection_examples(hs1):
         vector_rep_reflection(hs1, hs1.vector([1, 0, 0, 0]), hs1.vector([0, 1, 0, 0]))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tower", GAMMA_TOWERS, ids=["p1q2", "p2q1"])
+def test_reflection_matches_two_product_reference(n, tower):
+    # v = sum a_j x_j + sum b_j y_j has (v, v) = 2 sum a_j b_j: draw a and b
+    # in K, then a_i = 1 and b_i solves for (v, v) = +-2; w is K-valued
+    hs = HyperbolicSpace(n, tower)
+    n2 = 2 * n
+    rng = random.Random(31 * n + tower.p)
+    for _ in range(12):
+        i, s = rng.randrange(n2), rng.choice((1, -1))
+        v = [rand_elem(rng, tower, 2) for _ in range(hs.dim_v)]
+        v[i] = tower.one()
+        v[i + n2] = tower.scalar(s) - sum((v[j] * v[j + n2] for j in range(n2) if j != i), tower.zero())
+        assert hs.pair(v, v) == tower.scalar(2 * s)
+        w = [rand_elem(rng, tower) for _ in range(hs.dim_v)]
+        assert vector_rep_reflection(hs, v, w) == reflection_reference(hs, v, w)
+
+
 def test_reflection_is_isometry(hs2, rng):
     v = hs2.vector([1, 0, 0, 0, 1, 0, 0, 0])
     for _ in range(8):
@@ -192,8 +209,8 @@ def test_so_pair_ad_matches_clifford_commutator(n, tower):
         so = SoPair(hs, Multivector(hs.vspace, terms))
         constants += not so.constant.is_zero()
         # the reference: column j is xi.e_j - e_j.xi, normal-ordered by clifford_mul
-        cols = [hs.mv_to_vector(clifford_mul(so.xi, hs.vspace.gen(j), hs)
-                                - clifford_mul(hs.vspace.gen(j), so.xi, hs)) for j in range(dim)]
+        cols = [mv_to_vector(hs, clifford_mul(so.xi, hs.vspace.gen(j), hs)
+                             - clifford_mul(hs.vspace.gen(j), so.xi, hs)) for j in range(dim)]
         assert so.ad == [[cols[j][i] for j in range(dim)] for i in range(dim)]
     assert constants >= len(pairs)
 
@@ -209,11 +226,14 @@ def test_wedge2_to_so_bijective(n):
     assert linalg.rank(rows, hs.tower) == len(deg2)
 
 
+def _symbol(elem, hs):
+    """The action of a Clifford element on basis spinors, as `desymbol` takes it."""
+    return lambda m: clifford_action(elem, Multivector(hs.sspace, {m: hs.tower.one()}), hs)
+
+
 def test_desymbol_examples(hs1):
-    ident = {m: Multivector(hs1.sspace, {m: hs1.tower.one()}) for m in range(4)}
-    assert desymbol(ident, hs1) == hs1.vspace.one()
-    mx1 = {m: clifford_action(hs1.vspace.gen(0), Multivector(hs1.sspace, {m: hs1.tower.one()}), hs1) for m in range(4)}
-    assert desymbol(mx1, hs1) == hs1.vspace.gen(0)
+    assert desymbol(lambda m: Multivector(hs1.sspace, {m: hs1.tower.one()}), hs1) == hs1.vspace.one()
+    assert desymbol(_symbol(hs1.vspace.gen(0), hs1), hs1) == hs1.vspace.gen(0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -221,7 +241,7 @@ def test_symbol_desymbol_round_trip(n, rng):
     hs = HyperbolicSpace(n, TowerSpec(1, 2))
     for _ in range(3):
         c = rand_mv(rng, hs.vspace, 5)
-        assert desymbol(symbol(c, hs), hs) == c
+        assert desymbol(_symbol(c, hs), hs) == c
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilspin import linalg
+from weilspin.clifford import HyperbolicSpace, clifford_action
 from weilspin.exteralg import (
     GeneratorSpace,
     Multivector,
-    contract,
     coordinates,
     exp_even,
     in_span,
@@ -45,28 +45,37 @@ def test_wedge_associative(rng):
         assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
 
 
-def test_contract(sp2):
-    x1, x2 = sp2.gen(0), sp2.gen(1)
+def _contraction(hs, theta):
+    """Contraction with sum theta_i x_i^*: the spin action of sum theta_i y_i."""
+    y = hs.vector_to_mv(hs.vector([0] * (2 * hs.n) + list(theta)))
+    return lambda a: clifford_action(y, a, hs)
+
+
+def test_contract(tiny_tower):
+    hs = HyperbolicSpace(1, tiny_tower)
+    sp = hs.sspace
+    x1, x2 = sp.gen(0), sp.gen(1)
     top = wedge(x1, x2)
-    assert contract([1, 0], top) == x2
-    assert contract([0, 1], top) == -x1
-    assert contract([1, 0], sp2.one()).is_zero()
+    assert _contraction(hs, [1, 0])(top) == x2
+    assert _contraction(hs, [0, 1])(top) == -x1
+    assert _contraction(hs, [1, 0])(sp.one()).is_zero()
     with pytest.raises(ValueError):
-        contract([1], top)
+        _contraction(hs, [1])
 
 
 def test_contract_is_graded_derivation(rng):
-    sp = GeneratorSpace([f"g{i}" for i in range(5)], TowerSpec(1, 2))
+    hs = HyperbolicSpace(3, TowerSpec(1, 2))
+    sp = hs.sspace
     for _ in range(15):
         a, b = rand_mv(rng, sp), rand_mv(rng, sp)
-        th = [rng.randint(-2, 2) for _ in range(sp.m)]
-        assert contract(th, contract(th, a)).is_zero()
-        lhs = contract(th, wedge(a, b))
+        contract = _contraction(hs, [rng.randint(-2, 2) for _ in range(sp.m)])
+        assert contract(contract(a)).is_zero()
+        lhs = contract(wedge(a, b))
         rhs = sp.zero()
         for k in a.degrees():
             part = a.degree_part(k)
-            term = wedge(part, contract(th, b))
-            rhs = rhs + wedge(contract(th, part), b) + (-term if k & 1 else term)
+            term = wedge(part, contract(b))
+            rhs = rhs + wedge(contract(part), b) + (-term if k & 1 else term)
         assert lhs == rhs
 
 

@@ -269,6 +269,21 @@ def test_cli_reports_internal_error_in_one_line(monkeypatch, capsys):
         main(["verify", "--preset", "fourfold-rm2"])
 
 
+def test_cli_reports_value_error_in_build_as_internal(monkeypatch, capsys):
+    # a ValueError from the structure build is a fault of the program, not of
+    # the input; only input resolution exits 2
+    def boom(datum, w, eta):
+        raise ValueError("eta character space has wrong dimension")
+
+    monkeypatch.setattr(weilcm, "build_HW", boom)
+    assert main(["verify", "--preset", "fourfold-rm2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal: ValueError: eta character space has wrong dimension\n"
+    assert captured.out == ""
+    assert main(["verify", "--preset", "fourfold-rm2", "--check", "nosuchcheck"]) == 2
+    assert capsys.readouterr().err == "error: no applicable check name contains 'nosuchcheck'\n"
+
+
 def test_clifford_relation_check_sees_unsigned_generators(ws4, monkeypatch):
     # without their Koszul signs, x_i and x_j (i != j) commute instead of
     # anticommuting on spinors; the operator half of the check must say so
@@ -351,6 +366,18 @@ def test_committed_datum_report_sha256(source, sha256, tmp_path):
     out = tmp_path / "rep.json"
     datum = Path(__file__).parent / "data" / f"{source}.json"
     assert main(["verify", "--input", str(datum), "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("check, sha256", [
+    ("lemma.", "fb2fbda227ade934b2eb41431a1133fdda98431098e44f37713313cebf6ba3ea"),
+    ("fm.", "c22afdbfaf5e70601d509d99617c13d3c6f84eb3fe41e075d33797a92c0ad3bd"),
+])
+def test_tenfold_transform_checks_sha256(check, sha256, tmp_path):
+    # the transform lemmas at n = 5, pinned to the report of an earlier implementation
+    out = tmp_path / "rep.json"
+    datum = Path(__file__).parent / "data" / "tenfold-q2.json"
+    assert main(["verify", "--input", str(datum), "--seed", "0", "--check", check, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
-from weilspin.exteralg import Multivector, contract, span_basis, wedge
+from weilspin.exteralg import Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
@@ -27,6 +27,7 @@ from weilspin.weilcm import (
 )
 
 from conftest import (
+    contract,
     eigenspace_reference,
     eta_rq_reference,
     leibniz_derivation,
