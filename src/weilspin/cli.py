@@ -6,8 +6,9 @@
 Exit codes: 0 all checks pass, 1 at least one check fails or an internal
 error (one line `error: internal: <Type>: <message>`, also for a ValueError
 raised while building the structure or the transforms), 2 an unreadable or
-invalid datum, an unknown preset, or a --check filter that no applicable
-check name contains.
+invalid datum, an unknown preset, a --check filter that no applicable
+check name contains, or a MemoryError outside the checks (one line
+`error: resource: MemoryError: <message>`).
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        raise
+    except MemoryError as exc:
+        print(f"error: resource: MemoryError: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -19,18 +19,19 @@ y-part.
 so(V) also acts on the exterior algebra of V by derivations (the
 Fourier-Mukai side).  `DerivationOperators` is the one applier of
 derivations on masks: `derivation_int`, `SoPair.derivation`, the g_B
-invariant certificate and `WeilStructure.gb_kills` all go through it.
+invariant certificate and `WeilStructure.gb_kills` all go through it.  Its
+entry table is built once per generator set and bound to each start.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .exteralg import GeneratorSpace, Multivector
 from .fieldtower import FieldElem, TowerSpec
-from .linalg import mat_vec
 
 
 class HyperbolicSpace:
@@ -171,11 +172,12 @@ class SoPair:
     spin(lam) is the Clifford action minus the scalar normal-ordering
     constant of xi (the degree-2 monomials x_i y_i each contribute half
     their coefficient), which is the derivative of the spin representation
-    of the group.  ad is the matrix of v -> xi.v - v.xi on V, and
-    derivation extends ad to the exterior algebra of V.
+    of the group.  cols is v -> xi.v - v.xi on V in sparse-column form (ad
+    is its dense matrix), and derivation extends it to the exterior algebra
+    of V.
     """
 
-    __slots__ = ("space", "xi", "constant", "ad")
+    __slots__ = ("space", "xi", "constant", "cols")
 
     def __init__(self, space: HyperbolicSpace, xi: Multivector):
         if any(bin(m).count("1") != 2 for m in xi.terms):
@@ -184,25 +186,27 @@ class SoPair:
         self.xi = xi
         n2 = 2 * space.n
         const = space.tower.zero()
+        # [e_a e_b, v] = (e_b, v) e_a - (e_a, v) e_b by v.w + w.v = (v, w), and
+        # (e_b, e_g) = 1 exactly for g = partner(b).  Distinct terms fill distinct
+        # entries and no term of xi is 0, so nothing is summed and no zero kept.
+        cols = [[] for _ in range(space.dim_v)]
         for m, c in xi.terms.items():
-            lo = (m & -m).bit_length() - 1
-            hi = m.bit_length() - 1
-            if hi - lo == n2 and lo < n2:  # an x_i y_i monomial
-                const = const + c
-        self.constant = const * Fraction(1, 2)
-        self.ad = self._ad_matrix()
-
-    def _ad_matrix(self):
-        """ad[i][j], the coefficient of e_i in xi.e_j - e_j.xi, in closed form:
-        v.w + w.v = (v, w) gives [e_a e_b, v] = (e_b, v) e_a - (e_a, v) e_b,
-        and (e_b, e_j) = 1 exactly for j = partner(b).  Exact arithmetic on
-        canonical FieldElems: the same entries as the `clifford_mul` commutator."""
-        sp = self.space
-        ad = [[sp.tower.zero()] * sp.dim_v for _ in range(sp.dim_v)]
-        for m, c in self.xi.terms.items():
             a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
-            ad[a][sp.partner(b)] += c
-            ad[b][sp.partner(a)] -= c
+            if b - a == n2 and a < n2:  # an x_i y_i monomial
+                const = const + c
+            cols[space.partner(b)].append((a, c))
+            cols[space.partner(a)].append((b, -c))
+        self.constant = const * Fraction(1, 2)
+        #: cols[g], the (i, c) with c != 0 the coefficient of e_i in xi.e_g - e_g.xi, by i
+        self.cols = [sorted(col) for col in cols]
+
+    @property
+    def ad(self):
+        """The dense matrix of `cols`: ad[i][g] is the coefficient of e_i in xi.e_g - e_g.xi."""
+        ad = [[self.space.tower.zero()] * len(self.cols) for _ in self.cols]
+        for g, col in enumerate(self.cols):
+            for i, c in col:
+                ad[i][g] = c
         return ad
 
     def spin(self, lam: Multivector) -> Multivector:
@@ -212,27 +216,25 @@ class SoPair:
         return out
 
     def ad_vector(self, coords) -> list:
-        return mat_vec(self.ad, coords, self.space.tower)
+        out = [self.space.tower.zero()] * len(self.cols)
+        for col, b in zip(self.cols, map(self.space.tower.scalar, coords)):
+            for i, c in () if b.is_zero() else col:
+                out[i] += c * b
+        return out
 
     def derivation(self, mvs) -> list:
         """The unique derivation of the exterior algebra on V extending ad,
         applied to each multivector in the list `mvs` by one operator."""
-        images = derivation_int(int_derivation_cols(self.ad), [a.terms for a in mvs])
+        images = derivation_int(self.cols, [a.terms for a in mvs])
         return [Multivector._nonzero(a.space, img) for a, img in zip(mvs, images)]
 
 
-def int_derivation_cols(mat):
-    """Sparse column form of a generator matrix: for each generator g, the
-    (i, entry) pairs of the nonzero entries of column g."""
-    n = len(mat)
-    return [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0] for j in range(n)]
-
-
 class DerivationOperators:
-    """The derivations of matrices in sparse-column form on the span of the
-    masks in `start`, as one sparse matrix with a column per start mask and
-    a row per (matrix, destination mask): each operator has rows only over
-    the masks it reaches.  The entries are integers, or any field elements
+    """The derivations of matrices in sparse-column form, as one table of
+    their entries (i, g, c) built once, bound by `bind` to the span of each
+    start: a sparse matrix with a column per start mask and a row per
+    (matrix, destination mask), so each operator has rows only over the
+    masks it reaches.  The entries are integers, or any field elements
     when applied to object columns.
 
     The derivation extending the matrix unit E_ig (g is sent to i) maps a
@@ -246,59 +248,75 @@ class DerivationOperators:
     table over all masks of the degree is built.
     """
 
-    def __init__(self, int_cols, start):
+    def __init__(self, int_cols):
         entries = sorted((g, i, j, c) for j, cols in enumerate(int_cols)
                          for g, col in enumerate(cols) for i, c in col)
-        self.coefs = [c for *_, c in entries]
-        eg, ei, ej = (np.array([e[a] for e in entries], dtype=np.int64) for a in range(3))
-        start, dim = np.asarray(start, dtype=np.int64), len(int_cols[0]) if int_cols else 0
-        # each (start mask, bit g) pair meets the run of entries in column g
-        first = np.searchsorted(eg, np.arange(dim + 1))
-        src, g = np.nonzero((start[:, None] >> np.arange(dim)) & 1)
-        count = first[g + 1] - first[g]
-        src = np.repeat(src, count)
-        e = np.arange(len(src)) + np.repeat(first[g] - (np.cumsum(count) - count), count)
-        gbit = 1 << eg[e]
-        rest = start[src] ^ gbit
-        keep = (rest >> ei[e]) & 1 == 0
-        src, e, gbit, rest = src[keep], e[keep], gbit[keep], rest[keep]
-        ibit = 1 << ei[e]
-        dst = rest | ibit
-        odd = np.bitwise_count(start[src] & (gbit - 1)) + np.bitwise_count(rest & (ibit - 1))
-        order = np.lexsort((dst, ej[e]))
-        gen, dst = ej[e][order], dst[order]
-        self.cols, self.entry, self.odd = src[order], e[order], (odd[order] & 1).astype(bool)
-        new_row = np.ones(len(order) + 1, dtype=bool)
-        new_row[1:-1] = (gen[1:] != gen[:-1]) | (dst[1:] != dst[:-1])
-        #: the first nonzero of each row, then their count; each row's mask and matrix
-        self.row_start = np.flatnonzero(new_row)
-        self.dst, self.gen = dst[self.row_start[:-1]], gen[self.row_start[:-1]]
-        #: the rows of matrix j are rows[j] to rows[j + 1]
-        self.rows = np.searchsorted(self.gen, np.arange(len(int_cols) + 1))
+        self.coefs = [e[3] for e in entries]
+        #: each entry's column, row and matrix, sorted by column
+        self.eg, self.ei, self.ej = np.array([e[:3] for e in entries], dtype=np.int64).reshape(-1, 3).T
+        self.count, self.dim = len(int_cols), len(int_cols[0]) if int_cols else 0
+        #: the entries of column g are first[g] to first[g + 1]
+        self.first = np.searchsorted(self.eg, np.arange(self.dim + 1))
+        self._values = {}  # coefficient arrays by dtype or prime, shared by every binding
 
-    def image(self, X, gens: range):
+    @cached_property
+    def cmax(self) -> int:  # of an integer table
+        return max(map(abs, self.coefs), default=0)
+
+    def bind(self, start):
+        """A copy sharing this table, with its operators on the span of `start`."""
+        ops, start = object.__new__(DerivationOperators), np.asarray(start, dtype=np.int64)
+        ops.__dict__.update(self.__dict__)
+        # each (start mask, bit g) pair meets the run of entries in column g
+        src, g = np.nonzero((start[:, None] >> np.arange(self.dim)) & 1)
+        count = self.first[g + 1] - self.first[g]
+        src = np.repeat(src, count)
+        e = np.arange(len(src)) + np.repeat(self.first[g] - (np.cumsum(count) - count), count)
+        gbit = 1 << self.eg[e]
+        rest = start[src] ^ gbit
+        keep = (rest >> self.ei[e]) & 1 == 0
+        src, e, gbit, rest = src[keep], e[keep], gbit[keep], rest[keep]
+        ibit = 1 << self.ei[e]
+        odd = np.bitwise_count(start[src] & (gbit - 1)) + np.bitwise_count(rest & (ibit - 1))
+        key = self.ej[e] << self.dim | rest | ibit  # the row (matrix j, mask m) as j 2^dim + m
+        order = np.argsort(key)  # any order within a row: its sum is exact
+        ops.cols, ops.entry, ops.odd, key = src[order], e[order], (odd[order] & 1).astype(bool), key[order]
+        new_row = np.ones(len(order) + 1, dtype=bool)
+        new_row[1:-1] = key[1:] != key[:-1]
+        #: the first nonzero of each row, then their count; each row's mask and matrix
+        ops.row_start = np.flatnonzero(new_row)
+        ops.dst, ops.gen = key[ops.row_start[:-1]] % (1 << self.dim), key[ops.row_start[:-1]] >> self.dim
+        #: the rows of matrix j are rows[j] to rows[j + 1]
+        ops.rows = np.searchsorted(ops.gen, np.arange(self.count + 1))
+        return ops
+
+    def image(self, X, gens: range, p=None):
         """The operators of the matrices in `gens`, a range of their
         indices, applied to the columns of X, an int64 or object array whose
         rows are the coefficients of the start masks: one row per (matrix,
-        destination mask).
+        destination mask); with a prime p, the entries are residues mod p.
 
         An image row sums at most one term per entry of its matrix, since
         the entry (i, g) reaches a mask from one mask only; so it is below
         dim^2 max|c| max|X| in absolute value: exact on int64 while that is
         below 2^63, and always on Python ints (object arrays).
         """
+        key = str(X.dtype) if p is None else p
+        if key not in self._values:
+            self._values[key] = np.array(self.coefs if p is None else [c % p for c in self.coefs], dtype=X.dtype)
         r0, r1 = self.rows[gens.start], self.rows[gens.stop]
         lo, hi = self.row_start[[r0, r1]]
-        vals = np.array(self.coefs, dtype=X.dtype)[self.entry[lo:hi]]
+        vals = self._values[key][self.entry[lo:hi]]
         vals[self.odd[lo:hi]] *= -1
         return np.add.reduceat(vals[:, None] * X[self.cols[lo:hi]], self.row_start[r0:r1] - lo, axis=0)
 
 
 def derivation_int(cols, terms: list) -> list:
-    """The derivation of a matrix in `int_derivation_cols` form on each
-    {mask: scalar} term dict in `terms`, the scalars ints or any field
-    elements: one `DerivationOperators` over the sorted union of their
-    masks, an object column per dict (0 off its masks), zero images dropped."""
+    """The derivation of a matrix in sparse-column form (cols[g] the (i, c)
+    of the nonzero entries of column g) on each {mask: scalar} term dict in
+    `terms`, the scalars ints or any field elements: its
+    `DerivationOperators` bound to the sorted union of their masks, an
+    object column per dict (0 off its masks), zero images dropped."""
     entries = [(m, j, c) for j, t in enumerate(terms) for m, c in t.items()]
     if not entries:
         return [{} for _ in terms]
@@ -306,7 +324,7 @@ def derivation_int(cols, terms: list) -> list:
     start = sorted(set(masks))
     X = np.zeros((len(start), len(terms)), dtype=object)
     X[np.searchsorted(start, masks), where] = x
-    ops = DerivationOperators([cols], start)
+    ops = DerivationOperators([cols]).bind(start)
     image, dst = ops.image(X, range(1)).T.tolist(), ops.dst.tolist()
     return [{m: c for m, c in zip(dst, col) if c != 0} for col in image]
 

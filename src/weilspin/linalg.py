@@ -293,8 +293,9 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     int64 array congruent to M X mod p for one integer matrix M; it is
     consumed one operator at a time, so no matrix of M need ever exist.
     Each M restricts K to K @ ker(M K), which keeps the columns independent.
-    Stops as soon as K is empty.  While K is a square identity, K @ ker(M K)
-    is the kernel basis itself, and an M with M K = 0 mod p leaves K as is.
+    Stops as soon as K is empty (consuming no operator if it starts so).
+    While K is a square identity, K @ ker(M K) is the kernel basis itself,
+    and an M with M K = 0 mod p leaves K as is.
 
     Soundness: let K be the reduction of an integer matrix, such as
     identity columns, spanning a rational subspace S.  Its columns are
@@ -304,6 +305,8 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     over a prime field never exceeds the rank over Q, so the result
     upper-bounds the dimension of the rational joint kernel inside S.
     """
+    if K.shape[1] == 0:
+        return 0
     identity = K.shape[0] == K.shape[1] == np.count_nonzero(K) and (K.diagonal() == 1).all()
     for op in ops:
         MK = op(K) % p

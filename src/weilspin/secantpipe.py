@@ -637,19 +637,18 @@ class _Runner:
     @_check("lie.commutes-with-cm", "annihilator algebra commutes with the CM action")
     def _gb_commutes(self):
         # rational factors: a nonzero rescaling of either rescales A M and M A alike,
-        # so they commute exactly when their integer forms (denominators cleared) do;
-        # each g_B generator's form is scattered from its sparse columns
-        mats = [np.array(linalg.matrix_to_int_global(self.ws.eta.of(t)), dtype=object)
-                for t in self.ws.eta.k_basis()]
-        ok = True
-        for cols in self.ws._gb_cols:
-            a = np.zeros((len(cols), len(cols)), dtype=object)
-            for g, col in enumerate(cols):
-                for i, c in col:
-                    a[i, g] = c
-            for m in mats:
-                ok &= np.array_equal(a @ m, m @ a)
-        return ok, {}
+        # so they commute exactly when their integer forms (denominators cleared) do.
+        # Every g_B form A is scattered from the table and every pair is one stacked
+        # product: an entry of A M sums dim terms, so it is below dim max|a| max|m|,
+        # exact on int64 while that is below 2^63 and on Python ints otherwise
+        table = self.ws.gb_table
+        mats = np.array([linalg.matrix_to_int_global(self.ws.eta.of(t)) for t in self.ws.eta.k_basis()],
+                        dtype=object)
+        dtype = object if table.dim * table.cmax * abs(mats).max() >> 63 else np.int64
+        a = np.zeros((table.count, table.dim, table.dim), dtype=dtype)
+        a[table.ej, table.ei, table.eg] = table.coefs
+        a, m = a[:, None], mats.astype(dtype)
+        return np.array_equal(a @ m, m @ a), {}
 
     @_check("lie.preserves-type-spaces", "type spaces are infinitesimally invariant")
     def _gb_preserves_wt(self):

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import linalg
-from .clifford import DerivationOperators, HyperbolicSpace, SoPair, int_derivation_cols
+from .clifford import DerivationOperators, HyperbolicSpace, SoPair
 from .exteralg import (
     Multivector,
     column_rows,
@@ -390,17 +390,9 @@ def build_gB(space: HyperbolicSpace, secant):
     The spin action here is the derivative of the group representation: the
     Clifford action minus the normal-ordering constant.
     """
-    t = space.tower
-    dim = space.dim_v
-    deg2 = degree_two_masks(dim)
-    spin_images = []
-    for mask in deg2:
-        xi = Multivector(space.vspace, {mask: t.one()})
-        pair_obj = SoPair(space, xi)
-        spin_images.append([pair_obj.spin(b) for b in secant])
-    rows = []
-    for b_idx in range(len(secant)):
-        rows.extend(column_rows([imgs[b_idx] for imgs in spin_images]))
+    t, deg2 = space.tower, degree_two_masks(space.dim_v)
+    pairs = [SoPair(space, Multivector(space.vspace, {mask: t.one()})) for mask in deg2]
+    rows = [row for b in secant for row in column_rows([pair_obj.spin(b) for pair_obj in pairs])]
     kernel = linalg.nullspace(rows, len(deg2), t)
     return [SoPair(space, Multivector(space.vspace, dict(zip(deg2, vec)))) for vec in kernel]
 
@@ -427,28 +419,14 @@ def gb_int_cols(gB):
     Rescaling a whole generator rescales its derivation, so global integer
     clearing leaves every kernel and invariance question unchanged.
     """
-    return [int_derivation_cols(linalg.matrix_to_int_global(pair_obj.ad)) for pair_obj in gB]
+    ints = (linalg.matrix_to_int_global([[c for _, c in col] for col in so.cols]) for so in gB)
+    return [[[(i, x) for (i, _), x in zip(col, row)] for col, row in zip(so.cols, rows)]
+            for so, rows in zip(gB, ints)]
 
 
-def weight_zero_masks(dim: int, k: int, diagonal) -> np.ndarray:
-    """The masks of degree k on `dim` generators of weight 0 under every
-    integer matrix in `diagonal`, diagonal ones in sparse-column form.
-
-    E_gg fixes each mask holding g, so a diagonal matrix D acts on a mask by
-    the integer weight sum(D[g][g] for g in the mask); it is computed on
-    int64 while dim max|D| < 2^63, else on Python ints, so always exactly.
-    """
-    masks = np.flatnonzero(np.bitwise_count(np.arange(1 << dim)) == k)
-    if not diagonal:
-        return masks
-    weights = [[col[0][1] if col else 0 for col in cols] for cols in diagonal]
-    dtype = object if dim * max(abs(c) for w in weights for c in w) >> 63 else np.int64
-    bits = ((masks[:, None] >> np.arange(dim)) & 1).astype(dtype)
-    return masks[((bits @ np.array(weights, dtype=dtype).T) == 0).all(axis=1)]
-
-
-def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, expected_dim: int):
-    """Certify dim of the joint kernel of the g_B derivations on wedge^k V.
+def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expected_dim: int):
+    """Certify dim of the joint kernel of the g_B derivations on wedge^k V,
+    given as their `WeilStructure.gb_split`.
 
     Returns (dim, method).
 
@@ -467,18 +445,20 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
     mapped lie in [0, p), so each signed product is at most (p-1)^2 and the
     int64 images are exact while dim^2 (p-1)^2 < 2^63 (dim <= 2896 for
     p < 2^20).  Falls back to exact elimination on the same restricted
-    matrices, on Python ints, if no prime in the list certifies.
+    matrices, on Python ints, if no prime in the list certifies.  One
+    binding to S serves every prime and the fallback.
     """
     if k == 0:
         return 1, "exact"
-    t = space.tower
-    diagonal = [all(i == g for g, col in enumerate(cols) for i, _ in col) for cols in int_cols]
-    start = weight_zero_masks(space.dim_v, k, [cols for cols, dg in zip(int_cols, diagonal) if dg])
-    others = [cols for cols, dg in zip(int_cols, diagonal) if not dg]
+    weights, others = split
+    start = np.flatnonzero(np.bitwise_count(np.arange(1 << space.dim_v)) == k)
+    if len(weights):  # a mask's weight is sum(D[g][g] for g in the mask), exact in weights' dtype
+        bits = ((start[:, None] >> np.arange(space.dim_v)) & 1).astype(weights.dtype)
+        start = start[((bits @ weights.T) == 0).all(axis=1)]
+        del bits  # 8 dim bytes per mask of degree k, freed before the kernels
+    ops = others.bind(start)
     for p in linalg.MOD_PRIMES:
-        reduced = [[[(i, c % p) for i, c in col] for col in cols] for cols in others]
-        ops = DerivationOperators(reduced, start)
-        each = (partial(ops.image, gens=range(j, j + 1)) for j in range(len(others)))
+        each = (partial(ops.image, gens=range(j, j + 1), p=p) for j in range(others.count))
         dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), each, p)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
@@ -486,9 +466,9 @@ def invariant_dimension_certificate(space: HyperbolicSpace, int_cols, k: int, ex
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    exact = DerivationOperators(others, start).image(np.eye(len(start), dtype=object), range(len(others)))
-    stacked = [[t.scalar(x) for x in row] for row in exact.tolist() if any(row)]
-    kernel = linalg.nullspace(stacked, len(start), t)
+    exact = ops.image(np.eye(len(start), dtype=object), range(others.count))
+    stacked = [[space.tower.scalar(x) for x in row] for row in exact.tolist() if any(row)]
+    kernel = linalg.nullspace(stacked, len(start), space.tower)
     return len(kernel), "exact elimination"
 
 
@@ -524,7 +504,7 @@ class WeilStructure:
             self.a2_forms.append((t_el, form))
             self.a2_elements.append(form_to_element(self.space, form))
         self.gB = build_gB(self.space, self.B)
-        self._gb_cols = gb_int_cols(self.gB)
+        self.gb_cols = gb_int_cols(self.gB)
 
     @property
     def d(self) -> int:
@@ -537,26 +517,43 @@ class WeilStructure:
         `lie.` family) do not pay for it."""
         return generated_subalgebra_degree(self.space, self.a2_elements + self.HW, self.space.dim_v)
 
+    @cached_property
+    def gb_table(self):
+        """The `DerivationOperators` table of `gb_cols`, bound per start."""
+        return DerivationOperators(self.gb_cols)
+
+    @cached_property
+    def gb_split(self):
+        """The certificate's split of `gb_cols`: the diagonals of the diagonal
+        generators, a row each (int64 while dim max|D| < 2^63, else Python
+        ints), and the `DerivationOperators` table of the others."""
+        parts = {True: [], False: []}
+        for cols in self.gb_cols:
+            parts[all(i == g for g, col in enumerate(cols) for i, _ in col)].append(cols)
+        weights = [[col[0][1] if col else 0 for col in cols] for cols in parts[True]]
+        big = max((len(w) * abs(c) for w in weights for c in w), default=0) >> 63
+        others = DerivationOperators(parts[False])
+        return np.array(weights, dtype=object if big else np.int64), others
+
     def gb_kills(self, *mvs) -> bool:
         """Whether every g_B derivation kills every rational multivector in mvs.
 
         Exact: each mv's denominators are cleared, which rescales its images
         without changing whether they vanish.  The mvs, a column each, are
-        mapped by one `DerivationOperators` over the masks of all their terms,
-        every degree at once (its rows are keyed by destination mask): on
-        int64 while the bound dim^2 max|c| max|x| is below 2^63, else on
-        Python ints.
+        mapped by `gb_table` bound to the masks of all their terms, every
+        degree at once (its rows are keyed by destination mask): on int64
+        while the bound dim^2 max|c| max|x| is below 2^63, else on Python
+        ints.
         """
         terms = [(m, col, c) for col, mv in enumerate(mvs) for m, c in multivector_int_terms(mv).items()]
         if not terms:
             return True
         masks, where, x = zip(*terms)
-        start, dim = sorted(set(masks)), self.space.dim_v
-        cmax = max((abs(c) for cols in self._gb_cols for col in cols for _, c in col), default=0)
+        start, table = sorted(set(masks)), self.gb_table
         X = np.zeros((len(start), len(mvs)),
-                     dtype=object if dim * dim * cmax * max(map(abs, x)) >> 63 else np.int64)
+                     dtype=object if table.dim ** 2 * table.cmax * max(map(abs, x)) >> 63 else np.int64)
         X[np.searchsorted(start, masks), where] = x
-        return not DerivationOperators(self._gb_cols, start).image(X, range(len(self._gb_cols))).any()
+        return not table.bind(start).image(X, range(table.count)).any()
 
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""
@@ -564,7 +561,7 @@ class WeilStructure:
         # exact containment: every derivation kills the generated basis, tested as one block of columns
         if not self.gb_kills(*generated):
             raise ValueError("generated class is not g_B-invariant")
-        dim, method = invariant_dimension_certificate(self.space, self._gb_cols, k, len(generated))
+        dim, method = invariant_dimension_certificate(self.space, self.gb_split, k, len(generated))
         return dim, generated, dim == len(generated), method
 
     def split_witness(self):

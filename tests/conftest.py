@@ -285,3 +285,10 @@ def random_f_q_datum(rng, n):
     q = Fraction(rng.randint(1, 12), rng.randint(1, 5))
     return WeilDatum(TowerSpec(1, q), n, [[int(i == j) for j in range(dim)] for i in range(dim)], theta,
                      [list(col) for col in zip(*ginv)], name=f"random-{'-'.join(map(str, types))}")
+
+
+def int_derivation_cols(mat):
+    """Reference sparse-column form of a dense matrix: for each generator g,
+    the (i, entry) pairs of the nonzero entries of column g."""
+    n = len(mat)
+    return [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0] for j in range(n)]

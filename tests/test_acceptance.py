@@ -295,7 +295,7 @@ def test_criterion_9_headline_pipeline(structures, orlovs):
     ok = not che.terms[0].is_zero()
     kap = kappa(che)
     kint = multivector_int_terms(kap)
-    for cols in ws._gb_cols:
+    for cols in ws.gb_cols:
         ok &= derivation_int(cols, [kint]) == [{}]
     kd = kap.degree_part(ws.d)
     gamma, delta, coeffs = decompose_kappa(ws, kd)  # raises if not direct/member

@@ -1,24 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import (
+    DerivationOperators,
     HyperbolicSpace,
     SoPair,
     clifford_action,
     clifford_mul,
     derivation_int,
     desymbol,
-    int_derivation_cols,
     vector_rep_reflection,
 )
-from weilspin.exteralg import Multivector, wedge
+from weilspin.exteralg import GeneratorSpace, Multivector, wedge
 from weilspin.fieldtower import TowerSpec
 
-from conftest import contract, leibniz_derivation, mv_to_vector, rand_elem, rand_mv, rand_vec, reflection_reference
+from conftest import (
+    contract,
+    int_derivation_cols,
+    leibniz_derivation,
+    mv_to_vector,
+    rand_elem,
+    rand_mv,
+    rand_vec,
+    reflection_reference,
+)
 
 
 @pytest.fixture()
@@ -280,3 +290,67 @@ def test_derivation_int_matches_leibniz(tower, rng):
         assert all(len({m.bit_count() for m in t}) > 1 for t in terms[:3])
         assert derivation_int(cols, terms) == [leibniz_derivation(vspace, cols, t) for t in terms]
         assert derivation_int(cols, [{}]) == [{}] and derivation_int(cols, []) == []
+
+
+_SMALL = st.integers(-3, 3).filter(bool)
+_WIDE = st.one_of(_SMALL, st.integers(2**62, 2**66), st.integers(-2**66, -2**62))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data(), dim=st.integers(2, 6), ngens=st.integers(1, 3), wide=st.booleans())
+def test_derivation_table_matches_leibniz(data, dim, ngens, wide):
+    # a random sparse integer generator set, with a generator of no entries and
+    # an empty column, bound to random starts (one empty): every image, on
+    # object, int64 (when its bound allows; coefficients of 2^62 and more
+    # force Python ints) and mod-p columns, against Leibniz
+    space = GeneratorSpace([f"e{i}" for i in range(dim)], TowerSpec(1, 1))
+    coef = _WIDE if wide else _SMALL
+    column = st.dictionaries(st.integers(0, dim - 1), coef, max_size=2).map(lambda c: sorted(c.items()))
+    gens = data.draw(st.lists(st.lists(column, min_size=dim, max_size=dim), min_size=ngens, max_size=ngens))
+    gens.insert(data.draw(st.integers(0, ngens)), [[] for _ in range(dim)])
+    gens[data.draw(st.integers(0, ngens))][data.draw(st.integers(0, dim - 1))] = []
+    table = DerivationOperators(gens)
+    assert table.count == ngens + 1 and table.dim == dim
+    assert table.cmax == max((abs(c) for cols in gens for col in cols for _, c in col), default=0)
+    p = linalg.MOD_PRIMES[0]
+    starts = [[], sorted(data.draw(st.sets(st.integers(0, (1 << dim) - 1), min_size=1)))]
+    for start in starts:
+        ops = table.bind(start)
+        rows = st.lists(st.integers(-5, 5), min_size=2, max_size=2)
+        X = np.array(data.draw(st.lists(rows, min_size=len(start), max_size=len(start))), dtype=object)
+        X = X.reshape(-1, 2)
+        whole = ops.image(X, range(table.count))
+        for j, cols in enumerate(gens):
+            rows = slice(ops.rows[j], ops.rows[j + 1])
+            dst = ops.dst[rows].tolist()
+            assert dst == sorted(set(dst)) and (ops.gen[rows] == j).all()
+            # object columns, and residues under the entries mod p
+            paths = [(X, None), ((X % p).astype(np.int64), p)]
+            if dim * dim * table.cmax * 5 < 2**63:  # the bound of `image`, over the whole table
+                paths.append((X.astype(np.int64), None))
+            for Y, q in paths:
+                got = ops.image(Y, range(j, j + 1), p=q)
+                assert got.dtype == (np.int64 if q else Y.dtype) and got.shape == (len(dst), 2)
+                if q is None:
+                    assert (got == whole[rows]).all()
+                for c in range(2):
+                    terms = {m: int(x) for m, x in zip(start, Y[:, c].tolist()) if x}
+                    want = leibniz_derivation(space, cols, terms)
+                    want = {m: int(x.as_rational()) for m, x in want.items()}
+                    have = dict(zip(dst, got[:, c].tolist()))
+                    if q:
+                        want, have = ({m: x % q for m, x in d.items() if x % q} for d in (want, have))
+                    assert {m: x for m, x in have.items() if x} == want
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), tower=st.sampled_from(GAMMA_TOWERS))
+def test_so_pair_columns_are_the_sparse_form_of_ad(data, n, tower):
+    hs = HyperbolicSpace(n, tower)
+    deg2 = [m for m in range(1 << hs.dim_v) if m.bit_count() == 2]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    terms = {m: rand_elem(rng, tower) for m in rng.sample(deg2, data.draw(st.integers(0, min(8, len(deg2)))))}
+    so = SoPair(hs, Multivector(hs.vspace, terms))
+    assert so.cols == int_derivation_cols(so.ad)
+    v = rand_vec(rng, hs)
+    assert so.ad_vector(v) == linalg.mat_vec(so.ad, v, tower)

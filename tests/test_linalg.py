@@ -169,6 +169,18 @@ def test_no_matrices_leaves_everything():
     assert linalg.modp_joint_kernel_dim(_start(5, [0, 2, 4]), iter(()), P) == 3
 
 
+def test_empty_start_consumes_no_operator():
+    # a start with no columns has joint kernel 0 whatever the operators are
+    class Untouchable:
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            raise AssertionError("an operator was consumed on an empty start")
+
+    assert linalg.modp_joint_kernel_dim(_start(6, []), Untouchable(), P) == 0
+
+
 def test_modp_rank_and_kernel_take_big_ints_and_arrays():
     big = 10**30
     rows = [[big + 1, -big, 3], [2 * (big + 1), -2 * big, 6], [big * big, 0, 1]]

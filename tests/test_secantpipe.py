@@ -5,11 +5,12 @@ from types import SimpleNamespace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weilspin import linalg
 from weilspin.cli import main
-from weilspin.clifford import HyperbolicSpace
+from weilspin.clifford import DerivationOperators, HyperbolicSpace, SoPair
 from weilspin.exteralg import GeneratorSpace, Multivector, exp_even, in_span, s_pairing, tau, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
@@ -27,6 +28,8 @@ from weilspin.secantpipe import (
     transform_pair,
 )
 from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
+
+from conftest import int_derivation_cols
 
 
 def test_preset_names():
@@ -265,8 +268,23 @@ def test_cli_reports_internal_error_in_one_line(monkeypatch, capsys):
 
     # a resource failure is not reported as an internal error
     monkeypatch.setattr(WeilStructure, "__init__", out_of_memory)
-    with pytest.raises(MemoryError):
-        main(["verify", "--preset", "fourfold-rm2"])
+    assert main(["verify", "--preset", "fourfold-rm2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: resource: MemoryError: \n"
+    assert captured.out == ""
+
+
+def test_cli_reports_memory_error_in_build_as_resource(monkeypatch, capsys, tmp_path):
+    # an oversized datum exits 2 with one line and no traceback or report
+    def oversized(datum, w, eta):
+        raise MemoryError("Unable to allocate 3.34 GiB for an array")
+
+    monkeypatch.setattr(weilcm, "build_HW", oversized)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--preset", "fourfold-rm2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: resource: MemoryError: Unable to allocate 3.34 GiB for an array\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_cli_reports_value_error_in_build_as_internal(monkeypatch, capsys):
@@ -548,18 +566,29 @@ def test_clifford_relation_tables_match_mask_loop(ws4, monkeypatch):
     assert verdicts == {True, False}
 
 
-def test_commutes_with_cm_check_on_integer_forms(ws6):
+def test_commutes_with_cm_check_on_integer_forms(ws6, monkeypatch):
     runner = secantpipe._Runner(ws6.datum, 0)
     tow = ws6.datum.tower
     mats = [ws6.eta.of(t) for t in ws6.eta.k_basis()]
     # the FieldElem products as reference, and a rescaled generator
     assert all(linalg.mat_eq(linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow))
                for so in ws6.gB for m in mats)
-    scaled = [SimpleNamespace(ad=linalg.mat_scale(so.ad, tow.scalar(Fraction(-2, 7)))) for so in ws6.gB]
-    runner.ws = SimpleNamespace(_gb_cols=gb_int_cols(scaled), eta=ws6.eta)
-    assert runner._gb_commutes() == (True, {})
+
+    def commutes(gens):
+        runner.ws = SimpleNamespace(gb_table=DerivationOperators(gb_int_cols(gens)), eta=ws6.eta)
+        return runner._gb_commutes()
+
+    dtypes = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: dtypes.append(a.dtype) or real(a, b))
+    scaled = [SoPair(ws6.space, so.xi.scale(tow.scalar(Fraction(-2, 7)))) for so in ws6.gB]
+    assert commutes(scaled) == (True, {}) and dtypes.pop() == np.int64
     # a matrix unit E_01 does not commute with eta(sqrt -q)
     unit = [[tow.scalar(int((r, c) == (0, 1))) for c in range(12)] for r in range(12)]
-    runner.ws = SimpleNamespace(_gb_cols=gb_int_cols(scaled + [SimpleNamespace(ad=unit)]), eta=ws6.eta)
+    perturbed = SimpleNamespace(cols=int_derivation_cols(unit))
     assert not linalg.mat_eq(linalg.mat_mul(unit, mats[1], tow), linalg.mat_mul(mats[1], unit, tow))
-    assert runner._gb_commutes() == (False, {})
+    assert commutes(scaled + [perturbed]) == (False, {}) and dtypes.pop() == np.int64
+    # a generator scaled by 2^62 puts dim max|a| max|m| past 2^63: Python ints decide
+    big = scaled[:-1] + [SoPair(ws6.space, scaled[-1].xi.scale(tow.scalar(2**62)))]
+    assert commutes(big) == (True, {}) and dtypes.pop() == object
+    assert commutes(big + [perturbed]) == (False, {}) and dtypes.pop() == object

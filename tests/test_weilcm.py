@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -370,7 +371,7 @@ def test_gb(ws6, ws4):
 def test_gb_kills_invariant_generators(ws6, ws4):
     for ws in (ws6, ws4):
         for mv in list(ws.a2_elements) + ws.HW:
-            for cols in ws._gb_cols:
+            for cols in ws.gb_cols:
                 assert not leibniz_derivation(ws.space.vspace, cols, mv.terms)
 
 
@@ -399,14 +400,14 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
         verdicts = []
         for mv in samples:
             iterms = multivector_int_terms(mv)
-            images = [leibniz_derivation(vspace, cols, iterms) for cols in ws._gb_cols]
+            images = [leibniz_derivation(vspace, cols, iterms) for cols in ws.gb_cols]
             verdicts.append(not any(images))
             assert ws.gb_kills(mv) == verdicts[-1]
-            ops = DerivationOperators(ws._gb_cols, list(iterms))
+            ops = ws.gb_table.bind(list(iterms))
             small = max(map(abs, iterms.values())) < 2**40
             for dtype in (np.int64, object) if small else (object,):
                 x = np.array(list(iterms.values()), dtype=dtype)
-                got = ops.image(x[:, None], range(len(ws._gb_cols)))
+                got = ops.image(x[:, None], range(len(ws.gb_cols)))
                 assert got.dtype == x.dtype and got.shape == (len(ops.dst), 1)
                 for j, image in enumerate(images):
                     dst, rows = _rows_of(ops, j)
@@ -427,7 +428,7 @@ def test_batched_containment_matches_each_element(structure, request):
         # a basis mask not killed: one that some generator moves
         bad = next(Multivector(vspace, {m: one}) for m in range(1 << ws.space.dim_v)
                    if m.bit_count() == k and any(leibniz_derivation(vspace, cols, {m: 1})
-                                                 for cols in ws._gb_cols))
+                                                 for cols in ws.gb_cols))
         for mvs in (basis + [bad], [bad] + basis, basis[:1] + [bad + basis[0]] + basis[1:]):
             assert ws.gb_kills(*mvs) is False
             assert not all(ws.gb_kills(mv) for mv in mvs)
@@ -472,9 +473,9 @@ def test_generated_matches_product_enumeration(structure, dims, request):
 
 
 def test_exact_fallback_agrees_with_modular(ws4, monkeypatch):
-    from weilspin.weilcm import gb_int_cols, invariant_dimension_certificate
+    from weilspin.weilcm import invariant_dimension_certificate
 
-    cols = gb_int_cols(ws4.gB)
+    cols = ws4.gb_split
     for k in (1, 2):  # 8 and 28 masks
         expected = ws4.invariants_and_generation(k)[0]
         dim, method = invariant_dimension_certificate(ws4.space, cols, k, expected)
@@ -495,13 +496,14 @@ def test_table_operators_match_derivation_int(structure, request):
         masks = [m for m in range(1 << dim) if m.bit_count() == k]
         index = {m: i for i, m in enumerate(masks)}
         identity = np.eye(len(masks), dtype=np.int64)
-        ops = DerivationOperators(ws._gb_cols, masks)
-        # the entries reduced mod p, as the certificate applies them
+        ops = ws.gb_table.bind(masks)
+        # a table of the entries reduced mod p has the same rows, so one
+        # binding serves every prime, as in the certificate
         reduced = DerivationOperators([[[(i, c % p) for i, c in col] for col in cols]
-                                       for cols in ws._gb_cols], masks)
+                                       for cols in ws.gb_cols]).bind(masks)
         if k == 3:  # the exact fallback's rows, on every column
-            exact_rows = ops.image(np.eye(len(masks), dtype=object), range(len(ws._gb_cols)))
-        for j, cols in enumerate(ws._gb_cols):
+            exact_rows = ops.image(np.eye(len(masks), dtype=object), range(len(ws.gb_cols)))
+        for j, cols in enumerate(ws.gb_cols):
             entries = [(index[mm], jj, int(c.as_rational())) for jj, m in enumerate(masks)
                        for mm, c in leibniz_derivation(ws.space.vspace, cols, {m: 1}).items()]
             expected = np.zeros_like(identity)
@@ -511,8 +513,9 @@ def test_table_operators_match_derivation_int(structure, request):
             assert dst == sorted(set(dst)) and _rows_of(reduced, j)[0] == dst
             assert {i for i, _, _ in entries} <= {index[m] for m in dst}
             got = np.zeros_like(identity)
-            got[[index[m] for m in dst]] = reduced.image(identity, range(j, j + 1))
+            got[[index[m] for m in dst]] = ops.image(identity, range(j, j + 1), p=p)
             assert (got % p == expected).all()
+            assert (reduced.image(identity, range(j, j + 1)) == got[[index[m] for m in dst]]).all()
             if k == 3:
                 exact = [[0] * len(masks) for _ in masks]
                 for i, jj, c in entries:
@@ -527,7 +530,7 @@ def test_operator_rows_are_per_matrix():
     # two matrices reaching the same mask keep a row each, keyed by (matrix, mask)
     unit = [[(1, 3)], [], [], []]  # 3 E_10 on four generators: g = 0 goes to i = 1
     assert derivation_int(unit, [{0b0101: 2}]) == [{0b0110: 6}]
-    ops = DerivationOperators([unit, unit], [0b0101])
+    ops = DerivationOperators([unit, unit]).bind([0b0101])
     assert ops.dst.tolist() == [0b0110, 0b0110] and ops.gen.tolist() == [0, 1]
     X = np.array([[2]], dtype=np.int64)
     assert ops.image(X, range(2)).tolist() == [[6], [6]]
@@ -573,10 +576,26 @@ def test_certificate_without_diagonal_generator():
     # no g_B generator is diagonal in this basis, so the certificate starts
     # from every mask and must still reach the sixfold's dimensions
     ws = WeilStructure(_sheared_sixfold())
-    assert all(any(i != g for g, col in enumerate(cols) for i, _ in col) for cols in ws._gb_cols)
+    assert all(any(i != g for g, col in enumerate(cols) for i, _ in col) for cols in ws.gb_cols)
     for k, expected in ((2, 1), (4, 1), (6, 3)):
         dim, _, flag, method = ws.invariants_and_generation(k)
         assert (dim, flag, method) == (expected, True, f"modular certificate (p={linalg.MOD_PRIMES[0]})")
+
+
+def test_weight_zero_start_is_exact_for_huge_weights(ws6):
+    # a diagonal generator 2^62 w stays on Python ints (dim max|D| >= 2^63):
+    # four entries +1 sum to 2^64, which is 0 on int64 but not a weight 0
+    from weilspin.weilcm import invariant_dimension_certificate
+
+    w = [1, 1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0]
+    split = WeilStructure.gb_split.func(SimpleNamespace(gb_cols=[[[(g, c << 62)] if c else []
+                                                                  for g, c in enumerate(w)]]))
+    assert split[0].dtype == object and split[1].count == 0
+    for k in range(1, 7):
+        expected = sum(1 for m in range(1 << 12)
+                       if m.bit_count() == k and sum(c for g, c in enumerate(w) if m >> g & 1) == 0)
+        assert invariant_dimension_certificate(ws6.space, split, k, expected) == (
+            expected, f"modular certificate (p={linalg.MOD_PRIMES[0]})")
 
 
 def test_pair_f_recovers_pairing(ws4, rng):
