@@ -3,7 +3,10 @@
 Basis elements of the exterior algebra on m generators are subsets of
 {0..m-1} packed as bitmasks; a multivector is a sparse map mask -> FieldElem.
 All Koszul signs come from inversion-counting between masks, one popcount
-per pair (`below_parity`), so products are O(#terms^2).
+per pair (`below_parity`): `wedge`, the general product, is a Python loop
+over term pairs.  A rational multivector also has an exact integer form,
+`IntMultivector` (int64 masks, integer numerators, one denominator), whose
+product with a small factor is one vectorised numpy pass per term of it.
 
 The fixed orientation is g_1 ^ ... ^ g_m |-> 1: the top monomial has
 integral one, and the spinor pairing refers to it.
@@ -12,6 +15,9 @@ integral one, and the spinor pairing refers to it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from . import linalg
 from .fieldtower import FieldElem, TowerSpec
@@ -196,6 +202,78 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
             else:
                 out[key] = c
     return Multivector._nonzero(a.space, out)
+
+
+def int_dtype(bound: int):
+    """int64 for integers bounded by `bound` below 2^63, else Python ints; the
+    bound is formed on Python ints, so it cannot wrap."""
+    return np.int64 if bound >> 63 == 0 else object
+
+
+class IntMultivector:
+    """A rational multivector in exact integer form: numerator nums[i] at mask
+    masks[i] (int64; no mask twice, no zero numerator) over one positive
+    denominator den.  nums is int64 under the bound of `int_dtype`, else an
+    object array of Python ints."""
+
+    __slots__ = ("space", "masks", "nums", "den")
+
+    def __init__(self, space: GeneratorSpace, masks, nums, den: int):
+        self.space, self.masks, self.nums, self.den = space, masks, nums, den
+
+    @classmethod
+    def of(cls, mv: Multivector) -> "IntMultivector":
+        """mv over the lcm of its denominators; raises ValueError off Q."""
+        nums = linalg.matrix_to_int_global([list(mv.terms.values())])[0]
+        return cls(mv.space, np.array(list(mv.terms), dtype=np.int64),
+                   np.array(nums, dtype=int_dtype(max(map(abs, nums), default=0))),
+                   lcm(*(c.d for c in mv.terms.values())))
+
+    @classmethod
+    def from_terms(cls, space: GeneratorSpace, masks, nums, den: int) -> "IntMultivector":
+        """The sum of the terms nums[t] at masks[t], a mask possibly repeated:
+        one stable argsort and `np.add.reduceat`; zero sums are dropped."""
+        order = np.argsort(masks, kind="stable")
+        masks, nums = masks[order], nums[order]
+        first = np.flatnonzero(np.diff(masks, prepend=-1))
+        sums = np.add.reduceat(nums, first) if len(first) else nums
+        return cls(space, masks[first][sums != 0], sums[sums != 0], den)
+
+    def to_multivector(self) -> Multivector:
+        return Multivector._nonzero(self.space, {m: FieldElem(self.space.tower, (x, 0, 0, 0), self.den)
+                                                 for m, x in zip(self.masks.tolist(), self.nums.tolist())})
+
+    def is_zero(self) -> bool:
+        return not len(self.masks)
+
+    def height(self) -> int:
+        """The largest |numerator|, as a Python int."""
+        return int(np.abs(self.nums).max(initial=0))
+
+    def exact_quotient(self, k: int) -> "IntMultivector":
+        """The numerators divided by k; raises ArithmeticError on a remainder."""
+        if (self.nums % k).any():
+            raise ArithmeticError(f"a numerator is not divisible by {k}")
+        return IntMultivector(self.space, self.masks, self.nums // k, self.den)
+
+    def wedge(self, small: "IntMultivector") -> "IntMultivector":
+        """self ^ small by one vectorised pass per term (g, w) of `small`: each
+        mask a of self disjoint from g goes to a | g with the sign of
+        popcount(a & below_parity(g)).  A mask gets at most one term per g,
+        so every sum is at most height * sum |w|; the int64 bound is
+        max(height, 1) * max(sum |w|, 1), which also bounds each numerator
+        and each w."""
+        ws, top = small.nums.tolist(), self.space.top_mask
+        x = self.nums.astype(int_dtype(max(self.height(), 1) * max(sum(map(abs, ws)), 1)))
+        masks, nums = [self.masks[:0]], [x[:0]]
+        for g, w in zip(small.masks.tolist(), ws):
+            keep = (self.masks & g) == 0
+            a, v = self.masks[keep], x[keep] * w
+            v[np.bitwise_count(a & (below_parity(g, self.space.m) & top)) & 1 == 1] *= -1
+            masks.append(a | g)
+            nums.append(v)
+        return IntMultivector.from_terms(self.space, np.concatenate(masks), np.concatenate(nums),
+                                         self.den * small.den)
 
 
 def column_rows(images) -> list:

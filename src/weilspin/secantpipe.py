@@ -30,11 +30,13 @@ import numpy as np
 from . import linalg
 from .clifford import SoPair, clifford_action, clifford_mul, desymbol, vector_rep_reflection
 from .exteralg import (
+    IntMultivector,
     Multivector,
     coordinates,
     degree_two_masks,
     exp_even,
     in_span,
+    int_dtype,
     rational_parts,
     s_pairing,
     span_basis,
@@ -69,21 +71,31 @@ def transform_pair(orl: OrlovTransform, c1: Multivector, c2: Multivector, varian
     return orl.phiH(boxed)
 
 
-def kappa(c: Multivector) -> Multivector:
-    """ch * exp(-c1/rank), the sum of the terms c ^ w^j / j! (w = -c1/rank), each
-    the previous one wedged with w / j; the degree-2 part of the result vanishes."""
+def kappa(c: Multivector) -> IntMultivector:
+    """The normalized character ch * exp(-c1/rank) of c = ch, on integer
+    forms (ch lies in H^ev(X x Xhat, Q); a coefficient outside Q raises
+    ValueError).  The degree-2 part of the result vanishes.
+
+    With c = C / D and w = -c1/rank = W / R, kappa = sum_j c ^ w^j / j! is
+    sum_j t_j over D R^j, where t_j = C ^ W^j / j! is t_(j-1) ^ W / j.  That
+    division is exact: t_(j-1) ^ W = C ^ W^j / (j-1)! = j t_j, and W^j / j!
+    of an integer 2-form is integral, a signed sum over the sets of j
+    disjoint index pairs of the products of their coefficients
+    (`exact_quotient` raises on a remainder).  The parts are summed once,
+    over D R^J.
+    """
     r = c.terms.get(0)
-    if r is None or r.is_zero():
+    if r is None:
         raise ValueError("kappa requires nonzero rank")
-    w = c.degree_part(2).scale(-r.inv())
-    out = term = c
-    j = 0
-    while True:
-        j += 1
-        term = wedge(term, w.scale(Fraction(1, j)))
-        if term.is_zero():
-            return out
-        out = out + term
+    w, parts = IntMultivector.of(c.degree_part(2).scale(-r.inv())), [IntMultivector.of(c)]
+    while not parts[-1].is_zero():
+        parts.append(parts[-1].wedge(w).exact_quotient(len(parts)))
+    parts.pop()
+    scale = [parts[-1].den // t.den for t in parts]
+    dtype = int_dtype(sum(k * t.height() for k, t in zip(scale, parts)))
+    return IntMultivector.from_terms(c.space, np.concatenate([t.masks for t in parts]),
+                                     np.concatenate([t.nums.astype(dtype) * k for k, t in zip(scale, parts)]),
+                                     parts[-1].den)
 
 
 def dual_sheaf_character(ch_g: Multivector) -> Multivector:
@@ -309,7 +321,7 @@ class _Runner:
         return transform_pair(self.orl, self._ch, self._ch, "G")
 
     @cached_property
-    def _kappa(self) -> Multivector:
+    def _kappa(self) -> IntMultivector:
         return kappa(dual_sheaf_character(self._g))
 
     # -- individual checks ------------------------------------------------------
@@ -644,7 +656,7 @@ class _Runner:
         table = self.ws.gb_table
         mats = np.array([linalg.matrix_to_int_global(self.ws.eta.of(t)) for t in self.ws.eta.k_basis()],
                         dtype=object)
-        dtype = object if table.dim * table.cmax * abs(mats).max() >> 63 else np.int64
+        dtype = int_dtype(table.dim * table.cmax * abs(mats).max())
         a = np.zeros((table.count, table.dim, table.dim), dtype=dtype)
         a[table.ej, table.ei, table.eg] = table.coefs
         a, m = a[:, None], mats.astype(dtype)
@@ -861,14 +873,14 @@ class _Runner:
 
     @_check("pipeline.kappa-invariant", "normalized character is invariant", _sheaf_chain)
     def _kappa_invariant(self):
-        kap = self._kappa
-        ok = kap.degree_part(2).is_zero() and self.ws.gb_kills(kap)
+        kap = self._kappa.to_multivector()
+        ok = kap.degree_part(2).is_zero() and self.ws.gb_kills(self._kappa)
         return ok, {"rank": str(kap.terms[0].as_rational())}
 
     @_check("pipeline.kappa-decomposition",
             "middle character splits with nonzero Weil part", _sheaf_chain)
     def _kappa_decomposition(self):
-        kd = self._kappa.degree_part(self.ws.d)
+        kd = self._kappa.to_multivector().degree_part(self.ws.d)
         gamma, delta, coeffs = decompose_kappa(self.ws, kd)
         ok = not gamma.is_zero()
         ok &= (gamma + delta) == kd

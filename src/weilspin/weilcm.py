@@ -30,10 +30,12 @@ import numpy as np
 from . import linalg
 from .clifford import DerivationOperators, HyperbolicSpace, SoPair
 from .exteralg import (
+    IntMultivector,
     Multivector,
     column_rows,
     degree_two_masks,
     exp_even,
+    int_dtype,
     rational_parts,
     span_basis,
     wedge,
@@ -472,11 +474,6 @@ def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expec
     return len(kernel), "exact elimination"
 
 
-def multivector_int_terms(mv: Multivector) -> dict:
-    """Clear denominators of a rational multivector into an integer term dict."""
-    return dict(zip(mv.terms, linalg.matrix_to_int_global([list(mv.terms.values())])[0]))
-
-
 class WeilStructure:
     """Everything derived from a WeilDatum, built once and shared read-only."""
 
@@ -531,12 +528,12 @@ class WeilStructure:
         for cols in self.gb_cols:
             parts[all(i == g for g, col in enumerate(cols) for i, _ in col)].append(cols)
         weights = [[col[0][1] if col else 0 for col in cols] for cols in parts[True]]
-        big = max((len(w) * abs(c) for w in weights for c in w), default=0) >> 63
-        others = DerivationOperators(parts[False])
-        return np.array(weights, dtype=object if big else np.int64), others
+        bound = max((len(w) * abs(c) for w in weights for c in w), default=0)
+        return np.array(weights, dtype=int_dtype(bound)), DerivationOperators(parts[False])
 
     def gb_kills(self, *mvs) -> bool:
-        """Whether every g_B derivation kills every rational multivector in mvs.
+        """Whether every g_B derivation kills every rational multivector in
+        mvs, each a `Multivector` or its `IntMultivector`.
 
         Exact: each mv's denominators are cleared, which rescales its images
         without changing whether they vanish.  The mvs, a column each, are
@@ -545,14 +542,15 @@ class WeilStructure:
         while the bound dim^2 max|c| max|x| is below 2^63, else on Python
         ints.
         """
-        terms = [(m, col, c) for col, mv in enumerate(mvs) for m, c in multivector_int_terms(mv).items()]
-        if not terms:
+        forms = [mv if isinstance(mv, IntMultivector) else IntMultivector.of(mv) for mv in mvs]
+        if all(f.is_zero() for f in forms):
             return True
-        masks, where, x = zip(*terms)
-        start, table = sorted(set(masks)), self.gb_table
-        X = np.zeros((len(start), len(mvs)),
-                     dtype=object if table.dim ** 2 * table.cmax * max(map(abs, x)) >> 63 else np.int64)
-        X[np.searchsorted(start, masks), where] = x
+        # not np.unique: its first call imports numpy.ma, about 17 ms per process
+        start, table = np.array(sorted(set().union(*(f.masks.tolist() for f in forms)))), self.gb_table
+        X = np.zeros((len(start), len(forms)),
+                     dtype=int_dtype(table.dim ** 2 * table.cmax * max(f.height() for f in forms)))
+        for j, f in enumerate(forms):
+            X[np.searchsorted(start, f.masks), j] = f.nums
         return not table.bind(start).image(X, range(table.count)).any()
 
     def invariants_and_generation(self, k: int):

@@ -292,3 +292,25 @@ def int_derivation_cols(mat):
     the (i, entry) pairs of the nonzero entries of column g."""
     n = len(mat)
     return [[(i, mat[i][j]) for i in range(n) if mat[i][j] != 0] for j in range(n)]
+
+
+def kappa_reference(c):
+    """Reference for `secantpipe.kappa`: ch * exp(-c1/rank) as the Horner sum
+    of the terms c ^ w^j / j! (w = -c1/rank), each the previous one wedged
+    with w / j through `wedge`, on `FieldElem` coefficients."""
+    from fractions import Fraction
+
+    from weilspin.exteralg import wedge
+
+    r = c.terms.get(0)
+    if r is None or r.is_zero():
+        raise ValueError("kappa requires nonzero rank")
+    w = c.degree_part(2).scale(-r.inv())
+    out = term = c
+    j = 0
+    while True:
+        j += 1
+        term = wedge(term, w.scale(Fraction(1, j)))
+        if term.is_zero():
+            return out
+        out = out + term

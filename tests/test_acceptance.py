@@ -32,11 +32,7 @@ from weilspin.secantpipe import (
     run_all,
     transform_pair,
 )
-from weilspin.weilcm import (
-    WeilStructure,
-    hermitian_form,
-    multivector_int_terms,
-)
+from weilspin.weilcm import WeilStructure, hermitian_form
 
 
 def _report(num, name, ok):
@@ -294,10 +290,10 @@ def test_criterion_9_headline_pipeline(structures, orlovs):
     che = dual_sheaf_character(transform_pair(orl, ch, ch, "G"))
     ok = not che.terms[0].is_zero()
     kap = kappa(che)
-    kint = multivector_int_terms(kap)
+    kint = dict(zip(kap.masks.tolist(), kap.nums.tolist()))
     for cols in ws.gb_cols:
         ok &= derivation_int(cols, [kint]) == [{}]
-    kd = kap.degree_part(ws.d)
+    kd = kap.to_multivector().degree_part(ws.d)
     gamma, delta, coeffs = decompose_kappa(ws, kd)  # raises if not direct/member
     ok &= gamma + delta == kd
     ok &= not gamma.is_zero()

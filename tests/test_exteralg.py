@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from weilspin import linalg
 from weilspin.clifford import HyperbolicSpace, clifford_action
 from weilspin.exteralg import (
     GeneratorSpace,
+    IntMultivector,
     Multivector,
     coordinates,
     exp_even,
@@ -245,6 +247,52 @@ def test_wedge_unit_and_k_coefficients_match_inversion_counting(data, m):
     a, b = (Multivector(sp, data.draw(terms)) for _ in range(2))
     assert wedge(a, b) == _reference_wedge(a, b)
     assert wedge(b, a) == _reference_wedge(b, a)
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(data=st.data(), m=st.integers(0, 12), scale=st.sampled_from([1, 2**62 + 3]))
+def test_int_wedge_matches_wedge(data, m, scale):
+    # rational factors, empty and one-term small factors included; a scale of
+    # 2^62 + 3 puts numerators of at least 2^62 in the large factor, so with
+    # sum |w| >= 2 the product runs on Python ints
+    t = TowerSpec(1, 2)
+    sp = GeneratorSpace([f"g{i}" for i in range(m)], t)
+    coeff = st.tuples(st.integers(-5, 5), st.integers(1, 6)).map(lambda c: t.scalar(Fraction(*c)))
+    mask = st.integers(0, (1 << m) - 1)
+    a = Multivector(sp, data.draw(st.dictionaries(mask, coeff, max_size=16))).scale(scale)
+    b = Multivector(sp, data.draw(st.dictionaries(mask, coeff, max_size=3)))
+    ia, ib = IntMultivector.of(a), IntMultivector.of(b)
+    assert ia.to_multivector() == a and ib.to_multivector() == b
+    prod = ia.wedge(ib)
+    assert prod.to_multivector() == wedge(a, b)
+    assert len(np.unique(prod.masks)) == len(prod.masks) and (prod.nums != 0).all()
+    if not (a.is_zero() or b.is_zero()):
+        big = ia.height() * sum(abs(w) for w in ib.nums.tolist()) >= 2**63
+        assert prod.nums.dtype == (object if big else np.int64)
+    # an exact quotient keeps the value up to the factor; a remainder raises
+    if all(x % 3 == 0 for x in ia.nums.tolist()):
+        assert ia.exact_quotient(3).to_multivector() == a.scale(Fraction(1, 3))
+    else:
+        with pytest.raises(ArithmeticError):
+            ia.exact_quotient(3)
+
+
+@pytest.mark.parametrize("h, w, dtype", [
+    ((2**63 - 1) // 7, (3, 4), np.int64),  # the sum is 2^63 - 1: int64, exact
+    (2**61, (1, 3), object),  # the sum is 2^63
+    (2**62, (1, 3), object),  # the sum is 2^64, and 2^62 * 4 wraps to 0 in int64
+])
+def test_int_wedge_guard_on_the_int64_boundary(h, w, dtype):
+    # a x b with a = h g0 - h g2 and b = w0 g2 + w1 g0: both pairs reach
+    # g0 ^ g2 with coefficient + h w, so the one sum is h (w0 + w1), the
+    # guard height(a) * sum |w| itself; it is formed on Python ints
+    sp = GeneratorSpace(["g0", "g1", "g2"], TowerSpec(1, 2))
+    a = Multivector(sp, {0b001: sp.scalar(h), 0b100: sp.scalar(-h)})
+    b = Multivector(sp, {0b100: sp.scalar(w[0]), 0b001: sp.scalar(w[1])})
+    prod = IntMultivector.of(a).wedge(IntMultivector.of(b))
+    assert prod.nums.dtype == dtype
+    assert prod.masks.tolist() == [0b101] and prod.nums.tolist() == [h * sum(w)]
+    assert prod.to_multivector() == wedge(a, b)
 
 
 def test_equal_distinct_generator_spaces(rng):

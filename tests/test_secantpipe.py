@@ -29,7 +29,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
 
-from conftest import int_derivation_cols
+from conftest import int_derivation_cols, kappa_reference
 
 
 def test_preset_names():
@@ -79,12 +79,12 @@ def test_kappa(ws6, orl6):
     tow = ws6.datum.tower
     sp = orl6.pa_xy.space
     r5 = Multivector(sp, {0: tow.scalar(5)})
-    assert kappa(r5) == r5
+    assert kappa(r5).to_multivector() == r5
     with pytest.raises(ValueError):
         kappa(sp.gen(0))  # rank zero
     ch = preset_ch_ideal_curves(ws6)
     che = dual_sheaf_character(transform_pair(orl6, ch, ch, "G"))
-    kap = kappa(che)
+    kap = kappa(che).to_multivector()
     assert kap.degree_part(2).is_zero()
     assert kap.terms[0] == che.terms[0]
 
@@ -95,20 +95,38 @@ def _kappa_by_exp(c):
 
 
 def test_kappa_equals_product_with_exponential(ws6, orl6):
+    # kappa's domain is rational (ch lies in H^ev(X x Xhat, Q)), so the draws
+    # are; the Horner sum on FieldElems is a second reference
     ch = preset_ch_ideal_curves(ws6)
     che = dual_sheaf_character(transform_pair(orl6, ch, ch, "G"))
-    assert kappa(che) == _kappa_by_exp(che)
+    assert kappa(che).to_multivector() == _kappa_by_exp(che) == kappa_reference(che)
     rng = random.Random(3)
     for tow in (TowerSpec(1, 2), TowerSpec(2, 1)):
         for m in (2, 5, 8):
             sp = GeneratorSpace([f"g{i}" for i in range(m)], tow)
             even = [x for x in range(1, 1 << m) if x.bit_count() % 2 == 0]
             for _ in range(4):
-                terms = {x: tow.elem(*(rng.randint(-3, 3) for _ in range(4)))
+                terms = {x: tow.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
                          for x in rng.sample(even, min(len(even), 9))}
-                terms[0] = tow.elem(rng.randint(1, 4), 0, rng.randint(-1, 1), 0)  # nonzero rank
+                terms[0] = tow.scalar(Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3)))
                 c = Multivector(sp, terms)
-                assert kappa(c) == _kappa_by_exp(c)
+                assert kappa(c).to_multivector() == _kappa_by_exp(c) == kappa_reference(c)
+                with pytest.raises(ValueError):  # a sqrt(-q) part: ch is rational
+                    kappa(c + Multivector(sp, {rng.choice(even): tow.elem(0, 0, 1, 0)}))
+
+
+@pytest.mark.parametrize("source", ["sixfold-q2", "fourfold-rm2", "eightfold-q2"])
+def test_kappa_matches_horner_reference(source):
+    # the pipeline's c on the F = Q data; fourfold-rm2 (F != Q) runs no sheaf
+    # chain, and there ch is the sum of the rational secant basis (rank -3)
+    if source in PRESETS:
+        datum = PRESETS[source]()
+    else:
+        datum = WeilDatum.from_json(json.loads((Path(__file__).parent / "data" / f"{source}.json").read_text()))
+    ws, orl = WeilStructure(datum), OrlovTransform(datum.n, datum.tower)
+    ch = preset_ch_ideal_curves(ws) if datum.tower.p == 1 else sum(ws.B[1:], ws.B[0])
+    che = dual_sheaf_character(transform_pair(orl, ch, ch, "G"))
+    assert kappa(che).to_multivector() == kappa_reference(che)
 
 
 def test_dual_sheaf_rank(ws6, orl6):
@@ -121,7 +139,7 @@ def test_dual_sheaf_rank(ws6, orl6):
 def test_decompose_kappa(ws6, orl6):
     ch = preset_ch_ideal_curves(ws6)
     kap = kappa(dual_sheaf_character(transform_pair(orl6, ch, ch, "G")))
-    kd = kap.degree_part(ws6.d)
+    kd = kap.to_multivector().degree_part(ws6.d)
     gamma, delta, coeffs = decompose_kappa(ws6, kd)
     assert gamma + delta == kd
     assert not gamma.is_zero()
@@ -390,9 +408,11 @@ def test_committed_datum_report_sha256(source, sha256, tmp_path):
 @pytest.mark.parametrize("check, sha256", [
     ("lemma.", "fb2fbda227ade934b2eb41431a1133fdda98431098e44f37713313cebf6ba3ea"),
     ("fm.", "c22afdbfaf5e70601d509d99617c13d3c6f84eb3fe41e075d33797a92c0ad3bd"),
+    ("pipeline.", "442efc18e6fccf9df7da2a01173c38108e30861e829e1e37b3ec8fdd9c430b41"),
 ])
 def test_tenfold_transform_checks_sha256(check, sha256, tmp_path):
-    # the transform lemmas at n = 5, pinned to the report of an earlier implementation
+    # the transform lemmas and the sheaf chain at n = 5 (kappa there runs on
+    # Python ints past int64), pinned to the report of an earlier implementation
     out = tmp_path / "rep.json"
     datum = Path(__file__).parent / "data" / "tenfold-q2.json"
     assert main(["verify", "--input", str(datum), "--seed", "0", "--check", check, "--out", str(out)]) == 0

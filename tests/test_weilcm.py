@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from weilspin import linalg
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
-from weilspin.exteralg import Multivector, span_basis, wedge
+from weilspin.exteralg import IntMultivector, Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
@@ -386,8 +386,6 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
     # the Leibniz rule on term dicts is the reference for the operators, one
     # over the masks of every degree; a coefficient of 2^80 takes the
     # Python-int path instead of int64
-    from weilspin.weilcm import multivector_int_terms
-
     big = 2**80 + 1
     for ws in (ws6, ws4):
         vspace, tower, dim = ws.space.vspace, ws.datum.tower, ws.space.dim_v
@@ -399,10 +397,11 @@ def test_gb_kills_matches_derivation_int(ws6, ws4, rng):
         samples = gens + noise + [mixed, mixed.scale(tower.scalar(big)), bad, gens[0] + bad, bad + gens[0]]
         verdicts = []
         for mv in samples:
-            iterms = multivector_int_terms(mv)
+            form = IntMultivector.of(mv)
+            iterms = dict(zip(form.masks.tolist(), form.nums.tolist()))
             images = [leibniz_derivation(vspace, cols, iterms) for cols in ws.gb_cols]
             verdicts.append(not any(images))
-            assert ws.gb_kills(mv) == verdicts[-1]
+            assert ws.gb_kills(mv) == ws.gb_kills(form) == verdicts[-1]
             ops = ws.gb_table.bind(list(iterms))
             small = max(map(abs, iterms.values())) < 2**40
             for dtype in (np.int64, object) if small else (object,):
