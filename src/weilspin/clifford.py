@@ -32,6 +32,7 @@ import numpy as np
 
 from .exteralg import GeneratorSpace, Multivector
 from .fieldtower import FieldElem, TowerSpec
+from .linalg import int_dtype
 
 
 class HyperbolicSpace:
@@ -262,6 +263,12 @@ class DerivationOperators:
     @cached_property
     def cmax(self) -> int:  # of an integer table
         return max(map(abs, self.coefs), default=0)
+
+    def dense(self):
+        """The matrices of an integer table, stacked as (count, dim, dim)."""
+        a = np.zeros((self.count, self.dim, self.dim), dtype=int_dtype(self.cmax))
+        a[self.ej, self.ei, self.eg] = self.coefs
+        return a
 
     def bind(self, start):
         """A copy sharing this table, with its operators on the span of `start`."""

@@ -15,12 +15,12 @@ integral one, and the spinor pairing refers to it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from . import linalg
 from .fieldtower import FieldElem, TowerSpec
+from .linalg import int_dtype
 
 
 def below_parity(b: int, m: int) -> int:
@@ -204,12 +204,6 @@ def wedge(a: Multivector, b: Multivector) -> Multivector:
     return Multivector._nonzero(a.space, out)
 
 
-def int_dtype(bound: int):
-    """int64 for integers bounded by `bound` below 2^63, else Python ints; the
-    bound is formed on Python ints, so it cannot wrap."""
-    return np.int64 if bound >> 63 == 0 else object
-
-
 class IntMultivector:
     """A rational multivector in exact integer form: numerator nums[i] at mask
     masks[i] (int64; no mask twice, no zero numerator) over one positive
@@ -224,10 +218,9 @@ class IntMultivector:
     @classmethod
     def of(cls, mv: Multivector) -> "IntMultivector":
         """mv over the lcm of its denominators; raises ValueError off Q."""
-        nums = linalg.matrix_to_int_global([list(mv.terms.values())])[0]
+        (nums,), den = linalg.int_form([list(mv.terms.values())])
         return cls(mv.space, np.array(list(mv.terms), dtype=np.int64),
-                   np.array(nums, dtype=int_dtype(max(map(abs, nums), default=0))),
-                   lcm(*(c.d for c in mv.terms.values())))
+                   np.array(nums, dtype=int_dtype(max(map(abs, nums), default=0))), den)
 
     @classmethod
     def from_terms(cls, space: GeneratorSpace, masks, nums, den: int) -> "IntMultivector":

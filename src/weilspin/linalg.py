@@ -12,6 +12,11 @@ rank, so combining a modular kernel dimension with exactly exhibited kernel
 vectors yields a fully rigorous dimension count at a fraction of the cost.
 Products mod p run in float64 through BLAS, where floats serve only as
 exact integers below 2^53 (see `_matmul_mod`); no float reaches a verdict.
+
+Matrices over the tower also have an exact integer form, the K-valued
+arrays (nums, den) below: `k_mul` multiplies them coordinate by coordinate
+on integers, `bilinear` evaluates a Gram matrix on rational vectors, and
+`preserves_graph` decides whether block matrices preserve graphs.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from math import lcm
 
 import numpy as np
 
-from .fieldtower import TowerSpec
+from .fieldtower import FieldElem, TowerSpec
 
 
 def rref(rows, tower: TowerSpec):
@@ -170,10 +175,6 @@ def mat_scale(mat, s):
     return [[x * s for x in row] for row in mat]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -187,6 +188,109 @@ def mat_inverse(mat, tower: TowerSpec):
     return [row[n:] for row in red]
 
 
+def int_dtype(bound: int):
+    """int64 for integers bounded by `bound` below 2^63, else Python ints; the
+    bound is formed on Python ints, so it cannot wrap."""
+    return np.int64 if bound >> 63 == 0 else object
+
+
+# -- K-valued arrays in exact integer form -----------------------------------
+#
+# A K-valued array is (nums, den): nums[k] holds the integer numerators of its
+# coordinate k over the tower basis e = (1, sqrt p, sqrt -q, sqrt p sqrt -q),
+# over one positive den, as in `FieldElem`: int64 under the bound of
+# `int_dtype`, else Python ints.  The coordinate axis may stop early: a
+# rational array may hold e_0 alone.
+
+
+def int_form(rows):
+    """(integer rows, den): a rational matrix as integer numerators over the
+    lcm of its denominators, read straight off each entry's lowest-terms
+    (n, d); raises ValueError on an irrational entry."""
+    bad = next((x for row in rows for x in row if x.n[1] or x.n[2] or x.n[3]), None)
+    if bad is not None:
+        raise ValueError(f"{bad} is not rational")
+    den = lcm(*{x.d for row in rows for x in row})
+    return [[x.n[0] * (den // x.d) for x in row] for row in rows], den
+
+
+def _height(nums) -> int:
+    return int(abs(nums).max(initial=0))
+
+
+def k_form(rows):
+    """A matrix of `FieldElem`s as a K-valued array."""
+    den = lcm(*(x.d for row in rows for x in row))
+    ints = [[[c * (den // x.d) for c in x.n] for x in row] for row in rows]
+    return np.array(ints, dtype=int_dtype(max(abs(c) for row in ints for x in row for c in x))).transpose(2, 0, 1), den
+
+
+def k_mul(tower: TowerSpec, x, y, op=np.matmul):
+    """op(x, y) for K-valued arrays, op a matmul or an elementwise product (a
+    shorter operand gains axes after its coordinate axis).
+
+    e_a e_b = p^(a & b & 1) (-q)^(a & b >> 1) e_(a ^ b), bit 0 of an index
+    standing for sqrt p and bit 1 for sqrt -q.  With -q = -qn / qd, each pair
+    of nonzero coordinates is one integer op times qd or -qn (and p), over
+    den x den y qd; a coordinate sums at most 4 of them, each below
+    inner p max(qn, qd) max|x| max|y|, inner the length of a matmul's sums."""
+    (xn, xd), (yn, yd) = x, y
+    nd, p, qn, qd = max(xn.ndim, yn.ndim), tower.p, tower.qn, tower.qd
+    xn, yn = (n.reshape(n.shape[:1] + (1,) * (nd - n.ndim) + n.shape[1:]) for n in (xn, yn))
+    dtype = int_dtype(4 * (xn.shape[-1] if op is np.matmul else 1) * p * max(qn, qd) * _height(xn) * _height(yn))
+    xs, ys = ([a for a in range(len(n)) if n[a].any()] for n in (xn, yn))
+    terms = op(xn[xs].astype(dtype)[:, None], yn[ys].astype(dtype)[None])
+    out = np.zeros((4,) + terms.shape[2:], dtype=dtype)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[a ^ b] += (p if a & b & 1 else 1) * (-qn if a & b & 2 else qd) * terms[i, j]
+    return out, xd * yd * qd
+
+
+def k_stack(arrays, total=False):
+    """K-valued arrays (their shapes broadcast) stacked on a new axis after
+    the coordinate axis over the lcm of their denominators, or their sum."""
+    den = lcm(*(d for _, d in arrays))
+    dtype = int_dtype(sum(_height(n) * (den // d) for n, d in arrays))
+    out = np.zeros((4, len(arrays)) + np.broadcast_shapes(*(n.shape[1:] for n, _ in arrays)), dtype=dtype)
+    for i, (n, d) in enumerate(arrays):
+        out[:len(n), i] = n.astype(dtype) * (den // d)
+    return (out.sum(axis=1) if total else out), den
+
+
+def bilinear(form, u, v):
+    """u^T G v for the K-valued Gram matrix G of `form` and rational vectors
+    u, v of `FieldElem`s, as a `FieldElem`.  G may be a stack (`k_stack`) and
+    u, v equal-length lists of vectors, taken in pairs: the values are then
+    an object array, by Gram matrix and then by pair.  Each coordinate is one
+    integer product, below dim^2 max|u| max|G| max|v|.  A coordinate outside
+    Q raises ValueError."""
+    nums, den = form
+    single = isinstance(u[0], FieldElem)
+    (un, ud), (vn, vd) = (int_form([w] if single else w) for w in (u, v))
+    hu, hv = (max(max(map(max, w)), -min(map(min, w))) for w in (un, vn))
+    dtype = int_dtype(nums.shape[-1] ** 2 * _height(nums) * hu * hv)
+    U, V = np.array(un, dtype=dtype), np.array(vn, dtype=dtype)
+    out = (U.T * (nums.astype(dtype, copy=False) @ V.T)).sum(axis=-2)
+    vals, pad, tower = np.empty(out.shape[1:], dtype=object), (0,) * (4 - len(out)), (u if single else u[0])[0].tower
+    vals.flat = [FieldElem(tower, tuple(c) + pad, den * ud * vd) for c in out.reshape(len(out), -1).T.tolist()]
+    return vals[..., 0][()] if single else vals
+
+
+def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
+    """Whether every rational matrix of the integer stack `mats` maps the
+    graph {(M y, y)} of every K-valued matrix M of the stack `graphs` into
+    itself.  [[P, Q], [R, S]] (x-block first) sends (M y, y) to
+    (P M y + Q y, R M y + S y), which is (M z, z) for z = (R M + S) y exactly
+    when P M y + Q y = M (R M + S) y: for every y, P M + Q = M (R M + S).
+    Both sides scale with the matrix, so its integer form decides it."""
+    n2 = graphs[0].shape[-1]
+    M = graphs[0][..., None, :, :], graphs[1]
+    P, Q, R, S = ((mats[:, i:i + n2, j:j + n2][None], 1) for i in (0, n2) for j in (0, n2))
+    rhs = k_mul(tower, M, k_stack([k_mul(tower, R, M), S], total=True))
+    return not k_stack([k_mul(tower, P, M), Q, (-rhs[0], rhs[1])], total=True)[0].any()
+
+
 # -- modular certificates ----------------------------------------------------
 
 #: primes just below 2^20.  Any prime with (p-1)^2 < 2^53 keeps the float64
@@ -196,17 +300,9 @@ MOD_PRIMES = (1048573, 1048571, 1048559, 1048549)
 
 def matrix_to_int_global(rows) -> list:
     """Clear denominators with one common factor, preserving the operator
-    up to a global scale (so kernels and annihilation are unchanged).
-
-    Read straight off each entry's lowest-terms (n, d); raises on an
-    irrational entry.
-    """
-    for row in rows:
-        for x in row:
-            if not x.is_rational():
-                raise ValueError(f"{x} is not rational")
-    den = lcm(*{x.d for row in rows for x in row})
-    return [[x.n[0] * (den // x.d) for x in row] for row in rows]
+    up to a global scale (so kernels and annihilation are unchanged): the
+    rows of `int_form`."""
+    return int_form(rows)[0]
 
 
 def _residues(rows, p: int) -> np.ndarray:

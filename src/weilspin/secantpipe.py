@@ -36,7 +36,6 @@ from .exteralg import (
     degree_two_masks,
     exp_even,
     in_span,
-    int_dtype,
     rational_parts,
     s_pairing,
     span_basis,
@@ -45,8 +44,9 @@ from .exteralg import (
 )
 from .fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from .fmtransform import OrlovTransform, bb_decompose, filtration_level, pi_to_weil
+from .linalg import bilinear, int_dtype, k_mul, k_stack, preserves_graph
 from .purespinor import annihilator, is_pure, pure_spinor_of
-from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree, hermitian_form
+from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree
 
 
 def preset_ch_ideal_curves(ws: WeilStructure) -> Multivector:
@@ -501,34 +501,32 @@ class _Runner:
 
     @_check("cm.ring-homomorphism", "complex multiplication is a ring action")
     def _cm_ring(self):
-        tow = self.datum.tower
-        eta = self.ws.eta
-        dim = self.ws.space.dim_v
-        rq = eta.mats["rq"]
-        sq = linalg.mat_mul(rq, rq, tow)
-        ok = linalg.mat_eq(sq, linalg.mat_scale(linalg.identity_matrix(dim, tow), tow.scalar(-tow.q)))
-        if tow.p != 1:
-            rp = eta.mats["rp"]
-            ok &= linalg.mat_eq(
-                linalg.mat_mul(rp, rp, tow),
-                linalg.mat_scale(linalg.identity_matrix(dim, tow), tow.scalar(tow.p)),
-            )
-            ok &= linalg.mat_eq(linalg.mat_mul(rp, rq, tow), linalg.mat_mul(rq, rp, tow))
+        # on the integer forms D eta(e_k) = E[k]: eta(sqrt -q)^2 = -q, eta(sqrt p)^2 = p, and they commute
+        tow, rq = self.datum.tower, self.ws.eta.mats["rq"]
         rational = all(x.is_rational() for row in rq for x in row)
-        return ok and rational, {"rational": rational}
+        if not rational:
+            return False, {"rational": False}
+        E, D = self.ws.eta.ints
+        dtype = int_dtype(len(E[0]) * int(abs(E).max()) ** 2 * tow.p * max(tow.qn, tow.qd))
+        E, eye = E.astype(dtype), np.eye(len(E[0]), dtype=dtype) * D * D
+        ok = np.array_equal(tow.qd * E[2] @ E[2], -tow.qn * eye)
+        if tow.p != 1:
+            ok &= np.array_equal(E[1] @ E[1], tow.p * eye) and np.array_equal(E[1] @ E[2], E[2] @ E[1])
+        return ok, {"rational": rational}
 
     @_check("cm.adjoint", "conjugate scalars act adjointly")
     def _cm_adjoint(self):
-        rng = self.rng
-        tow = self.datum.tower
+        # (eta_t x, y) = x^T eta_t^T J y and (x, eta_tbar y) = x^T J eta_tbar y, where
+        # J, the Gram matrix of the pairing, permutes partners: X J = X[:, partner]
         hs = self.ws.space
+        partner = (np.arange(hs.dim_v) + hs.dim_v // 2) % hs.dim_v
         ok = True
         for t_el in self.ws.eta.k_basis():
-            m = self.ws.eta.of(t_el)
-            madj = self.ws.eta.of(t_el.iota())
-            for _ in range(4):
-                x, y = _rand_vec(rng, hs), _rand_vec(rng, hs)
-                ok &= hs.pair(linalg.mat_vec(m, x, tow), y) == hs.pair(x, linalg.mat_vec(madj, y, tow))
+            (m, den), (madj, den_adj) = self.ws.eta.int_of(t_el), self.ws.eta.int_of(t_el.iota())
+            xy = [_rand_vec(self.rng, hs) for _ in range(8)]
+            left, right = bilinear(k_stack([(m.swapaxes(-1, -2)[..., partner], den), (madj[:, partner], den_adj)]),
+                                   xy[::2], xy[1::2])
+            ok &= bool((left == right).all())
         return ok, {}
 
     @_check("cm.type-spaces", "isotropic family indexed by CM-types")
@@ -536,16 +534,11 @@ class _Runner:
         tow = self.datum.tower
         ok = len(self.ws.WT) == 2 ** (tow.e // 2)
         wit = {}
-        mats = [self.ws.eta.of(t_el) for t_el in self.ws.eta.k_basis()]
         for T, w in self.ws.WT.items():
             ok &= w.is_maximal()
-            # eta-invariance of W_T
-            red, piv = linalg.rref(w.basis, tow)
-            for m in mats:
-                for row in w.basis:
-                    img = linalg.mat_vec(m, row, tow)
-                    ok &= linalg.in_span(red, piv, img, tow)
             wit[repr(T)] = w.dim
+        # eta-invariance of every W_T: each eta(e_k) on the tower basis (`preserves_graph`)
+        ok &= preserves_graph(tow, self.ws.eta.ints[0], self.ws.type_graphs)
         # conjugate pair at e=2: W_Tbar = iota(W_T)
         if tow.e == 2:
             t_plus = [T for T in self.ws.cm_types if T.choices == (1,)][0]
@@ -583,18 +576,15 @@ class _Runner:
     @_check("forms.xi-value", "contraction value on dual basis pairs")
     def _xi_value(self):
         tow = self.datum.tower
-        hs = self.ws.space
         n2 = 2 * self.datum.n
         ok = True
-        for t_el in self.ws.eta.k_minus_basis():
-            m = self.ws.eta.of(t_el)
+        # Xi_t(y_j, y_k) is the (y_j, y_k) entry of the Gram matrix of Xi_t (`xi_form_matrix`)
+        for t_el, form in self.ws.a2_forms:
+            c = -t_el * tow.sqrt_minus_q()
             for j in range(n2):
                 for k in range(n2):
-                    u = [tow.zero()] * n2 + [tow.scalar(1 if i == j else 0) for i in range(n2)]
-                    v = [tow.zero()] * n2 + [tow.scalar(1 if i == k else 0) for i in range(n2)]
-                    lhs = hs.pair(linalg.mat_vec(m, u, tow), v)
-                    val = -t_el * tow.sqrt_minus_q() * self.datum.theta_f[j][k]
-                    ok &= val.in_subfield("F") and lhs == tow.scalar(trace_to_Q(val, "F"))
+                    val = c * self.datum.theta_f[j][k]
+                    ok &= val.in_subfield("F") and form[n2 + j][n2 + k] == tow.scalar(trace_to_Q(val, "F"))
         return ok, {}
 
     @_check("forms.hermitian", "hermitian sesquilinear form")
@@ -603,18 +593,19 @@ class _Runner:
         hs = self.ws.space
         kb = self.ws.eta.k_minus_basis()
         t_el = kb[0] if len(kb) == 1 else kb[0] + kb[1]
-        ok = True
-        mats = [(s, self.ws.eta.of(s)) for s in self.ws.eta.k_basis()]
-        for _ in range(6):
-            x, y = _rand_vec(self.rng, hs), _rand_vec(self.rng, hs)
-            hxy = hermitian_form(hs, self.ws.eta, t_el, x, y)
-            ok &= hermitian_form(hs, self.ws.eta, t_el, y, x) == hxy.iota()
-            ok &= hermitian_form(hs, self.ws.eta, t_el, x, x).in_subfield("F")
-            for s, m in mats:
-                sx = linalg.mat_vec(m, x, tow)
-                sy = linalg.mat_vec(m, y, tow)
-                ok &= hermitian_form(hs, self.ws.eta, t_el, sx, y) == s.iota() * hxy
-                ok &= hermitian_form(hs, self.ws.eta, t_el, x, sy) == s * hxy
+        g = self.ws.hermitian_gram(t_el)
+        # H_t(y, x) = x^T G_t^T y, H_t(eta_s x, y) = x^T eta_s^T G_t y and
+        # H_t(x, eta_s y) = x^T G_t eta_s y, for the s in the K-basis
+        basis = self.ws.eta.k_basis()
+        m, den = k_stack([self.ws.eta.int_of(s) for s in basis])
+        xy = [_rand_vec(self.rng, hs) for _ in range(12)]
+        x, y = xy[::2], xy[1::2]
+        (hxy, hyx), hxx = bilinear(k_stack([g, (g[0].swapaxes(-1, -2), g[1])]), x, y), bilinear(g, x, x)
+        hsx = bilinear(k_mul(tow, (m.swapaxes(-1, -2), den), g), x, y)
+        hsy = bilinear(k_mul(tow, g, (m, den)), x, y)
+        ok = all(b == a.iota() for a, b in zip(hxy, hyx)) and all(h.in_subfield("F") for h in hxx)
+        for s, sx, sy in zip(basis, hsx, hsy):
+            ok &= all(c == s.iota() * h for c, h in zip(sx, hxy)) and all(c == s * h for c, h in zip(sy, hxy))
         return ok, {"t": str(t_el)}
 
     @_check("forms.split-witness", "isotropic witness of half dimension")
@@ -623,10 +614,11 @@ class _Runner:
         zrows = self.ws.split_witness()
         kb = self.ws.eta.k_minus_basis()
         ok = len(zrows) == (self.ws.d // 2) * tow.e
+        # H_t vanishes on the witness Z exactly when the Gram matrix Z G_t Z^T of its restriction does
+        z, den = linalg.int_form(zrows)
+        z = np.array(z, dtype=int_dtype(max(abs(x) for row in z for x in row)))[None], den
         for t_el in kb:
-            for u in zrows:
-                for v in zrows:
-                    ok &= hermitian_form(self.ws.space, self.ws.eta, t_el, u, v).is_zero()
+            ok &= not k_mul(tow, k_mul(tow, z, self.ws.hermitian_gram(t_el)), (z[0].swapaxes(-1, -2), den))[0].any()
         return ok, {"z_rational_dim": len(zrows), "z_cm_dim": self.ws.d // 2}
 
     @_check("weil.dimension", "Weil subspace dimension")
@@ -650,28 +642,18 @@ class _Runner:
     def _gb_commutes(self):
         # rational factors: a nonzero rescaling of either rescales A M and M A alike,
         # so they commute exactly when their integer forms (denominators cleared) do.
-        # Every g_B form A is scattered from the table and every pair is one stacked
-        # product: an entry of A M sums dim terms, so it is below dim max|a| max|m|,
+        # Every g_B matrix A (`DerivationOperators.dense`) against every eta(e_k) (`CmAction.ints`) is one
+        # stacked product: an entry of A M sums dim terms, so it is below dim max|a| max|m|,
         # exact on int64 while that is below 2^63 and on Python ints otherwise
-        table = self.ws.gb_table
-        mats = np.array([linalg.matrix_to_int_global(self.ws.eta.of(t)) for t in self.ws.eta.k_basis()],
-                        dtype=object)
-        dtype = int_dtype(table.dim * table.cmax * abs(mats).max())
-        a = np.zeros((table.count, table.dim, table.dim), dtype=dtype)
-        a[table.ej, table.ei, table.eg] = table.coefs
-        a, m = a[:, None], mats.astype(dtype)
+        table, (mats, _) = self.ws.gb_table, self.ws.eta.ints
+        dtype = int_dtype(table.dim * table.cmax * int(abs(mats).max()))
+        a, m = table.dense().astype(dtype)[:, None], mats.astype(dtype)
         return np.array_equal(a @ m, m @ a), {}
 
     @_check("lie.preserves-type-spaces", "type spaces are infinitesimally invariant")
     def _gb_preserves_wt(self):
-        tow = self.datum.tower
-        ok = True
-        spans = [(w.basis, *linalg.rref(w.basis, tow)) for w in self.ws.WT.values()]
-        for so in self.ws.gB:
-            for basis, red, piv in spans:
-                for row in basis:
-                    ok &= linalg.in_span(red, piv, so.ad_vector(row), tow)
-        return ok, {}
+        # one exact identity for every generator and type space at once (`preserves_graph`)
+        return preserves_graph(self.datum.tower, self.ws.gb_table.dense(), self.ws.type_graphs), {}
 
     @_check("lie.kills-generators", "invariant generators are annihilated")
     def _gb_kills(self):

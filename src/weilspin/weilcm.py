@@ -13,6 +13,17 @@ closed forms in (Theta, q): eta(sqrt(-q)) is (x, y) -> (-q Theta y,
 Theta^-1 x), each character space V_sigma is read off W or iota(W), and the
 rational halves of the spinor are its coordinates; none solves a system.
 
+The forms are checked through Gram matrices in exact integer form (the
+K-valued arrays of `linalg`), built once per structure on first use:
+(u, v) = u^T J v for the partner permutation J; (u, v)_F = u^T P_F v with
+P_F = J / 2 + sqrt(p) J eta(sqrt p) / 2p (P_F = J when F = Q);
+Xi_t^F(u, v) = (eta_t u, v)_F = u^T eta(t)^T P_F v; H_t(u, v) = u^T G_t v
+with G_t = (-t^2) P_F + t eta(t)^T P_F, so H_t(eta_s u, v) =
+u^T eta(s)^T G_t v and H_t(u, eta_s v) = u^T G_t eta(s) v.  Each W_T is the
+graph {(M_T y, y)} of b = sqrt(-q) Theta_T, which a rational matrix
+[[P, Q], [R, S]] preserves exactly when P M_T + Q = M_T (R M_T + S)
+(`linalg.preserves_graph`).
+
 Group-level invariance statements are verified at the Lie-algebra level
 throughout: g_B is cut out by the spin action (with its normal-ordering
 scalar removed, which is the derivative of the group action), and invariance
@@ -35,7 +46,6 @@ from .exteralg import (
     column_rows,
     degree_two_masks,
     exp_even,
-    int_dtype,
     rational_parts,
     span_basis,
     wedge,
@@ -50,6 +60,7 @@ from .fieldtower import (
     k_embeddings,
     parse_rational,
 )
+from .linalg import int_dtype, k_form, k_mul, k_stack
 from .purespinor import IsotropicSubspace
 
 
@@ -201,7 +212,7 @@ class CmAction:
     the y-block.
     """
 
-    __slots__ = ("datum", "mats", "_of")
+    __slots__ = ("datum", "mats", "_ints")
 
     def __init__(self, datum: WeilDatum):
         self.datum = datum
@@ -223,26 +234,34 @@ class CmAction:
             mats["rp"] = eta_rp
             mats["rprq"] = linalg.mat_mul(eta_rp, eta_rq, t)
         self.mats = mats
-        self._of = {}
+        self._ints = None
+
+    @property
+    def ints(self):
+        """(E, D): E[k] / D is the rational matrix of eta(e_k) on the tower basis
+        e = (1, sqrt p, sqrt -q, sqrt p sqrt -q), E[1] = E[3] = 0 when F = Q;
+        built on first use."""
+        if self._ints is None:
+            dim, zero = len(self.mats["1"]), self.datum.tower.zero()
+            ints, den = linalg.int_form([row for key in ("1", "rp", "rq", "rprq")
+                                         for row in self.mats.get(key, [[zero] * dim] * dim)])
+            height = max(max(map(max, ints)), -min(map(min, ints)))
+            self._ints = np.array(ints, dtype=int_dtype(height)).reshape(4, dim, dim), den
+        return self._ints
+
+    def int_of(self, elem: FieldElem):
+        """eta_t = sum_k t_k eta(e_k) for t in K, as a rational K-valued array."""
+        (E, D), t = self.ints, self.datum.tower
+        if t.p == 1 and (elem.n[1] or elem.n[3]):
+            raise ValueError("element not in K")
+        dtype = int_dtype(4 * max(map(abs, elem.n)) * int(abs(E).max()))
+        nums = sum((c * E[k].astype(dtype) for k, c in enumerate(elem.n) if c), np.zeros(E.shape[1:], dtype))
+        return nums[None], elem.d * D
 
     def of(self, elem: FieldElem):
-        """Matrix of eta_t for t in K, as a rational matrix over the tower.
-
-        Built once per element and shared: callers must only read it.
-        """
-        out = self._of.get(elem)
-        if out is not None:
-            return out
-        t = self.datum.tower
-        out = linalg.mat_scale(self.mats["1"], elem.component(0))
-        out = linalg.mat_add(out, linalg.mat_scale(self.mats["rq"], elem.component(2)))
-        if t.p != 1:
-            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rp"], elem.component(1)))
-            out = linalg.mat_add(out, linalg.mat_scale(self.mats["rprq"], elem.component(3)))
-        elif elem.n[1] or elem.n[3]:
-            raise ValueError("element not in K")
-        self._of[elem] = out
-        return out
+        """Matrix of eta_t for t in K, as a rational matrix over the tower."""
+        (m,), den = self.int_of(elem)
+        return [[FieldElem(self.datum.tower, (x, 0, 0, 0), den) for x in row] for row in m.tolist()]
 
     def k_basis(self):
         t = self.datum.tower
@@ -357,33 +376,6 @@ def form_to_element(space: HyperbolicSpace, form_matrix) -> Multivector:
             if not c.is_zero():
                 terms[(1 << i) | (1 << j)] = c
     return Multivector(space.vspace, terms)
-
-
-def pair_f(space: HyperbolicSpace, eta: CmAction, u, v) -> FieldElem:
-    """The F-valued refinement of the pairing, recovered from the trace form."""
-    t = space.tower
-    base = space.pair(u, v)
-    if t.p == 1:
-        return base
-    rp_u = linalg.mat_vec(eta.mats["rp"], v, t)
-    twisted = space.pair(u, rp_u)
-    return base * Fraction(1, 2) + twisted * (t.sqrt_p() * Fraction(1, 2 * t.p))
-
-
-def xi_f(space: HyperbolicSpace, eta: CmAction, t_elem: FieldElem, u, v) -> FieldElem:
-    """F-valued refinement of Xi_t."""
-    eu = linalg.mat_vec(eta.of(t_elem), u, space.tower)
-    return pair_f(space, eta, eu, v)
-
-
-def hermitian_form(space: HyperbolicSpace, eta: CmAction, t_elem: FieldElem, u, v) -> FieldElem:
-    """H_t(u, v) = (-t^2) (u,v)_F + t Xi_t^F(u, v), a K-valued hermitian form."""
-    if t_elem.is_zero():
-        raise ValueError("H_t requires t nonzero")
-    if t_elem.iota() != -t_elem:
-        raise ValueError("H_t requires t in K_-")
-    t2 = t_elem * t_elem
-    return (-t2) * pair_f(space, eta, u, v) + t_elem * xi_f(space, eta, t_elem, u, v)
 
 
 def build_gB(space: HyperbolicSpace, secant):
@@ -553,6 +545,51 @@ class WeilStructure:
             X[np.searchsorted(start, f.masks), j] = f.nums
         return not table.bind(start).image(X, range(table.count)).any()
 
+    @cached_property
+    def pairing_gram(self):
+        """P_F, the Gram matrix of the F-valued pairing (u, v)_F whose trace to
+        Q is (u, v) = u^T J v (J permutes partners): P_F = J when F = Q, else
+        J / 2 + sqrt(p) J eta(sqrt p) / 2p."""
+        p, (E, D), dim = self.datum.tower.p, self.eta.ints, self.space.dim_v
+        partner = (np.arange(dim) + dim // 2) % dim
+        J = np.eye(dim, dtype=int_dtype(p * D))[partner]
+        return (J[None], 1) if p == 1 else (np.stack([J * (p * D), E[1][partner]]), 2 * p * D)
+
+    @cached_property
+    def type_graphs(self):
+        """The K-valued M_T with W_T = {(M_T y, y)}, stacked in the order of
+        `cm_types`.  b_T = sqrt(-q) Theta_T is the degree-2 part of its spinor
+        exp(b_T), and `build_W`'s row j is (-M_T[j], e_j) for M_T[i][j] = c,
+        M_T[j][i] = -c at each term c x_i ^ x_j (i < j), so the graph holds
+        sum_j y_j (-M_T[j]) = -M_T^T y = M_T y."""
+        terms = [(k, m, c) for k, T in enumerate(self.cm_types) for m, c in self.ell[T].degree_part(2).terms.items()]
+        k, m, c = zip(*terms)
+        cs, den = k_form([c])
+        i, j = [(mask & -mask).bit_length() - 1 for mask in m], [mask.bit_length() - 1 for mask in m]
+        nums = np.zeros((4, len(self.cm_types), 2 * self.datum.n, 2 * self.datum.n), dtype=cs.dtype)
+        nums[:, list(k), i, j], nums[:, list(k), j, i] = cs[:, 0], -cs[:, 0]
+        return nums, den
+
+    @cached_property
+    def _hermitian_grams(self):
+        return {}
+
+    def hermitian_gram(self, t_elem: FieldElem):
+        """G_t = (-t^2) P_F + t eta(t)^T P_F, the Gram matrix of
+        H_t(u, v) = (-t^2) (u, v)_F + t Xi_t^F(u, v), where Xi_t^F(u, v) =
+        (eta_t u, v)_F; built once per t, for t nonzero in K_-."""
+        if t_elem.is_zero():
+            raise ValueError("H_t requires t nonzero")
+        if t_elem.iota() != -t_elem:
+            raise ValueError("H_t requires t in K_-")
+        if t_elem not in self._hermitian_grams:
+            tower, pf, (et, den) = self.datum.tower, self.pairing_gram, self.eta.int_of(t_elem)
+            xi = k_mul(tower, (et.swapaxes(-1, -2), den), pf)
+            scalar = [(np.array(s.n, dtype=object), s.d) for s in (-t_elem * t_elem, t_elem)]
+            self._hermitian_grams[t_elem] = k_stack([k_mul(tower, scalar[0], pf, np.multiply),
+                                                     k_mul(tower, scalar[1], xi, np.multiply)], total=True)
+        return self._hermitian_grams[t_elem]
+
     def invariants_and_generation(self, k: int):
         """(invariant dim, generated basis, equality flag, method) at degree k."""
         generated = self.generated[k]
@@ -564,14 +601,8 @@ class WeilStructure:
 
     def split_witness(self):
         """K-span of the first half of the dual F-basis, with H_t vanishing on it."""
-        t = self.datum.tower
-        n2 = 2 * self.datum.n
-        d = self.d
-        vecs = []
-        for j in range(d // 2):
-            y = self.datum.dual_f_basis[j]
-            amb = [t.zero()] * n2 + list(y)
-            for b in self.eta.k_basis():
-                vecs.append(linalg.mat_vec(self.eta.of(b), amb, t))
-        red, _ = linalg.rref(vecs, t)
-        return red
+        t, n2, (E, D) = self.datum.tower, 2 * self.datum.n, self.eta.ints
+        y, _ = linalg.int_form(self.datum.dual_f_basis[: self.d // 2])
+        # the eta(e_k) (0, y_j), with e_k over the tower basis; rescaling a row keeps the span
+        vecs = (E[:, :, n2:] @ np.array(y, dtype=object).T).transpose(2, 0, 1).reshape(-1, 2 * n2)
+        return linalg.rref([[FieldElem(t, (int(x), 0, 0, 0)) for x in row] for row in vecs if row.any()], t)[0]

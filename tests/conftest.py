@@ -314,3 +314,42 @@ def kappa_reference(c):
         if term.is_zero():
             return out
         out = out + term
+
+
+def pair_f(space, eta, u, v):
+    """Reference for `WeilStructure.pairing_gram`: the F-valued refinement of
+    the pairing, (u, v) / 2 + sqrt(p) (u, eta(sqrt p) v) / 2p, recovered
+    from the trace form; the pairing itself when F = Q."""
+    from fractions import Fraction
+
+    from weilspin import linalg
+
+    t = space.tower
+    base = space.pair(u, v)
+    if t.p == 1:
+        return base
+    twisted = space.pair(u, linalg.mat_vec(eta.mats["rp"], v, t))
+    return base * Fraction(1, 2) + twisted * (t.sqrt_p() * Fraction(1, 2 * t.p))
+
+
+def eta_of_reference(eta, t_elem):
+    """Reference for `CmAction.of`: eta_t = sum_k t_k eta(e_k) over the tower
+    basis, on the `FieldElem` matrices `eta.mats`."""
+    keys = ("1", "rp", "rq", "rprq")
+    dim = len(eta.mats["1"])
+    return [[sum((eta.mats[key][i][j] * t_elem.component(k) for k, key in enumerate(keys) if key in eta.mats),
+                 t_elem.tower.zero()) for j in range(dim)] for i in range(dim)]
+
+
+def xi_f(space, eta, t_elem, u, v):
+    """Reference for the F-valued refinement Xi_t^F(u, v) = (eta_t u, v)_F."""
+    from weilspin import linalg
+
+    return pair_f(space, eta, linalg.mat_vec(eta_of_reference(eta, t_elem), u, space.tower), v)
+
+
+def hermitian_form(space, eta, t_elem, u, v):
+    """Reference for `WeilStructure.hermitian_gram`: H_t(u, v) =
+    (-t^2) (u,v)_F + t Xi_t^F(u, v), evaluated by the vector formulas."""
+    t2 = t_elem * t_elem
+    return (-t2) * pair_f(space, eta, u, v) + t_elem * xi_f(space, eta, t_elem, u, v)

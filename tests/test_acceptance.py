@@ -22,6 +22,7 @@ from weilspin.clifford import (
 from weilspin.exteralg import Multivector, in_span, rational_parts, span_basis, tau, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform, filtration_level, pi_to_weil
+from weilspin.linalg import bilinear
 from weilspin.purespinor import annihilator, is_pure
 from weilspin.secantpipe import (
     PRESETS,
@@ -32,7 +33,7 @@ from weilspin.secantpipe import (
     run_all,
     transform_pair,
 )
-from weilspin.weilcm import WeilStructure, hermitian_form
+from weilspin.weilcm import WeilStructure
 
 
 def _report(num, name, ok):
@@ -144,18 +145,18 @@ def test_criterion_4_forms_suite(structures):
         for _ in range(4):
             x = hs.vector([rng.randint(-3, 3) for _ in range(hs.dim_v)])
             y = hs.vector([rng.randint(-3, 3) for _ in range(hs.dim_v)])
-            hxy = hermitian_form(hs, ws.eta, t_el, x, y)
-            ok &= hermitian_form(hs, ws.eta, t_el, y, x) == hxy.iota()
+            hxy = bilinear(ws.hermitian_gram(t_el), x, y)
+            ok &= bilinear(ws.hermitian_gram(t_el), y, x) == hxy.iota()
             for s in ws.eta.k_basis():
                 sx = linalg.mat_vec(ws.eta.of(s), x, tow)
-                ok &= hermitian_form(hs, ws.eta, t_el, sx, y) == s.iota() * hxy
+                ok &= bilinear(ws.hermitian_gram(t_el), sx, y) == s.iota() * hxy
         # split witness with the contraction-value identity
         zrows = ws.split_witness()
         ok &= len(zrows) == (ws.d // 2) * tow.e
         for t_el in kb:
             for u in zrows:
                 for v in zrows:
-                    ok &= hermitian_form(hs, ws.eta, t_el, u, v).is_zero()
+                    ok &= bilinear(ws.hermitian_gram(t_el), u, v).is_zero()
             mt = ws.eta.of(t_el)
             from weilspin.fieldtower import trace_to_Q
             for j in range(n2):

@@ -342,3 +342,37 @@ def test_exact_kernels_match_dense_reference(tower, data):
             linalg.mat_inverse(square, tower)
     else:
         same(linalg.mat_inverse(square, tower), inverse)
+
+
+def _from_k(arr):
+    """A K-valued array of matrices back to `FieldElem` rows."""
+    (nums, den), tower = arr
+    nums = np.concatenate([nums, np.zeros((4 - len(nums),) + nums.shape[1:], dtype=nums.dtype)])
+    return [[tower.elem(*(Fraction(int(c), den) for c in nums[:, i, j])) for j in range(nums.shape[2])]
+            for i in range(nums.shape[1])]
+
+
+@pytest.mark.parametrize("tower", [TowerSpec(1, Fraction(5, 2)), TowerSpec(2, Fraction(7, 3)), TowerSpec(3, 1)])
+@pytest.mark.parametrize("scale", [1, 2**62 + 3])
+def test_k_arrays_match_fieldelem_products(tower, scale):
+    # K-valued integer arrays against FieldElem matrix products, sums and
+    # scalar multiples; a scale of 2^62 + 3 puts every product past int64
+    rng = random.Random(tower.p * 97 + scale % 89)
+
+    def rand(rows, cols):
+        return [[tower.elem(*(Fraction(rng.randint(-4, 4) * scale, rng.randint(1, 3)) for _ in range(4)))
+                 for _ in range(cols)] for _ in range(rows)]
+
+    a, b, c, s = rand(3, 4), rand(4, 2), rand(3, 2), rand(1, 1)[0][0]
+    ka, kb, kc = linalg.k_form(a), linalg.k_form(b), linalg.k_form(c)
+    prod = linalg.k_mul(tower, ka, kb)
+    assert (prod[0].dtype == object) == (scale > 1)
+    assert _from_k((prod, tower)) == linalg.mat_mul(a, b, tower)
+    total = linalg.k_stack([prod, kc], total=True)
+    assert _from_k((total, tower)) == [[x + y for x, y in zip(r, t)] for r, t in zip(linalg.mat_mul(a, b, tower), c)]
+    scalar = (np.array(s.n, dtype=object), s.d)
+    assert _from_k((linalg.k_mul(tower, scalar, kc, np.multiply), tower)) == linalg.mat_scale(c, s)
+    # a rational operand may hold coordinate 0 alone
+    r = [[tower.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)] for _ in range(3)]
+    kr = linalg.k_form(r)
+    assert _from_k((linalg.k_mul(tower, (kr[0][:1], kr[1]), ka), tower)) == linalg.mat_mul(r, a, tower)

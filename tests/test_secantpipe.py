@@ -358,21 +358,41 @@ def test_lie_checks_never_build_the_generated_subalgebra(monkeypatch):
     assert len(report.checks) == 4 and report.all_pass()
 
 
-def test_invariants_on_large_integer_datum():
-    # Theta scaled by 10^6+3 and q = (10^9+7)/3: the cleared g_B generators
-    # have entries far beyond int64, which must be reduced mod p before numpy
+def _large_integer_datum():
+    # Theta scaled by 10^6+3 and q = (10^9+7)/3
     s = 10**6 + 3
     eta_hat = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     theta = [[0] * 6 for _ in range(6)]
     for i, j in ((0, 3), (1, 4), (2, 5)):
         theta[i][j] = s
         theta[j][i] = -s
-    datum = WeilDatum(TowerSpec(1, Fraction(10**9 + 7, 3)), 3, eta_hat, theta, name="big")
+    return WeilDatum(TowerSpec(1, Fraction(10**9 + 7, 3)), 3, eta_hat, theta, name="big")
+
+
+def test_invariants_on_large_integer_datum():
+    # the cleared g_B generators have entries far beyond int64, which must be
+    # reduced mod p before numpy
+    datum = _large_integer_datum()
     report = run_all(datum, seed=0, check_filter="invariants.k=1")
     assert [c.name for c in report.checks] == [f"invariants.k={k}" for k in (1, 10, 11, 12)]
     for check in report.checks:
         assert check.status, check.witness
         assert check.witness["method"] == f"modular certificate (p={linalg.MOD_PRIMES[0]})"
+
+
+@pytest.mark.parametrize("family, sha256", [
+    ("cm.", "6d233b034f0a87fe3d3af8727eeb4de729bdc6c456139e9c16aefef593f4db54"),
+    ("forms.", "d153a592033433dcd1e004c257b280b0e8c46f16b9e66c71abf0b101ca02f356"),
+    ("lie.", "e99f42e82d376f1b917e9497c455734383028342ee351258f5d2282cc420fa76"),
+])
+def test_form_checks_on_large_integer_datum(family, sha256):
+    # eta and the Gram matrices are past int64 here, so the integer forms run on
+    # Python ints; the reports are pinned to those of the vector formulas they replaced
+    datum = _large_integer_datum()
+    ws = WeilStructure(datum)
+    assert ws.eta.ints[0].dtype == object and ws.hermitian_gram(ws.eta.k_minus_basis()[0])[0].dtype == object
+    report = run_all(datum, seed=0, check_filter=family)
+    assert report.all_pass() and hashlib.sha256(report.dumps().encode()).hexdigest() == sha256
 
 
 def _assert_report_matches_fixture(preset, tmp_path):
@@ -413,6 +433,18 @@ def test_committed_datum_report_sha256(source, sha256, tmp_path):
 def test_tenfold_transform_checks_sha256(check, sha256, tmp_path):
     # the transform lemmas and the sheaf chain at n = 5 (kappa there runs on
     # Python ints past int64), pinned to the report of an earlier implementation
+    out = tmp_path / "rep.json"
+    datum = Path(__file__).parent / "data" / "tenfold-q2.json"
+    assert main(["verify", "--input", str(datum), "--seed", "0", "--check", check, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("check, sha256", [
+    ("forms.", "93507b782a09f278efea6c594c26eea38b54c7e9cb3513856778fe7fec2689c1"),
+    ("cm.", "24619e74201f5c1768054b30679cc040a5ce0a1cdea32959bb827afdb17cab30"),
+])
+def test_tenfold_form_and_cm_checks_sha256(check, sha256, tmp_path):
+    # the Gram-matrix checks at n = 5, pinned to the report of the vector formulas they replaced
     out = tmp_path / "rep.json"
     datum = Path(__file__).parent / "data" / "tenfold-q2.json"
     assert main(["verify", "--input", str(datum), "--seed", "0", "--check", check, "--out", str(out)]) == 0
@@ -612,3 +644,42 @@ def test_commutes_with_cm_check_on_integer_forms(ws6, monkeypatch):
     big = scaled[:-1] + [SoPair(ws6.space, scaled[-1].xi.scale(tow.scalar(2**62)))]
     assert commutes(big) == (True, {}) and dtypes.pop() == object
     assert commutes(big + [perturbed]) == (False, {}) and dtypes.pop() == object
+
+
+def _fresh_runner(ws):
+    # a runner on its own structure, so a perturbed cached form stays out of the session fixtures
+    runner = secantpipe._Runner(ws.datum, 0)
+    runner.ws = ws
+    return runner
+
+
+@pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
+def test_form_and_cm_checks_see_perturbed_integer_forms(preset):
+    ws = WeilStructure(PRESETS[preset]())
+    checks = ("_hermitian", "_cm_adjoint", "_type_spaces", "_gb_preserves_wt")
+    assert all(getattr(_fresh_runner(ws), name)()[0] for name in checks)
+    # one sqrt(-q) numerator of the cached G_t
+    kb = ws.eta.k_minus_basis()
+    gram, _ = ws.hermitian_gram(kb[0] if len(kb) == 1 else kb[0] + kb[1])
+    gram[2, 0, 1] += 1
+    assert not _fresh_runner(ws)._hermitian()[0]
+    # one entry of the integer eta(sqrt(-q)), which eta(t) and W_T-invariance read
+    E, _ = ws.eta.ints
+    E[2, 0, 0] += 1
+    assert not _fresh_runner(ws)._cm_adjoint()[0]
+    assert not _fresh_runner(ws)._type_spaces()[0]
+    # G_t plus the identity over its denominator is positive on the witness, for each t
+    for t_el in kb:
+        ws = WeilStructure(PRESETS[preset]())
+        assert _fresh_runner(ws)._split_witness()[0]
+        gram, _ = ws.hermitian_gram(t_el)
+        gram[0] += np.eye(len(gram[0]), dtype=gram.dtype)
+        assert not _fresh_runner(ws)._split_witness()[0]
+
+
+@pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
+def test_preserves_type_spaces_sees_a_perturbed_generator(preset):
+    ws = WeilStructure(PRESETS[preset]())
+    col = ws.gb_cols[0][0]  # before `gb_table` is built from the columns
+    col[:1] = [(col[0][0], col[0][1] + 1)] if col else [(0, 1)]
+    assert not _fresh_runner(ws)._gb_preserves_wt()[0]

@@ -13,6 +13,7 @@ from weilspin import linalg
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
 from weilspin.exteralg import IntMultivector, Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
+from weilspin.linalg import bilinear, k_mul, k_stack
 from weilspin.purespinor import annihilator
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
@@ -22,18 +23,20 @@ from weilspin.weilcm import (
     build_spinor,
     build_WT,
     eigenspace,
-    hermitian_form,
-    pair_f,
     theta_cm_twist,
 )
 
 from conftest import (
     contract,
     eigenspace_reference,
+    eta_of_reference,
     eta_rq_reference,
+    hermitian_form,
     leibniz_derivation,
+    pair_f,
     rand_vec,
     random_f_q_datum,
+    xi_f,
 )
 
 
@@ -202,6 +205,19 @@ def test_wt_graph_is_annihilator(source):
         assert w_t.is_maximal() and w_t == annihilator(ell, space)
 
 
+@pytest.mark.parametrize("source", ["fourfold-rm2", "sixfold-q2", "eightfold-rm2"])
+def test_type_graphs_are_the_type_spaces(source):
+    # W_T is spanned by the columns (M_T e_j, e_j) of its graph, for each CM type in order
+    ws = WeilStructure(_datum(source))
+    tow, n2 = ws.datum.tower, 2 * ws.datum.n
+    nums, den = ws.type_graphs
+    for k, T in enumerate(ws.cm_types):
+        m = [[tow.elem(*(Fraction(int(c), den) for c in nums[:, k, i, j])) for j in range(n2)] for i in range(n2)]
+        rows = [[m[i][j] for i in range(n2)] + [tow.scalar(int(i == j)) for i in range(n2)] for j in range(n2)]
+        assert linalg.spans_equal(rows, ws.WT[T].basis, tow)
+        assert not linalg.spans_equal(rows, ws.WT[T.conjugate()].basis, tow)
+
+
 def test_wt_family(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
@@ -320,21 +336,22 @@ def test_hermitian_form(ws6, ws4, rng):
         tow = ws.datum.tower
         kb = ws.eta.k_minus_basis()
         t_el = kb[0] if len(kb) == 1 else kb[0] + kb[1]
+        g = ws.hermitian_gram(t_el)
         for _ in range(5):
             x, y = rand_vec(rng, ws.space), rand_vec(rng, ws.space)
-            hxy = hermitian_form(ws.space, ws.eta, t_el, x, y)
-            assert hermitian_form(ws.space, ws.eta, t_el, y, x) == hxy.iota()
-            assert hermitian_form(ws.space, ws.eta, t_el, x, x).in_subfield("F")
+            hxy = bilinear(g, x, y)
+            assert bilinear(g, y, x) == hxy.iota()
+            assert bilinear(g, x, x).in_subfield("F")
             for s in ws.eta.k_basis():
                 sx = linalg.mat_vec(ws.eta.of(s), x, tow)
                 sy = linalg.mat_vec(ws.eta.of(s), y, tow)
                 # conjugate-linear in the first slot, linear in the second
-                assert hermitian_form(ws.space, ws.eta, t_el, sx, y) == s.iota() * hxy
-                assert hermitian_form(ws.space, ws.eta, t_el, x, sy) == s * hxy
+                assert bilinear(g, sx, y) == s.iota() * hxy
+                assert bilinear(g, x, sy) == s * hxy
         with pytest.raises(ValueError):
-            hermitian_form(ws.space, ws.eta, tow.zero(), x, y)
+            ws.hermitian_gram(tow.zero())
         with pytest.raises(ValueError):
-            hermitian_form(ws.space, ws.eta, tow.one(), x, y)  # not in K_-
+            ws.hermitian_gram(tow.one())  # not in K_-
 
 
 def test_split_witness(ws6, ws4):
@@ -345,7 +362,44 @@ def test_split_witness(ws6, ws4):
         for t_el in ws.eta.k_minus_basis():
             for u in zrows:
                 for v in zrows:
-                    assert hermitian_form(ws.space, ws.eta, t_el, u, v).is_zero()
+                    assert bilinear(ws.hermitian_gram(t_el), u, v).is_zero()
+
+
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1", "random-0", "random-1", "random-2"])
+def test_gram_forms_match_references(source):
+    # every Gram matrix against the vector formulas of tests/conftest.py, on
+    # seeded rational vectors, for each t in the K_- basis, their sum and a multiple
+    rng = random.Random(sum(map(ord, source)))
+    datum = random_f_q_datum(rng, rng.randint(1, 3)) if source.startswith("random") else _datum(source)
+    ws = WeilStructure(datum)
+    tow, space = datum.tower, ws.space
+    kb = ws.eta.k_minus_basis()
+    xs, ys = ([space.vector([rng.randint(-4, 4) for _ in range(space.dim_v)]) for _ in range(3)] for _ in range(2))
+    ys[0] = [c * Fraction(1, 3) for c in ys[0]]  # a denominator
+    for t_el in kb + [sum(kb[1:], kb[0]), kb[-1] * Fraction(2, 3)]:
+        assert ws.eta.of(t_el) == eta_of_reference(ws.eta, t_el)
+        m, den = ws.eta.int_of(t_el)
+        xi = k_mul(tow, (m.swapaxes(-1, -2), den), ws.pairing_gram)
+        g = ws.hermitian_gram(t_el)
+        for x, y in zip(xs, ys):
+            assert bilinear(ws.pairing_gram, x, y) == pair_f(space, ws.eta, x, y)
+            assert bilinear(xi, x, y) == xi_f(space, ws.eta, t_el, x, y)
+            assert bilinear(g, x, y) == hermitian_form(space, ws.eta, t_el, x, y)
+        # a stack of Gram matrices on a list of pairs: by matrix, then by pair
+        stacked = bilinear(k_stack([g, xi]), xs, ys)
+        assert stacked.shape == (2, 3)
+        assert list(stacked[0]) == [bilinear(g, x, y) for x, y in zip(xs, ys)]
+        assert list(stacked[1]) == [bilinear(xi, x, y) for x, y in zip(xs, ys)]
+    irrational = list(xs[0])
+    irrational[0] = tow.sqrt_minus_q()
+    with pytest.raises(ValueError):
+        bilinear(ws.hermitian_gram(kb[0]), irrational, ys[0])
+    with pytest.raises(ValueError):
+        bilinear(ws.pairing_gram, ys[0], irrational)
+    for bad in (tow.zero(), tow.one(), tow.sqrt_minus_q() + 1):
+        with pytest.raises(ValueError):
+            ws.hermitian_gram(bad)
 
 
 def test_gb(ws6, ws4):
@@ -601,7 +655,7 @@ def test_pair_f_recovers_pairing(ws4, rng):
     tow = ws4.datum.tower
     for _ in range(6):
         x, y = rand_vec(rng, ws4.space), rand_vec(rng, ws4.space)
-        refined = pair_f(ws4.space, ws4.eta, x, y)
+        refined = bilinear(ws4.pairing_gram, x, y)
         assert refined.in_subfield("F")
         assert tow.scalar(trace_to_Q(refined, "F")) == ws4.space.pair(x, y)
 
