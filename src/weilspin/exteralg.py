@@ -170,9 +170,6 @@ class Multivector:
             raise ValueError("zero multivector has no degree")
         return min(bin(m).count("1") for m in self.terms)
 
-    def map_coefficients(self, f) -> "Multivector":
-        return Multivector(self.space, {m: f(c) for m, c in self.terms.items()})
-
 
 def wedge(a: Multivector, b: Multivector) -> Multivector:
     """The exterior product.  As e_mb ^ e_ma = (-1)^(|ma| |mb|) e_ma ^ e_mb, the

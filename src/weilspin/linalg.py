@@ -1,7 +1,9 @@
 """Exact linear algebra over the tower field.
 
-Row-based: a subspace is a list of coordinate rows (lists of FieldElem),
-reduced by exact elimination.  Elimination and products touch only the
+One rule: `FieldElem` rows for elimination, K-valued integer arrays for
+products.  A subspace is a list of coordinate rows (lists of FieldElem),
+reduced by exact elimination (`rref`, `rank`, `nullspace`, `solve`,
+`intersect`, `spans_equal`, `mat_inverse`).  Elimination touches only the
 nonzero entries: the arithmetic is exact, a - f * 0 = a, and FieldElem is
 canonical, so every row, pivot and kernel vector is that of a dense pass.
 
@@ -13,10 +15,11 @@ vectors yields a fully rigorous dimension count at a fraction of the cost.
 Products mod p run in float64 through BLAS, where floats serve only as
 exact integers below 2^53 (see `_matmul_mod`); no float reaches a verdict.
 
-Matrices over the tower also have an exact integer form, the K-valued
-arrays (nums, den) below: `k_mul` multiplies them coordinate by coordinate
-on integers, `bilinear` evaluates a Gram matrix on rational vectors, and
-`preserves_graph` decides whether block matrices preserve graphs.
+Matrices over the tower are multiplied in their exact integer form, the
+K-valued arrays (nums, den) below: `k_mul` multiplies them coordinate by
+coordinate on integers, `k_equal` compares them, `bilinear` evaluates a Gram
+matrix on rational vectors, and `preserves_graph` decides whether block
+matrices preserve graphs.  `k_form` and `k_rows` convert to and from rows.
 """
 
 from __future__ import annotations
@@ -103,18 +106,6 @@ def solve(rows, rhs, tower: TowerSpec):
     return x
 
 
-def in_span(basis_rref, pivots, v, tower: TowerSpec) -> bool:
-    """Membership test against an rref basis."""
-    w = list(v)
-    for row, pc in zip(basis_rref, pivots):
-        f = w[pc]
-        if not f.is_zero():
-            for j, b in enumerate(row):
-                if not b.is_zero():
-                    w[j] = w[j] - f * b
-    return all(x.is_zero() for x in w)
-
-
 def spans_equal(a_rows, b_rows, tower: TowerSpec) -> bool:
     return rref(a_rows, tower)[0] == rref(b_rows, tower)[0]
 
@@ -138,50 +129,9 @@ def intersect(a_rows, b_rows, tower: TowerSpec):
     return red_out
 
 
-# -- small dense matrix helpers ----------------------------------------------
-
-
-def identity_matrix(n: int, tower: TowerSpec):
-    zero, one = tower.zero(), tower.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_vec(mat, vec, tower: TowerSpec):
-    entries = [(j, b) for j, b in enumerate(map(tower.scalar, vec)) if not b.is_zero()]
-    out = []
-    for row in mat:
-        acc = tower.zero()
-        for j, b in entries:
-            if not row[j].is_zero():
-                acc = acc + row[j] * b
-        out.append(acc)
-    return out
-
-
-def mat_mul(a, b, tower: TowerSpec):
-    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
-    out = []
-    for arow in a:
-        row = [tower.zero()] * len(b[0])
-        for x, brow in zip(arow, b_rows):
-            if not x.is_zero():
-                for j, y in brow:
-                    row[j] = row[j] + x * y
-        out.append(row)
-    return out
-
-
-def mat_scale(mat, s):
-    return [[x * s for x in row] for row in mat]
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_inverse(mat, tower: TowerSpec):
-    n = len(mat)
-    aug = [list(row) + list(idrow) for row, idrow in zip(mat, identity_matrix(n, tower))]
+    n, zero, one = len(mat), tower.zero(), tower.one()
+    aug = [list(row) + [one if j == i else zero for j in range(n)] for i, row in enumerate(mat)]
     red, pivots = rref(aug, tower)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -225,6 +175,13 @@ def k_form(rows):
     return np.array(ints, dtype=int_dtype(max(abs(c) for row in ints for x in row for c in x))).transpose(2, 0, 1), den
 
 
+def k_rows(tower: TowerSpec, arr):
+    """A K-valued array of one matrix as rows of `FieldElem`s."""
+    nums, den = arr
+    pad = (0,) * (4 - len(nums))
+    return [[FieldElem(tower, tuple(x) + pad, den) for x in row] for row in np.moveaxis(nums, 0, -1).tolist()]
+
+
 def k_mul(tower: TowerSpec, x, y, op=np.matmul):
     """op(x, y) for K-valued arrays, op a matmul or an elementwise product (a
     shorter operand gains axes after its coordinate axis).
@@ -258,6 +215,11 @@ def k_stack(arrays, total=False):
     return (out.sum(axis=1) if total else out), den
 
 
+def k_equal(x, y) -> bool:
+    """Whether two K-valued arrays (their shapes broadcast) are equal."""
+    return not k_stack([x, (-y[0], y[1])], total=True)[0].any()
+
+
 def bilinear(form, u, v):
     """u^T G v for the K-valued Gram matrix G of `form` and rational vectors
     u, v of `FieldElem`s, as a `FieldElem`.  G may be a stack (`k_stack`) and
@@ -287,8 +249,8 @@ def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
     n2 = graphs[0].shape[-1]
     M = graphs[0][..., None, :, :], graphs[1]
     P, Q, R, S = ((mats[:, i:i + n2, j:j + n2][None], 1) for i in (0, n2) for j in (0, n2))
-    rhs = k_mul(tower, M, k_stack([k_mul(tower, R, M), S], total=True))
-    return not k_stack([k_mul(tower, P, M), Q, (-rhs[0], rhs[1])], total=True)[0].any()
+    lhs = k_stack([k_mul(tower, P, M), Q], total=True)
+    return k_equal(lhs, k_mul(tower, M, k_stack([k_mul(tower, R, M), S], total=True)))
 
 
 # -- modular certificates ----------------------------------------------------
@@ -296,13 +258,6 @@ def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
 #: primes just below 2^20.  Any prime with (p-1)^2 < 2^53 keeps the float64
 #: products of `_matmul_mod` exact; a larger one only shrinks their blocks.
 MOD_PRIMES = (1048573, 1048571, 1048559, 1048549)
-
-
-def matrix_to_int_global(rows) -> list:
-    """Clear denominators with one common factor, preserving the operator
-    up to a global scale (so kernels and annihilation are unchanged): the
-    rows of `int_form`."""
-    return int_form(rows)[0]
 
 
 def _residues(rows, p: int) -> np.ndarray:

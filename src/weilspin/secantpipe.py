@@ -501,18 +501,15 @@ class _Runner:
 
     @_check("cm.ring-homomorphism", "complex multiplication is a ring action")
     def _cm_ring(self):
-        # on the integer forms D eta(e_k) = E[k]: eta(sqrt -q)^2 = -q, eta(sqrt p)^2 = p, and they commute
-        tow, rq = self.datum.tower, self.ws.eta.mats["rq"]
-        rational = all(x.is_rational() for row in rq for x in row)
-        if not rational:
-            return False, {"rational": False}
-        E, D = self.ws.eta.ints
+        # on the integer forms D eta(e_k) = E[k]: eta(sqrt -q)^2 = -q, eta(sqrt p)^2 = p, and they commute.
+        # E / D is rational by construction: `CmAction` reads it off `int_form`, which raises otherwise
+        tow, (E, D) = self.datum.tower, self.ws.eta.ints
         dtype = int_dtype(len(E[0]) * int(abs(E).max()) ** 2 * tow.p * max(tow.qn, tow.qd))
         E, eye = E.astype(dtype), np.eye(len(E[0]), dtype=dtype) * D * D
         ok = np.array_equal(tow.qd * E[2] @ E[2], -tow.qn * eye)
         if tow.p != 1:
             ok &= np.array_equal(E[1] @ E[1], tow.p * eye) and np.array_equal(E[1] @ E[2], E[2] @ E[1])
-        return ok, {"rational": rational}
+        return ok, {"rational": True}
 
     @_check("cm.adjoint", "conjugate scalars act adjointly")
     def _cm_adjoint(self):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from math import gcd
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .fieldtower import (
     k_embeddings,
     parse_rational,
 )
-from .linalg import int_dtype, k_form, k_mul, k_stack
+from .linalg import int_dtype, k_equal, k_form, k_mul, k_stack
 from .purespinor import IsotropicSubspace
 
 
@@ -101,17 +102,13 @@ class WeilDatum:
         return 4 * self.n // self.tower.e
 
     def _validate(self):
-        t = self.tower
-        dim = 2 * self.n
+        t, dim = self.tower, 2 * self.n
+        eta_hat, theta = k_form(self.eta_hat), k_form(self.theta_f)
         # eta_hat satisfies its minimal polynomial t^2 - p
-        sq = linalg.mat_mul(self.eta_hat, self.eta_hat, t)
-        pid = linalg.mat_scale(linalg.identity_matrix(dim, t), t.scalar(t.p))
-        if not linalg.mat_eq(sq, pid):
+        if not k_equal(k_mul(t, eta_hat, eta_hat), (t.p * np.eye(dim, dtype=int_dtype(t.p))[None], 1)):
             raise ValueError("eta_hat does not square to p * id")
-        for row in self.eta_hat:
-            for x in row:
-                if not x.is_rational():
-                    raise ValueError("eta_hat must be a rational matrix")
+        if eta_hat[0][1:].any():
+            raise ValueError("eta_hat must be a rational matrix")
         # theta alternating with values in F
         for i in range(dim):
             for j in range(dim):
@@ -121,21 +118,16 @@ class WeilDatum:
                 if x != -self.theta_f[j][i]:
                     raise ValueError("theta must be alternating")
         # F-bilinearity: applying eta_hat to a slot multiplies by sqrt(p)
-        if t.p != 1:
-            rp = t.sqrt_p()
-            lhs = linalg.mat_mul(self.eta_hat, self.theta_f, t)
-            rhs = linalg.mat_scale(self.theta_f, rp)
-            if not linalg.mat_eq(lhs, rhs):
-                raise ValueError("theta is not F-bilinear for the eta_hat action")
+        if t.p != 1 and not k_equal(k_mul(t, eta_hat, theta), k_mul(t, (np.array([0, 1]), 1), theta, np.multiply)):
+            raise ValueError("theta is not F-bilinear for the eta_hat action")
         # first half of the F-basis of H1(Xhat) must be Theta-isotropic
         d = self.d
         if len(self.dual_f_basis) != d:
             raise ValueError("dual_f_basis must have d vectors")
         if any(len(row) != dim for row in self.dual_f_basis):
             raise ValueError("dual_f_basis rows must have 2n entries")
-        half = self.dual_f_basis[: d // 2]
-        gram = linalg.mat_mul(linalg.mat_mul(half, self.theta_f, t), [list(c) for c in zip(*half)], t)
-        if any(not x.is_zero() for row in gram for x in row):
+        half = k_form(self.dual_f_basis[: d // 2])
+        if k_mul(t, k_mul(t, half, theta), (half[0].swapaxes(-1, -2), half[1]))[0].any():
             raise ValueError("first half of dual_f_basis is not Theta-isotropic")
         # eta(sqrt(-q)), which sends (x, y) to (-q Theta y, Theta^-1 x), needs
         # Theta^-1 (`CmAction`)
@@ -210,44 +202,38 @@ class CmAction:
     sqrt(-q) (c - d) = Theta^-1 x and x-part sqrt(-q) Theta sqrt(-q) (c + d)
     = -q Theta y.  eta(sqrt(p)) is eta_hat on the x-block and its adjoint on
     the y-block.
+
+    `ints` is (E, D), E[k] / D the rational matrix of eta(e_k) on the tower
+    basis e = (1, sqrt p, sqrt -q, sqrt p sqrt -q), in closed form.  With
+    Theta, Theta^-1, eta_hat the integer Tn, Tin, Hn over one denominator d
+    (`int_form`, which raises on an irrational entry, so E / D is rational by
+    construction) and -q = -qn / qd: D = qd d^2, E[0] = D I,
+    E[1] = qd d diag(Hn, Hn^T), E[2] = d [[0, -qn Tn], [qd Tin, 0]] and
+    E[3] = [[0, -qn Hn Tn], [qd Hn^T Tin, 0]], their product block by block;
+    E[1] = E[3] = 0 when F = Q.  Both are then divided by their gcd, so D is
+    the least common denominator.  Every entry is below 2n max(qn, qd)
+    max(d, |Tn|, |Tin|, |Hn|)^2, int64 under that bound (`int_dtype`).
     """
 
-    __slots__ = ("datum", "mats", "_ints")
+    __slots__ = ("datum", "ints")
 
     def __init__(self, datum: WeilDatum):
         self.datum = datum
-        t = datum.tower
-        dim = 4 * datum.n
-        n2 = 2 * datum.n
+        t, n2 = datum.tower, 2 * datum.n
         theta = datum.theta_q_matrix()
-        theta_inv = linalg.mat_inverse(theta, t)
-        minus_q = t.scalar(-t.q)
-        eta_rq, eta_rp = ([[t.zero()] * dim for _ in range(dim)] for _ in range(2))
-        for i in range(n2):
-            for j in range(n2):
-                eta_rq[i][n2 + j] = theta[i][j] * minus_q
-                eta_rq[n2 + i][j] = theta_inv[i][j]
-                eta_rp[i][j] = datum.eta_hat[i][j]
-                eta_rp[n2 + i][n2 + j] = datum.eta_hat[j][i]
-        mats = {"1": linalg.identity_matrix(dim, t), "rq": eta_rq}
+        rows, d = linalg.int_form(theta + linalg.mat_inverse(theta, t) + datum.eta_hat)
+        height = max(d, *(abs(x) for row in rows for x in row))
+        dtype = int_dtype(n2 * max(t.qn, t.qd) * height * height)
+        tn, tin, hn = np.array(rows, dtype=dtype).reshape(3, n2, n2)
+        D = t.qd * d * d
+        E = np.zeros((4, 2 * n2, 2 * n2), dtype=dtype)
+        E[0] = D * np.eye(2 * n2, dtype=dtype)
+        E[2, :n2, n2:], E[2, n2:, :n2] = -t.qn * d * tn, t.qd * d * tin
         if t.p != 1:
-            mats["rp"] = eta_rp
-            mats["rprq"] = linalg.mat_mul(eta_rp, eta_rq, t)
-        self.mats = mats
-        self._ints = None
-
-    @property
-    def ints(self):
-        """(E, D): E[k] / D is the rational matrix of eta(e_k) on the tower basis
-        e = (1, sqrt p, sqrt -q, sqrt p sqrt -q), E[1] = E[3] = 0 when F = Q;
-        built on first use."""
-        if self._ints is None:
-            dim, zero = len(self.mats["1"]), self.datum.tower.zero()
-            ints, den = linalg.int_form([row for key in ("1", "rp", "rq", "rprq")
-                                         for row in self.mats.get(key, [[zero] * dim] * dim)])
-            height = max(max(map(max, ints)), -min(map(min, ints)))
-            self._ints = np.array(ints, dtype=int_dtype(height)).reshape(4, dim, dim), den
-        return self._ints
+            E[1, :n2, :n2], E[1, n2:, n2:] = t.qd * d * hn, t.qd * d * hn.T
+            E[3, :n2, n2:], E[3, n2:, :n2] = -t.qn * (hn @ tn), t.qd * (hn.T @ tin)
+        g = gcd(D, *E.ravel().tolist())
+        self.ints = E // g, D // g
 
     def int_of(self, elem: FieldElem):
         """eta_t = sum_k t_k eta(e_k) for t in K, as a rational K-valued array."""
@@ -260,8 +246,7 @@ class CmAction:
 
     def of(self, elem: FieldElem):
         """Matrix of eta_t for t in K, as a rational matrix over the tower."""
-        (m,), den = self.int_of(elem)
-        return [[FieldElem(self.datum.tower, (x, 0, 0, 0), den) for x in row] for row in m.tolist()]
+        return linalg.k_rows(self.datum.tower, self.int_of(elem))
 
     def k_basis(self):
         t = self.datum.tower
@@ -313,24 +298,29 @@ def build_B(space: HyperbolicSpace, spinors):
     return span_basis([part for ell in spinors for part in rational_parts(ell)])
 
 
-def eigenspace(w: IsotropicSubspace, eta: CmAction, sigma: Embedding):
-    """V_sigma, the subspace of V (x) Ktilde where eta acts through sigma, as a
-    reduced echelon basis.
+def eigenspaces(w: IsotropicSubspace, eta: CmAction):
+    """The V_sigma, in the order of `k_embeddings`: V_sigma is the subspace of
+    V (x) Ktilde where eta acts through sigma, as a reduced echelon basis.
 
     eta(sqrt(-q)) is sqrt(-q) on W and -sqrt(-q) on iota(W) (`CmAction`), so
-    V_sigma lies in W when sigma(sqrt(-q)) = sqrt(-q), else in iota(W).
-    eta(sqrt(p)) commutes with eta(sqrt(-q)), so it preserves both, and
-    (eta(sqrt(p)) - sigma(sqrt(p))) (eta(sqrt(p)) + sigma(sqrt(p))) =
-    eta(p) - p = 0: eta(sqrt(p)) + sigma(sqrt(p)) maps that half onto its
-    sigma(sqrt(p))-eigenspace, which is V_sigma.
+    V_sigma lies in W when sigma(sqrt(-q)) = sqrt(-q), else in iota(W); as
+    eta is rational, V_(iota sigma) = iota(V_sigma), and iota commutes with
+    the canonical rref.  eta(sqrt(p)) commutes with eta(sqrt(-q)), so it
+    preserves both, and (eta(sqrt(p)) - sigma(sqrt(p))) (eta(sqrt(p)) +
+    sigma(sqrt(p))) = eta(p) - p = 0: eta(sqrt(p)) + sigma(sqrt(p)) maps that
+    half onto its sigma(sqrt(p))-eigenspace, which is V_sigma.  On the rows
+    of W, that map is the product with (E[1] + s sqrt(p) D I)^T / D for
+    sigma(sqrt p) = s sqrt p (`CmAction.ints`), one product for both s.
     """
     t = w.space.tower
-    rows = w.basis if sigma.sign_q == 1 else [[c.iota() for c in row] for row in w.basis]
-    if t.p == 1:
-        return rows
-    rp = sigma(t.sqrt_p())
-    return linalg.rref([[x + rp * y for x, y in zip(linalg.mat_vec(eta.mats["rp"], row, t), row)]
-                        for row in rows], t)[0]
+    halves = {1: w.basis}
+    if t.p != 1:
+        E, D = eta.ints
+        shifts = np.stack([np.stack([E[1].T, s * D * np.eye(len(E[1]), dtype=E.dtype)]) for s in (1, -1)], axis=1)
+        nums, den = k_mul(t, k_form(w.basis), (shifts, D))
+        halves = {s: linalg.rref(linalg.k_rows(t, (nums[:, i], den)), t)[0] for i, s in enumerate((1, -1))}
+    return [halves[sigma.sign_p] if sigma.sign_q == 1 else [[c.iota() for c in row] for row in halves[sigma.sign_p]]
+            for sigma in k_embeddings(t)]
 
 
 def build_HW(datum: WeilDatum, w: IsotropicSubspace, eta: CmAction):
@@ -338,8 +328,7 @@ def build_HW(datum: WeilDatum, w: IsotropicSubspace, eta: CmAction):
     as a canonical basis of multivectors on V."""
     space = w.space
     lines = []
-    for sigma in k_embeddings(datum.tower):
-        basis = eigenspace(w, eta, sigma)
+    for basis in eigenspaces(w, eta):
         if len(basis) != datum.d:
             raise ValueError("eta character space has wrong dimension")
         mv = space.vspace.one()
@@ -413,7 +402,7 @@ def gb_int_cols(gB):
     Rescaling a whole generator rescales its derivation, so global integer
     clearing leaves every kernel and invariance question unchanged.
     """
-    ints = (linalg.matrix_to_int_global([[c for _, c in col] for col in so.cols]) for so in gB)
+    ints = (linalg.int_form([[c for _, c in col] for col in so.cols])[0] for so in gB)
     return [[[(i, x) for (i, _), x in zip(col, row)] for col, row in zip(so.cols, rows)]
             for so, rows in zip(gB, ints)]
 
@@ -605,4 +594,4 @@ class WeilStructure:
         y, _ = linalg.int_form(self.datum.dual_f_basis[: self.d // 2])
         # the eta(e_k) (0, y_j), with e_k over the tower basis; rescaling a row keeps the span
         vecs = (E[:, :, n2:] @ np.array(y, dtype=object).T).transpose(2, 0, 1).reshape(-1, 2 * n2)
-        return linalg.rref([[FieldElem(t, (int(x), 0, 0, 0)) for x in row] for row in vecs if row.any()], t)[0]
+        return linalg.rref(linalg.k_rows(t, (vecs[vecs.any(axis=1)][None], 1)), t)[0]

@@ -40,6 +40,59 @@ def rng():
     return random.Random(20240817)
 
 
+# -- FieldElem matrix products: references for the K-valued arrays of `linalg` --
+
+
+def identity_matrix(n, tower):
+    zero, one = tower.zero(), tower.one()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_vec(mat, vec, tower):
+    entries = [(j, b) for j, b in enumerate(map(tower.scalar, vec)) if not b.is_zero()]
+    out = []
+    for row in mat:
+        acc = tower.zero()
+        for j, b in entries:
+            if not row[j].is_zero():
+                acc = acc + row[j] * b
+        out.append(acc)
+    return out
+
+
+def mat_mul(a, b, tower):
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
+    out = []
+    for arow in a:
+        row = [tower.zero()] * len(b[0])
+        for x, brow in zip(arow, b_rows):
+            if not x.is_zero():
+                for j, y in brow:
+                    row[j] = row[j] + x * y
+        out.append(row)
+    return out
+
+
+def mat_scale(mat, s):
+    return [[x * s for x in row] for row in mat]
+
+
+def mat_eq(a, b) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def in_span(basis_rref, pivots, v, tower) -> bool:
+    """Membership of a dense row in the span of an rref basis."""
+    w = list(v)
+    for row, pc in zip(basis_rref, pivots):
+        f = w[pc]
+        if not f.is_zero():
+            for j, b in enumerate(row):
+                if not b.is_zero():
+                    w[j] = w[j] - f * b
+    return all(x.is_zero() for x in w)
+
+
 def rand_elem(rng, tower, span=5):
     return tower.elem(
         rng.randint(-span, span),
@@ -240,21 +293,46 @@ def eta_rq_reference(datum, w):
     m = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     rq, zero = t.sqrt_minus_q(), t.zero()
     diag = [[(rq if i < n2 else -rq) if i == j else zero for j in range(dim)] for i in range(dim)]
-    return linalg.mat_mul(linalg.mat_mul(m, diag, t), linalg.mat_inverse(m, t), t)
+    return mat_mul(mat_mul(m, diag, t), linalg.mat_inverse(m, t), t)
 
 
 def eigenspace_reference(eta, sigma):
-    """Reference for `weilcm.eigenspace`: V_sigma as the joint kernel of
+    """Reference for `weilcm.eigenspaces`: V_sigma as the joint kernel of
     eta(sqrt(-q)) - sigma(sqrt(-q)) and, when F != Q, eta(sqrt(p)) - sigma(sqrt(p))."""
     from weilspin import linalg
 
     t = eta.datum.tower
-    roots = {"rq": t.sqrt_minus_q(), "rp": t.sqrt_p()} if t.p != 1 else {"rq": t.sqrt_minus_q()}
+    roots = [t.sqrt_minus_q(), t.sqrt_p()] if t.p != 1 else [t.sqrt_minus_q()]
     rows = []
-    for key, root in roots.items():
+    for root in roots:
         s = sigma(root)
-        rows.extend([x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(eta.mats[key]))
+        rows.extend([x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(eta.of(root)))
     return linalg.nullspace(rows, 4 * eta.datum.n, t)
+
+
+def eta_reference(datum):
+    """Reference for `weilcm.CmAction`: eta(e_k) on the tower basis
+    e = (1, sqrt p, sqrt -q, sqrt p sqrt -q) as `FieldElem` matrices, assembled
+    block by block: eta(sqrt(-q))(x, y) = (-q Theta y, Theta^-1 x) for the
+    rational Theta, eta(sqrt(p)) = diag(eta_hat, eta_hat^T) and
+    eta(sqrt(p) sqrt(-q)) their product; None for e_1 and e_3 when F = Q."""
+    from weilspin import linalg
+
+    t = datum.tower
+    dim, n2 = 4 * datum.n, 2 * datum.n
+    theta = datum.theta_q_matrix()
+    theta_inv = linalg.mat_inverse(theta, t)
+    minus_q = t.scalar(-t.q)
+    eta_rq, eta_rp = ([[t.zero()] * dim for _ in range(dim)] for _ in range(2))
+    for i in range(n2):
+        for j in range(n2):
+            eta_rq[i][n2 + j] = theta[i][j] * minus_q
+            eta_rq[n2 + i][j] = theta_inv[i][j]
+            eta_rp[i][j] = datum.eta_hat[i][j]
+            eta_rp[n2 + i][n2 + j] = datum.eta_hat[j][i]
+    if t.p == 1:
+        return [identity_matrix(dim, t), None, eta_rq, None]
+    return [identity_matrix(dim, t), eta_rp, eta_rq, mat_mul(eta_rp, eta_rq, t)]
 
 
 def random_f_q_datum(rng, n):
@@ -285,6 +363,22 @@ def random_f_q_datum(rng, n):
     q = Fraction(rng.randint(1, 12), rng.randint(1, 5))
     return WeilDatum(TowerSpec(1, q), n, [[int(i == j) for j in range(dim)] for i in range(dim)], theta,
                      [list(col) for col in zip(*ginv)], name=f"random-{'-'.join(map(str, types))}")
+
+
+def large_integer_datum():
+    """The principal sixfold with Theta scaled by 10^6+3 and q = (10^9+7)/3:
+    eta, its Gram matrices and the cleared g_B generators are past int64."""
+    from fractions import Fraction
+
+    from weilspin.weilcm import WeilDatum
+
+    s = 10**6 + 3
+    eta_hat = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    theta = [[0] * 6 for _ in range(6)]
+    for i, j in ((0, 3), (1, 4), (2, 5)):
+        theta[i][j] = s
+        theta[j][i] = -s
+    return WeilDatum(TowerSpec(1, Fraction(10**9 + 7, 3)), 3, eta_hat, theta, name="big")
 
 
 def int_derivation_cols(mat):
@@ -322,30 +416,27 @@ def pair_f(space, eta, u, v):
     from the trace form; the pairing itself when F = Q."""
     from fractions import Fraction
 
-    from weilspin import linalg
-
     t = space.tower
     base = space.pair(u, v)
     if t.p == 1:
         return base
-    twisted = space.pair(u, linalg.mat_vec(eta.mats["rp"], v, t))
+    twisted = space.pair(u, mat_vec(eta.of(t.sqrt_p()), v, t))
     return base * Fraction(1, 2) + twisted * (t.sqrt_p() * Fraction(1, 2 * t.p))
 
 
 def eta_of_reference(eta, t_elem):
     """Reference for `CmAction.of`: eta_t = sum_k t_k eta(e_k) over the tower
-    basis, on the `FieldElem` matrices `eta.mats`."""
-    keys = ("1", "rp", "rq", "rprq")
-    dim = len(eta.mats["1"])
-    return [[sum((eta.mats[key][i][j] * t_elem.component(k) for k, key in enumerate(keys) if key in eta.mats),
-                 t_elem.tower.zero()) for j in range(dim)] for i in range(dim)]
+    basis, on the `FieldElem` matrices of `eta_reference`."""
+    mats = [m for m in eta_reference(eta.datum) if m is not None]
+    coords = [t_elem.component(k) for k in ((0, 1, 2, 3) if len(mats) == 4 else (0, 2))]
+    dim = len(mats[0])
+    return [[sum((m[i][j] * c for m, c in zip(mats, coords)), t_elem.tower.zero()) for j in range(dim)]
+            for i in range(dim)]
 
 
 def xi_f(space, eta, t_elem, u, v):
     """Reference for the F-valued refinement Xi_t^F(u, v) = (eta_t u, v)_F."""
-    from weilspin import linalg
-
-    return pair_f(space, eta, linalg.mat_vec(eta_of_reference(eta, t_elem), u, space.tower), v)
+    return pair_f(space, eta, mat_vec(eta_of_reference(eta, t_elem), u, space.tower), v)
 
 
 def hermitian_form(space, eta, t_elem, u, v):

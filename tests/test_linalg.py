@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from weilspin import linalg
 from weilspin.fieldtower import TowerSpec
 
+from conftest import in_span, mat_mul, mat_scale, mat_vec
+
 P = linalg.MOD_PRIMES[0]
 #: the largest prime below 2^26: (P_BIG - 1)^2 is close to 2^53, so
 #: `_matmul_mod` sums at most 2 inner terms per block
@@ -204,11 +206,11 @@ def test_matrix_to_int_global_matches_fraction_clearing():
             den = 1
             for f in (f for row in fracs for f in row):
                 den = den * f.denominator // gcd(den, f.denominator)
-            got = linalg.matrix_to_int_global([[tower.scalar(f) for f in row] for row in fracs])
+            got = linalg.int_form([[tower.scalar(f) for f in row] for row in fracs])[0]
             assert got == [[int(f * den) for f in row] for row in fracs]
         with pytest.raises(ValueError, match="not rational"):
-            linalg.matrix_to_int_global([[tower.one(), tower.sqrt_minus_q()]])
-    assert linalg.matrix_to_int_global([]) == []
+            linalg.int_form([[tower.one(), tower.sqrt_minus_q()]])
+    assert linalg.int_form([])[0] == []
 
 
 # -- exact kernels: sparse elimination against a dense reference ------------
@@ -329,13 +331,13 @@ def test_exact_kernels_match_dense_reference(tower, data):
     same(linalg.nullspace(a, ncols, tower), _dense_nullspace(a, ncols, tower))
     same(linalg.solve(a, rhs, tower), _dense_solve(a, rhs, tower))
     member = [sum((c * row[j] for c, row in zip(rhs, a)), tower.zero()) for j in range(ncols)]
-    same(linalg.in_span(red, pivots, member, tower), True)
-    same(linalg.in_span(red, pivots, vec, tower), _dense_in_span(red, pivots, vec))
+    same(in_span(red, pivots, member, tower), True)
+    same(in_span(red, pivots, vec, tower), _dense_in_span(red, pivots, vec))
     same(linalg.intersect(a, b, tower), _dense_intersect(a, b, tower))
-    same(linalg.mat_mul(a, bt, tower), _dense_mat_mul(a, bt, tower))
+    same(mat_mul(a, bt, tower), _dense_mat_mul(a, bt, tower))
     for v in (vec, [Fraction(j % 3 - 1, 2) for j in range(ncols)]):  # rationals are coerced
         column = _dense_mat_mul(a, [[tower.scalar(x)] for x in v], tower)
-        same(linalg.mat_vec(a, v, tower), [row[0] for row in column])
+        same(mat_vec(a, v, tower), [row[0] for row in column])
     inverse = _dense_inverse(square, tower)
     if inverse is None:
         with pytest.raises(ValueError):
@@ -367,12 +369,12 @@ def test_k_arrays_match_fieldelem_products(tower, scale):
     ka, kb, kc = linalg.k_form(a), linalg.k_form(b), linalg.k_form(c)
     prod = linalg.k_mul(tower, ka, kb)
     assert (prod[0].dtype == object) == (scale > 1)
-    assert _from_k((prod, tower)) == linalg.mat_mul(a, b, tower)
+    assert _from_k((prod, tower)) == mat_mul(a, b, tower)
     total = linalg.k_stack([prod, kc], total=True)
-    assert _from_k((total, tower)) == [[x + y for x, y in zip(r, t)] for r, t in zip(linalg.mat_mul(a, b, tower), c)]
+    assert _from_k((total, tower)) == [[x + y for x, y in zip(r, t)] for r, t in zip(mat_mul(a, b, tower), c)]
     scalar = (np.array(s.n, dtype=object), s.d)
-    assert _from_k((linalg.k_mul(tower, scalar, kc, np.multiply), tower)) == linalg.mat_scale(c, s)
+    assert _from_k((linalg.k_mul(tower, scalar, kc, np.multiply), tower)) == mat_scale(c, s)
     # a rational operand may hold coordinate 0 alone
     r = [[tower.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)] for _ in range(3)]
     kr = linalg.k_form(r)
-    assert _from_k((linalg.k_mul(tower, (kr[0][:1], kr[1]), ka), tower)) == linalg.mat_mul(r, a, tower)
+    assert _from_k((linalg.k_mul(tower, (kr[0][:1], kr[1]), ka), tower)) == mat_mul(r, a, tower)

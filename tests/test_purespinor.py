@@ -15,7 +15,7 @@ from weilspin.purespinor import (
     pure_spinor_of,
 )
 
-from conftest import pure_spinor_solve
+from conftest import in_span, pure_spinor_solve
 
 
 @pytest.fixture()
@@ -134,8 +134,8 @@ def test_subspace_ops(hs1, tiny_tower):
     assert linalg.intersect(w_y.basis, w_x.basis, tiny_tower) == []
     assert w_y.dim == w_x.dim == 2
     red, piv = linalg.rref(w_y.basis, tiny_tower)
-    assert all(linalg.in_span(red, piv, v, tiny_tower) for v in w_y.basis)
-    assert not any(linalg.in_span(red, piv, v, tiny_tower) for v in w_x.basis)
+    assert all(in_span(red, piv, v, tiny_tower) for v in w_y.basis)
+    assert not any(in_span(red, piv, v, tiny_tower) for v in w_x.basis)
     # the two halves span V
     assert len(linalg.rref(w_y.basis + w_x.basis, tiny_tower)[0]) == 4
     # equal spans, not equal dimensions

@@ -29,7 +29,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
 
-from conftest import int_derivation_cols, kappa_reference
+from conftest import int_derivation_cols, kappa_reference, large_integer_datum, mat_eq, mat_mul
 
 
 def test_preset_names():
@@ -358,21 +358,10 @@ def test_lie_checks_never_build_the_generated_subalgebra(monkeypatch):
     assert len(report.checks) == 4 and report.all_pass()
 
 
-def _large_integer_datum():
-    # Theta scaled by 10^6+3 and q = (10^9+7)/3
-    s = 10**6 + 3
-    eta_hat = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
-    theta = [[0] * 6 for _ in range(6)]
-    for i, j in ((0, 3), (1, 4), (2, 5)):
-        theta[i][j] = s
-        theta[j][i] = -s
-    return WeilDatum(TowerSpec(1, Fraction(10**9 + 7, 3)), 3, eta_hat, theta, name="big")
-
-
 def test_invariants_on_large_integer_datum():
     # the cleared g_B generators have entries far beyond int64, which must be
     # reduced mod p before numpy
-    datum = _large_integer_datum()
+    datum = large_integer_datum()
     report = run_all(datum, seed=0, check_filter="invariants.k=1")
     assert [c.name for c in report.checks] == [f"invariants.k={k}" for k in (1, 10, 11, 12)]
     for check in report.checks:
@@ -388,7 +377,7 @@ def test_invariants_on_large_integer_datum():
 def test_form_checks_on_large_integer_datum(family, sha256):
     # eta and the Gram matrices are past int64 here, so the integer forms run on
     # Python ints; the reports are pinned to those of the vector formulas they replaced
-    datum = _large_integer_datum()
+    datum = large_integer_datum()
     ws = WeilStructure(datum)
     assert ws.eta.ints[0].dtype == object and ws.hermitian_gram(ws.eta.k_minus_basis()[0])[0].dtype == object
     report = run_all(datum, seed=0, check_filter=family)
@@ -411,6 +400,23 @@ def test_fourfold_report_bytes_match_fixture(tmp_path):
 
 def test_sixfold_report_bytes_match_fixture(tmp_path):
     _assert_report_matches_fixture("sixfold-q2", tmp_path)
+
+
+@pytest.mark.parametrize("preset, seed, sha256", [
+    ("sixfold-q2", 0, "c1aa5879aff3f667625f51d8e87864df82229323caf05dfb8736cac4d446da02"),
+    ("sixfold-q2", 7, "060e1c73fd2f038b8753928068b352d2190e05c4497c39b0e8f81ff806514989"),
+    ("sixfold-q3", 0, "651fe9b8495f67b005f86ebe47a8594b04a04444aa1ea8a65930428ee6ed4005"),
+    ("sixfold-q3", 7, "5cc06cf46f9cba5deabcd0bb4adebaf8b4ef8e2ac117d79d17a3f7cb8921d5ae"),
+    ("sixfold-q5", 0, "d43d6fd0adac7da4601ced68a7bba63a99a456ffc9094b87475509e870ba1061"),
+    ("sixfold-q5", 7, "ee5f8a00667d27c33e29971ba1f6ae25862d20b2f09b648fd6441cd985297c24"),
+    ("fourfold-rm2", 0, "9bbf3c254f2d596b253f670c8e3bed81721a8ec28b2876ca2aa62068a14184f9"),
+    ("fourfold-rm2", 7, "b8c1467791863507a506bc3520e363207be046e4e41cf8b25d20bb776f14ea67"),
+])
+def test_preset_report_sha256(preset, seed, sha256, tmp_path):
+    # every preset at two seeds, pinned to the report of an earlier implementation
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--preset", preset, "--seed", str(seed), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("source, sha256", [
@@ -623,7 +629,7 @@ def test_commutes_with_cm_check_on_integer_forms(ws6, monkeypatch):
     tow = ws6.datum.tower
     mats = [ws6.eta.of(t) for t in ws6.eta.k_basis()]
     # the FieldElem products as reference, and a rescaled generator
-    assert all(linalg.mat_eq(linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow))
+    assert all(mat_eq(mat_mul(so.ad, m, tow), mat_mul(m, so.ad, tow))
                for so in ws6.gB for m in mats)
 
     def commutes(gens):
@@ -638,7 +644,7 @@ def test_commutes_with_cm_check_on_integer_forms(ws6, monkeypatch):
     # a matrix unit E_01 does not commute with eta(sqrt -q)
     unit = [[tow.scalar(int((r, c) == (0, 1))) for c in range(12)] for r in range(12)]
     perturbed = SimpleNamespace(cols=int_derivation_cols(unit))
-    assert not linalg.mat_eq(linalg.mat_mul(unit, mats[1], tow), linalg.mat_mul(mats[1], unit, tow))
+    assert not mat_eq(mat_mul(unit, mats[1], tow), mat_mul(mats[1], unit, tow))
     assert commutes(scaled + [perturbed]) == (False, {}) and dtypes.pop() == np.int64
     # a generator scaled by 2^62 puts dim max|a| max|m| past 2^63: Python ints decide
     big = scaled[:-1] + [SoPair(ws6.space, scaled[-1].xi.scale(tow.scalar(2**62)))]
@@ -656,16 +662,17 @@ def _fresh_runner(ws):
 @pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
 def test_form_and_cm_checks_see_perturbed_integer_forms(preset):
     ws = WeilStructure(PRESETS[preset]())
-    checks = ("_hermitian", "_cm_adjoint", "_type_spaces", "_gb_preserves_wt")
+    checks = ("_hermitian", "_cm_ring", "_cm_adjoint", "_type_spaces", "_gb_preserves_wt")
     assert all(getattr(_fresh_runner(ws), name)()[0] for name in checks)
     # one sqrt(-q) numerator of the cached G_t
     kb = ws.eta.k_minus_basis()
     gram, _ = ws.hermitian_gram(kb[0] if len(kb) == 1 else kb[0] + kb[1])
     gram[2, 0, 1] += 1
     assert not _fresh_runner(ws)._hermitian()[0]
-    # one entry of the integer eta(sqrt(-q)), which eta(t) and W_T-invariance read
+    # one entry of the integer eta(sqrt(-q)), which the ring check, eta(t) and W_T-invariance read
     E, _ = ws.eta.ints
     E[2, 0, 0] += 1
+    assert _fresh_runner(ws)._cm_ring() == (False, {"rational": True})
     assert not _fresh_runner(ws)._cm_adjoint()[0]
     assert not _fresh_runner(ws)._type_spaces()[0]
     # G_t plus the identity over its denominator is positive on the witness, for each t

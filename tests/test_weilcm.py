@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilspin import linalg
+from weilspin import linalg, weilcm
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
 from weilspin.exteralg import IntMultivector, Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
@@ -22,7 +22,7 @@ from weilspin.weilcm import (
     WeilStructure,
     build_spinor,
     build_WT,
-    eigenspace,
+    eigenspaces,
     theta_cm_twist,
 )
 
@@ -30,9 +30,17 @@ from conftest import (
     contract,
     eigenspace_reference,
     eta_of_reference,
+    eta_reference,
     eta_rq_reference,
     hermitian_form,
+    identity_matrix,
+    in_span,
+    large_integer_datum,
     leibniz_derivation,
+    mat_eq,
+    mat_mul,
+    mat_scale,
+    mat_vec,
     pair_f,
     rand_vec,
     random_f_q_datum,
@@ -53,11 +61,11 @@ def test_datum_validation():
     tow, eta_hat, theta = _sixfold_inputs(2)
     WeilDatum(tow, 3, eta_hat, theta)
     bad_eta = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
-    with pytest.raises(ValueError):
-        WeilDatum(tow, 3, bad_eta, theta)  # does not square to p
+    with pytest.raises(ValueError, match="does not square to p"):
+        WeilDatum(tow, 3, bad_eta, theta)
     bad_theta = [row[:] for row in theta]
     bad_theta[0][3] = 2  # no longer matches the -1 transpose entry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be alternating"):
         WeilDatum(tow, 3, eta_hat, bad_theta)
     # Theta(y_2, y_5) = 1 pairs the second and third vectors of the first half
     unit = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
@@ -78,8 +86,42 @@ def test_rm_bilinearity_validation(ws4):
     theta = [row[:] for row in datum.theta_f]
     theta[0][3] = tow.elem(1)
     theta[3][0] = tow.elem(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not F-bilinear"):
         WeilDatum(tow, 2, datum.eta_hat, theta, dual_f_basis=datum.dual_f_basis)
+    # sqrt(p) times the identity squares to p but is not rational
+    root = [[tow.sqrt_p() if i == j else 0 for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="must be a rational matrix"):
+        WeilDatum(tow, 2, root, datum.theta_f, dual_f_basis=datum.dual_f_basis)
+    # b_0 and b_2 eta_hat pair to sqrt(p) Theta(b_0, b_2) = sqrt(p) / 2, in the sqrt(p) coordinate alone
+    rm8 = _datum("eightfold-rm2")
+    b = rm8.dual_f_basis
+    twisted = [sum((b[2][i] * rm8.eta_hat[i][k] for i in range(8)), tow.zero()) for k in range(8)]
+    with pytest.raises(ValueError, match="not Theta-isotropic"):
+        WeilDatum(rm8.tower, 4, rm8.eta_hat, rm8.theta_f, dual_f_basis=[b[0], twisted, b[2], b[3]])
+
+
+def test_datum_validation_on_large_integers(monkeypatch):
+    # the fourfold with q and Theta scaled past 2^62: every product of the
+    # validation runs on Python ints, and a broken entry is still caught
+    data = PRESETS["fourfold-rm2"]().to_json()
+    big = 2**62 + 1
+    data["tower"]["q"] = {"num": big + 2, "den": 1}
+    data["theta"] = [[[[c[0] * big, c[1]] for c in x] for x in row] for row in data["theta"]]
+    dtypes, real = [], weilcm.k_mul
+
+    def recording(*args):
+        out = real(*args)
+        dtypes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(weilcm, "k_mul", recording)
+    datum = WeilDatum.from_json(data)
+    # eta_hat^2, eta_hat Theta and sqrt(p) Theta, and the two products of the isotropy Gram matrix
+    assert len(dtypes) == 5 and set(dtypes) == {np.dtype(object)}
+    assert CmAction(datum).ints[0].dtype == object
+    data["theta"][0][3], data["theta"][3][0] = [[1, 1], [0, 1]], [[-1, 1], [0, 1]]
+    with pytest.raises(ValueError, match="not F-bilinear"):
+        WeilDatum.from_json(data)
 
 
 def test_spinor_halves_power_series_coefficients(ws6):
@@ -118,26 +160,26 @@ def test_eta_ring_and_adjoint(ws6, ws4, rng):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
         dim = ws.space.dim_v
-        rq = ws.eta.mats["rq"]
-        assert linalg.mat_eq(
-            linalg.mat_mul(rq, rq, tow),
-            linalg.mat_scale(linalg.identity_matrix(dim, tow), tow.scalar(-tow.q)),
+        rq = ws.eta.of(tow.sqrt_minus_q())
+        assert mat_eq(
+            mat_mul(rq, rq, tow),
+            mat_scale(identity_matrix(dim, tow), tow.scalar(-tow.q)),
         )
         assert all(x.is_rational() for row in rq for x in row)
         if tow.p != 1:
-            rp = ws.eta.mats["rp"]
-            assert linalg.mat_eq(
-                linalg.mat_mul(rp, rp, tow),
-                linalg.mat_scale(linalg.identity_matrix(dim, tow), tow.scalar(tow.p)),
+            rp = ws.eta.of(tow.sqrt_p())
+            assert mat_eq(
+                mat_mul(rp, rp, tow),
+                mat_scale(identity_matrix(dim, tow), tow.scalar(tow.p)),
             )
-            assert linalg.mat_eq(linalg.mat_mul(rp, rq, tow), linalg.mat_mul(rq, rp, tow))
+            assert mat_eq(mat_mul(rp, rq, tow), mat_mul(rq, rp, tow))
         for t_el in ws.eta.k_basis():
             m = ws.eta.of(t_el)
             madj = ws.eta.of(t_el.iota())
             for _ in range(4):
                 x, y = rand_vec(rng, ws.space), rand_vec(rng, ws.space)
-                assert ws.space.pair(linalg.mat_vec(m, x, tow), y) == ws.space.pair(
-                    x, linalg.mat_vec(madj, y, tow)
+                assert ws.space.pair(mat_vec(m, x, tow), y) == ws.space.pair(
+                    x, mat_vec(madj, y, tow)
                 )
 
 
@@ -145,10 +187,10 @@ def test_eta_contraction_formula(ws6):
     # eta_{rq}(0, y_j) = (q * contraction of Theta by y_j, 0)
     tow = ws6.datum.tower
     n2 = 6
-    rq = ws6.eta.mats["rq"]
+    rq = ws6.eta.of(tow.sqrt_minus_q())
     for j in range(n2):
         amb = [tow.zero()] * n2 + [tow.scalar(1 if k == j else 0) for k in range(n2)]
-        img = linalg.mat_vec(rq, amb, tow)
+        img = mat_vec(rq, amb, tow)
         cont = contract([int(i == j) for i in range(n2)], ws6.theta)
         expected = [tow.zero()] * (2 * n2)
         for m, c in cont.terms.items():
@@ -235,20 +277,19 @@ def test_wt_family(ws6, ws4):
     iw = ws6.W.map_rows(lambda c: c.iota())
     assert linalg.spans_equal(ws6.WT[plus.conjugate()].basis, iw.basis, tow)
     # eta acts on W by multiplication by sqrt(-q)
-    rq = ws6.eta.mats["rq"]
+    rq = ws6.eta.of(tow.sqrt_minus_q())
     i = tow.sqrt_minus_q()
     for row in ws6.W.basis:
-        assert linalg.mat_vec(rq, row, tow) == [i * x for x in row]
+        assert mat_vec(rq, row, tow) == [i * x for x in row]
 
 
 def test_eta_eigenspaces(ws4):
     tow = ws4.datum.tower
-    for sigma in k_embeddings(tow):
-        basis = eigenspace(ws4.W, ws4.eta, sigma)
+    for sigma, basis in zip(k_embeddings(tow), eigenspaces(ws4.W, ws4.eta)):
         assert len(basis) == ws4.d
         rq = ws4.eta.of(tow.sqrt_minus_q())
         for row in basis:
-            img = linalg.mat_vec(rq, row, tow)
+            img = mat_vec(rq, row, tow)
             scal = sigma(tow.sqrt_minus_q())
             assert img == [scal * x for x in row]
 
@@ -259,13 +300,12 @@ def _assert_cm_stage_matches_references(datum):
     tow = datum.tower
     expo, w = build_WT(datum, HyperbolicSpace(datum.n, tow), enumerate_cm_types(tow)[0])
     eta = CmAction(datum)
-    assert eta.mats["rq"] == eta_rq_reference(datum, w)
-    for sigma in k_embeddings(tow):
-        basis = eigenspace(w, eta, sigma)
+    assert eta.of(tow.sqrt_minus_q()) == eta_rq_reference(datum, w)
+    for sigma, basis in zip(k_embeddings(tow), eigenspaces(w, eta)):
         assert len(basis) == datum.d
         assert linalg.spans_equal(basis, eigenspace_reference(eta, sigma), tow)
     alpha, beta = build_spinor(expo)
-    conj = expo.map_coefficients(lambda c: c.iota())
+    conj = Multivector(expo.space, {m: c.iota() for m, c in expo.terms.items()})
     assert alpha == (expo + conj).scale(Fraction(1, 2))
     assert beta == (expo - conj).scale(tow.sqrt_minus_q().inv() * Fraction(1, 2))
 
@@ -274,6 +314,26 @@ def _assert_cm_stage_matches_references(datum):
                                     "eightfold-lie-seed1"])
 def test_cm_stage_matches_references(source):
     _assert_cm_stage_matches_references(_datum(source))
+
+
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1", "random-0", "random-1", "random-2", "large"])
+def test_eta_matches_block_reference(source):
+    # the closed-form integer eta(e_k) against the FieldElem block assembly,
+    # for every tower basis element; "large" is past int64 (object arrays)
+    if source.startswith("random"):
+        rng = random.Random(sum(map(ord, source)))
+        datum = random_f_q_datum(rng, rng.randint(1, 3))
+    else:
+        datum = large_integer_datum() if source == "large" else _datum(source)
+    tow, eta = datum.tower, CmAction(datum)
+    E, _ = eta.ints
+    assert (E.dtype == object) == (source == "large")
+    for k, ref in enumerate(eta_reference(datum)):
+        if ref is None:  # e_1 and e_3 are outside K when F = Q
+            assert tow.p == 1 and not E[k].any()
+        else:
+            assert eta.of(tow.elem(*(int(i == k) for i in range(4)))) == ref
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
@@ -308,9 +368,9 @@ def test_xi_forms(ws6, ws4):
                     assert form[i][j].is_rational()
             rows.append([x for row in form for x in row])
             # the defining formula Xi_t(e_i, e_j) = (eta_t e_i, e_j)
-            basis = linalg.identity_matrix(ws.space.dim_v, tow)
+            basis = identity_matrix(ws.space.dim_v, tow)
             m = ws.eta.of(t_el)
-            assert form == [[ws.space.pair(linalg.mat_vec(m, u, tow), v) for v in basis] for u in basis]
+            assert form == [[ws.space.pair(mat_vec(m, u, tow), v) for v in basis] for u in basis]
         assert linalg.rank(rows, tow) == tow.e // 2
 
 
@@ -325,7 +385,7 @@ def test_xi_value_identity(ws6, ws4):
                 for k in range(n2):
                     u = [tow.zero()] * n2 + [tow.scalar(1 if i == j else 0) for i in range(n2)]
                     v = [tow.zero()] * n2 + [tow.scalar(1 if i == k else 0) for i in range(n2)]
-                    lhs = ws.space.pair(linalg.mat_vec(m, u, tow), v)
+                    lhs = ws.space.pair(mat_vec(m, u, tow), v)
                     val = -t_el * tow.sqrt_minus_q() * ws.datum.theta_f[j][k]
                     assert val.in_subfield("F")
                     assert lhs == tow.scalar(trace_to_Q(val, "F"))
@@ -343,8 +403,8 @@ def test_hermitian_form(ws6, ws4, rng):
             assert bilinear(g, y, x) == hxy.iota()
             assert bilinear(g, x, x).in_subfield("F")
             for s in ws.eta.k_basis():
-                sx = linalg.mat_vec(ws.eta.of(s), x, tow)
-                sy = linalg.mat_vec(ws.eta.of(s), y, tow)
+                sx = mat_vec(ws.eta.of(s), x, tow)
+                sy = mat_vec(ws.eta.of(s), y, tow)
                 # conjugate-linear in the first slot, linear in the second
                 assert bilinear(g, sx, y) == s.iota() * hxy
                 assert bilinear(g, x, sy) == s * hxy
@@ -413,13 +473,13 @@ def test_gb(ws6, ws4):
                 assert so.spin(b).is_zero()
             for t_el in ws.eta.k_basis():
                 m = ws.eta.of(t_el)
-                assert linalg.mat_eq(
-                    linalg.mat_mul(so.ad, m, tow), linalg.mat_mul(m, so.ad, tow)
+                assert mat_eq(
+                    mat_mul(so.ad, m, tow), mat_mul(m, so.ad, tow)
                 )
             for T, w in ws.WT.items():
                 red, piv = linalg.rref(w.basis, tow)
                 for row in w.basis:
-                    assert linalg.in_span(red, piv, so.ad_vector(row), tow)
+                    assert in_span(red, piv, so.ad_vector(row), tow)
 
 
 def test_gb_kills_invariant_generators(ws6, ws4):
@@ -664,5 +724,5 @@ def test_datum_json_round_trip(ws4):
     datum = ws4.datum
     again = WeilDatum.from_json(datum.to_json())
     assert again.tower == datum.tower
-    assert linalg.mat_eq(again.eta_hat, datum.eta_hat)
-    assert linalg.mat_eq(again.theta_f, datum.theta_f)
+    assert mat_eq(again.eta_hat, datum.eta_hat)
+    assert mat_eq(again.theta_f, datum.theta_f)
