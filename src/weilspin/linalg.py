@@ -3,7 +3,7 @@
 One rule: `FieldElem` rows for elimination, K-valued integer arrays for
 products.  A subspace is a list of coordinate rows (lists of FieldElem),
 reduced by exact elimination (`rref`, `rank`, `nullspace`, `solve`,
-`intersect`, `spans_equal`, `mat_inverse`).  Elimination touches only the
+`spans_equal`, `mat_inverse`).  Elimination touches only the
 nonzero entries: the arithmetic is exact, a - f * 0 = a, and FieldElem is
 canonical, so every row, pivot and kernel vector is that of a dense pass.
 
@@ -18,8 +18,9 @@ exact integers below 2^53 (see `_matmul_mod`); no float reaches a verdict.
 Matrices over the tower are multiplied in their exact integer form, the
 K-valued arrays (nums, den) below: `k_mul` multiplies them coordinate by
 coordinate on integers, `k_equal` compares them, `bilinear` evaluates a Gram
-matrix on rational vectors, and `preserves_graph` decides whether block
-matrices preserve graphs.  `k_form` and `k_rows` convert to and from rows.
+matrix on rational vectors, `preserves_graph` decides whether block
+matrices preserve graphs and `graph_meet` intersects two graphs.  `k_form`
+and `k_rows` convert to and from rows.
 """
 
 from __future__ import annotations
@@ -108,25 +109,6 @@ def solve(rows, rhs, tower: TowerSpec):
 
 def spans_equal(a_rows, b_rows, tower: TowerSpec) -> bool:
     return rref(a_rows, tower)[0] == rref(b_rows, tower)[0]
-
-
-def intersect(a_rows, b_rows, tower: TowerSpec):
-    """Zassenhaus intersection of two row spans."""
-    if not a_rows or not b_rows:
-        return []
-    n = len(a_rows[0])
-    zero = tower.zero()
-    block = [list(r) + list(r) for r in a_rows]
-    block += [list(r) + [zero] * n for r in b_rows]
-    red, _ = rref(block, tower)
-    out = []
-    for row in red:
-        if all(x.is_zero() for x in row[:n]):
-            tail = row[n:]
-            if any(not x.is_zero() for x in tail):
-                out.append(tail)
-    red_out, _ = rref(out, tower)
-    return red_out
 
 
 def mat_inverse(mat, tower: TowerSpec):
@@ -251,6 +233,18 @@ def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
     P, Q, R, S = ((mats[:, i:i + n2, j:j + n2][None], 1) for i in (0, n2) for j in (0, n2))
     lhs = k_stack([k_mul(tower, P, M), Q], total=True)
     return k_equal(lhs, k_mul(tower, M, k_stack([k_mul(tower, R, M), S], total=True)))
+
+
+def graph_meet(tower: TowerSpec, A, B):
+    """A basis of {(A y, y)} meet {(B y, y)} for K-valued square matrices A
+    and B, as rows of `FieldElem`s: the rows (A y, y) for y in the kernel of
+    A - B.  A common vector has one y-part, so it is (A y, y) with A y = B y."""
+    diff = k_stack([A, (-B[0], B[1])], total=True)
+    ys = nullspace(k_rows(tower, diff), diff[0].shape[-1], tower)
+    if not ys:
+        return []
+    ay = k_rows(tower, k_mul(tower, k_form(ys), (A[0].swapaxes(-1, -2), A[1])))
+    return [x + y for x, y in zip(ay, ys)]
 
 
 # -- modular certificates ----------------------------------------------------

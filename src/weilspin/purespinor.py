@@ -51,9 +51,6 @@ class IsotropicSubspace:
     def __repr__(self):
         return f"IsotropicSubspace(dim={self.dim})"
 
-    def map_rows(self, f) -> "IsotropicSubspace":
-        return IsotropicSubspace(self.space, [[f(x) for x in row] for row in self.basis])
-
 
 def annihilator(lam: Multivector, space: HyperbolicSpace) -> IsotropicSubspace:
     """The subspace of V over the tower field annihilating a nonzero spinor."""

@@ -44,7 +44,7 @@ from .exteralg import (
 )
 from .fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from .fmtransform import OrlovTransform, bb_decompose, filtration_level, pi_to_weil
-from .linalg import bilinear, int_dtype, k_mul, k_stack, preserves_graph
+from .linalg import bilinear, int_dtype, k_equal, k_mul, k_stack, preserves_graph
 from .purespinor import annihilator, is_pure, pure_spinor_of
 from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree
 
@@ -228,6 +228,11 @@ class Report:
 
 def _rand_vec(rng, space):
     return space.vector([rng.randint(-3, 3) for _ in range(space.dim_v)])
+
+
+def _k_iota(arr):
+    """iota of a K-valued array: it acts entrywise, negating the sqrt(-q) coordinates 2 and 3."""
+    return np.concatenate([arr[0][:2], -arr[0][2:]]), arr[1]
 
 
 def _rand_mv(rng, gspace, nterms=4):
@@ -478,8 +483,8 @@ class _Runner:
 
     @_check("spinor.conjugate-transverse", "the graph meets its conjugate trivially")
     def _conjugate_transverse(self):
-        iw = self.ws.W.map_rows(lambda c: c.iota())
-        inter = linalg.intersect(self.ws.W.basis, iw.basis, self.datum.tower)
+        m = self.ws.type_graphs[0][:, 0], self.ws.type_graphs[1]  # W is the graph of the all-plus M, iota(W) of iota(M)
+        inter = linalg.graph_meet(self.datum.tower, m, _k_iota(m))
         return len(inter) == 0, {"intersection_dim": len(inter)}
 
     @_check("spinor.reflection-equivariance", "annihilator transforms along reflections")
@@ -536,12 +541,11 @@ class _Runner:
             wit[repr(T)] = w.dim
         # eta-invariance of every W_T: each eta(e_k) on the tower basis (`preserves_graph`)
         ok &= preserves_graph(tow, self.ws.eta.ints[0], self.ws.type_graphs)
-        # conjugate pair at e=2: W_Tbar = iota(W_T)
+        # conjugate pair at e=2: W_Tbar = iota(W_T), the graph of iota(M_T); two graphs over
+        # the same y-block are equal exactly when their matrices are
         if tow.e == 2:
-            t_plus = [T for T in self.ws.cm_types if T.choices == (1,)][0]
-            t_minus = t_plus.conjugate()
-            iw = self.ws.WT[t_plus].map_rows(lambda c: c.iota())
-            ok &= linalg.spans_equal(iw.basis, self.ws.WT[t_minus].basis, tow)
+            nums, den = self.ws.type_graphs  # the all-plus type is listed first, its conjugate second
+            ok &= k_equal(_k_iota((nums[:, 0], den)), (nums[:, 1], den))
         return ok, wit
 
     @_check("secant.dimension", "secant space dimension")
@@ -654,7 +658,7 @@ class _Runner:
 
     @_check("lie.kills-generators", "invariant generators are annihilated")
     def _gb_kills(self):
-        return self.ws.gb_kills(*self.ws.a2_elements, *self.ws.HW), {}
+        return self.ws.generators_invariant, {}
 
     @_check("invariants.k={k}", "invariant classes equal the generated subalgebra")
     def _invariants(self, k):
@@ -776,13 +780,14 @@ class _Runner:
         d = self.ws.d
         ok = True
         wit = {}
-        for t1 in self.ws.cm_types:
-            for t2 in self.ws.cm_types:
+        graphs, den = self.ws.type_graphs  # the meets below: `span_basis` compares their lines, so any basis serves
+        for i, t1 in enumerate(self.ws.cm_types):
+            for j, t2 in enumerate(self.ws.cm_types):
                 k = t1.overlap(t2)
                 img = orl.phiH(orl.box(self.ws.ell[t1], tau(self.ws.ell[t2])))
                 lev = filtration_level(img)
                 bottom = img.degree_part(d * k)
-                inter = linalg.intersect(self.ws.WT[t1].basis, self.ws.WT[t2].basis, tow)
+                inter = linalg.graph_meet(tow, (graphs[:, i], den), (graphs[:, j], den))
                 line = orl.hyper.vspace.one()
                 for row in inter:
                     line = wedge(line, orl.hyper.vector_to_mv(row))

@@ -550,7 +550,10 @@ class WeilStructure:
         `cm_types`.  b_T = sqrt(-q) Theta_T is the degree-2 part of its spinor
         exp(b_T), and `build_W`'s row j is (-M_T[j], e_j) for M_T[i][j] = c,
         M_T[j][i] = -c at each term c x_i ^ x_j (i < j), so the graph holds
-        sum_j y_j (-M_T[j]) = -M_T^T y = M_T y."""
+        sum_j y_j (-M_T[j]) = -M_T^T y = M_T y.  Read by `cm.type-spaces`,
+        `lie.preserves-type-spaces`, `spinor.conjugate-transverse` and
+        `lemma.filtration-pairs`, sound as W_T is exactly this graph: in every
+        run `spinor.annihilator-graph` ties W_T to ell_T, `cm.type-spaces` M_T to eta."""
         terms = [(k, m, c) for k, T in enumerate(self.cm_types) for m, c in self.ell[T].degree_part(2).terms.items()]
         k, m, c = zip(*terms)
         cs, den = k_form([c])
@@ -579,12 +582,18 @@ class WeilStructure:
                                                      k_mul(tower, scalar[1], xi, np.multiply)], total=True)
         return self._hermitian_grams[t_elem]
 
+    @cached_property
+    def generators_invariant(self) -> bool:
+        """Whether g_B kills the Xi classes and HW, by one exact `gb_kills`.  A derivation
+        D has D(a ^ b) = Da ^ b + a ^ Db, so it then kills each G_k: G_k lies in N_k."""
+        return self.gb_kills(*self.a2_elements, *self.HW)
+
     def invariants_and_generation(self, k: int):
-        """(invariant dim, generated basis, equality flag, method) at degree k."""
-        generated = self.generated[k]
-        # exact containment: every derivation kills the generated basis, tested as one block of columns
-        if not self.gb_kills(*generated):
+        """(invariant dim, generated basis, equality flag, method) at degree k; the
+        basis, the certificate's lower bound, lies in N_k by `generators_invariant`."""
+        if not self.generators_invariant:
             raise ValueError("generated class is not g_B-invariant")
+        generated = self.generated[k]
         dim, method = invariant_dimension_certificate(self.space, self.gb_split, k, len(generated))
         return dim, generated, dim == len(generated), method
 

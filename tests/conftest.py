@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weilspin import linalg
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
 from weilspin.secantpipe import PRESETS
@@ -91,6 +92,31 @@ def in_span(basis_rref, pivots, v, tower) -> bool:
                 if not b.is_zero():
                     w[j] = w[j] - f * b
     return all(x.is_zero() for x in w)
+
+
+def zassenhaus_intersect(a_rows, b_rows, tower):
+    """Zassenhaus intersection of two row spans, as a reduced echelon basis:
+    the reference for `linalg.graph_meet`."""
+    if not a_rows or not b_rows:
+        return []
+    n = len(a_rows[0])
+    zero = tower.zero()
+    block = [list(r) + list(r) for r in a_rows]
+    block += [list(r) + [zero] * n for r in b_rows]
+    red, _ = linalg.rref(block, tower)
+    out = []
+    for row in red:
+        if all(x.is_zero() for x in row[:n]):
+            tail = row[n:]
+            if any(not x.is_zero() for x in tail):
+                out.append(tail)
+    red_out, _ = linalg.rref(out, tower)
+    return red_out
+
+
+def iota_rows(rows):
+    """iota applied to every entry of a list of rows."""
+    return [[c.iota() for c in row] for row in rows]
 
 
 def rand_elem(rng, tower, span=5):

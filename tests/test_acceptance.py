@@ -35,7 +35,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilStructure
 
-from conftest import mat_vec
+from conftest import iota_rows, mat_vec, zassenhaus_intersect
 
 
 def _report(num, name, ok):
@@ -92,8 +92,7 @@ def test_criterion_2_pure_spinors(structures):
         flag, ann = is_pure(ws.exp_spinor, ws.space)
         ok &= flag
         ok &= linalg.spans_equal(ann.basis, ws.W.basis, tow)
-        iw = ws.W.map_rows(lambda c: c.iota())
-        ok &= linalg.intersect(ws.W.basis, iw.basis, tow) == []
+        ok &= zassenhaus_intersect(ws.W.basis, iota_rows(ws.W.basis), tow) == []
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     _report(2, f"pure-spinor suite, all presets ({elapsed:.2f}s)", ok)
@@ -250,7 +249,7 @@ def test_criterion_7_filtration_lemma(structures, orlovs):
                 img = orl.phiH(boxed)
                 ok &= filtration_level(img) >= d * k
                 bottom = img.degree_part(d * k)
-                inter = linalg.intersect(ws.WT[t1].basis, ws.WT[t2].basis, tow)
+                inter = zassenhaus_intersect(ws.WT[t1].basis, ws.WT[t2].basis, tow)
                 line = orl.hyper.vspace.one()
                 for row in inter:
                     line = wedge(line, orl.hyper.vector_to_mv(row))

@@ -23,6 +23,7 @@ from conftest import (
     phiH_inverse_reference,
     pushforward_first,
     rand_mv,
+    zassenhaus_intersect,
 )
 
 
@@ -208,7 +209,7 @@ def test_filtration_pairs_sixfold(ws6, orl6):
             img = orl6.phiH(boxed)
             assert filtration_level(img) >= d * k
             bottom = img.degree_part(d * k)
-            inter = linalg.intersect(ws6.WT[t1].basis, ws6.WT[t2].basis, tow)
+            inter = zassenhaus_intersect(ws6.WT[t1].basis, ws6.WT[t2].basis, tow)
             line = orl6.hyper.vspace.one()
             for row in inter:
                 line = wedge(line, orl6.hyper.vector_to_mv(row))

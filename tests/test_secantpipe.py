@@ -457,6 +457,19 @@ def test_tenfold_form_and_cm_checks_sha256(check, sha256, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("source, sha256", [
+    ("tenfold-q2", "fe26a6014e7f88ef653ee0c5f9a955a23c8cbe8d0c52afae5f688878c33bfd39"),
+    ("eightfold-lie-seed1", "c636de8468d6462f5990524fed06bcfdee76b56a6c20bf2092a08ea9437d83c1"),
+])
+def test_spinor_checks_sha256(source, sha256, tmp_path):
+    # the type-space meets at n = 5 and on a dense Theta, pinned to the report of the
+    # Zassenhaus intersection they replaced
+    out = tmp_path / "rep.json"
+    datum = Path(__file__).parent / "data" / f"{source}.json"
+    assert main(["verify", "--input", str(datum), "--seed", "0", "--check", "spinor.", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def _standard_theta(n, scale=1):
     theta = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -690,3 +703,39 @@ def test_preserves_type_spaces_sees_a_perturbed_generator(preset):
     col = ws.gb_cols[0][0]  # before `gb_table` is built from the columns
     col[:1] = [(col[0][0], col[0][1] + 1)] if col else [(0, 1)]
     assert not _fresh_runner(ws)._gb_preserves_wt()[0]
+
+
+@pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
+def test_conjugate_transverse_sees_a_singular_graph_difference(preset):
+    ws = WeilStructure(PRESETS[preset]())
+    assert _fresh_runner(ws)._conjugate_transverse() == (True, {"intersection_dim": 0})
+    # row and column 0 of the all-plus M_T zeroed in a copy: M - iota(M) is then singular
+    nums, den = ws.type_graphs
+    nums = nums.copy()
+    nums[:, 0, 0, :] = nums[:, 0, :, 0] = 0
+    ws.type_graphs = nums, den
+    ok, witness = _fresh_runner(ws)._conjugate_transverse()
+    assert not ok and witness["intersection_dim"] > 0
+
+
+def test_type_spaces_check_sees_a_perturbed_conjugate_graph(monkeypatch):
+    ws = WeilStructure(PRESETS["sixfold-q2"]())
+    assert _fresh_runner(ws)._type_spaces()[0]
+    nums, _ = ws.type_graphs
+    nums[2, ws.cm_types.index(ws.cm_types[0].conjugate()), 0, 1] += 1
+    assert not _fresh_runner(ws)._type_spaces()[0]
+    # the conjugate-pair comparison alone also sees it
+    monkeypatch.setattr(secantpipe, "preserves_graph", lambda *args: True)
+    assert not _fresh_runner(ws)._type_spaces()[0]
+
+
+def test_invariant_checks_fail_when_the_generators_are_not_killed(monkeypatch):
+    # the containment of every G_k in the invariants rests on the one generator test
+    monkeypatch.setattr(WeilStructure, "generators_invariant", False)
+    report = run_all("fourfold-rm2", seed=0, check_filter="invariants.")
+    assert [c.name for c in report.checks] == [f"invariants.k={k}" for k in range(9)]
+    for check in report.checks:
+        assert not check.status
+        assert check.witness == {"error": "ValueError: generated class is not g_B-invariant"}
+    kills = run_all("fourfold-rm2", seed=0, check_filter="lie.kills-generators").checks
+    assert [(c.name, c.status) for c in kills] == [("lie.kills-generators", False)]

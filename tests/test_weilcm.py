@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilspin import linalg, weilcm
+from weilspin import linalg, secantpipe, weilcm
 from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_int
 from weilspin.exteralg import IntMultivector, Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
@@ -35,6 +35,7 @@ from conftest import (
     hermitian_form,
     identity_matrix,
     in_span,
+    iota_rows,
     large_integer_datum,
     leibniz_derivation,
     mat_eq,
@@ -45,6 +46,7 @@ from conftest import (
     rand_vec,
     random_f_q_datum,
     xi_f,
+    zassenhaus_intersect,
 )
 
 
@@ -139,8 +141,7 @@ def test_w_is_annihilator_and_transverse(ws6, ws4):
         tow = ws.datum.tower
         ann = annihilator(ws.exp_spinor, ws.space)
         assert linalg.spans_equal(ann.basis, ws.W.basis, tow)
-        iw = ws.W.map_rows(lambda c: c.iota())
-        assert linalg.intersect(ws.W.basis, iw.basis, tow) == []
+        assert zassenhaus_intersect(ws.W.basis, iota_rows(ws.W.basis), tow) == []
         assert ws.W.is_maximal()
 
 
@@ -260,6 +261,23 @@ def test_type_graphs_are_the_type_spaces(source):
         assert not linalg.spans_equal(rows, ws.WT[T.conjugate()].basis, tow)
 
 
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1", "random-0", "random-1", "random-2"])
+def test_graph_meet_matches_zassenhaus(source):
+    # W_T1 meet W_T2 from the graphs M_T against the Zassenhaus meet of the rows of
+    # W_T, for every ordered pair of CM types and for each type with its iota
+    rng = random.Random(sum(map(ord, source)))
+    ws = WeilStructure(random_f_q_datum(rng, rng.randint(1, 3)) if source.startswith("random") else _datum(source))
+    tow, (nums, den) = ws.datum.tower, ws.type_graphs
+    graphs = {T: (nums[:, k], den) for k, T in enumerate(ws.cm_types)}
+    pairs = [(graphs[a], graphs[b], ws.WT[a].basis, ws.WT[b].basis) for a in ws.cm_types for b in ws.cm_types]
+    pairs += [(graphs[T], secantpipe._k_iota(graphs[T]), ws.WT[T].basis, iota_rows(ws.WT[T].basis))
+              for T in ws.cm_types]
+    for a, b, rows_a, rows_b in pairs:
+        meet, expected = linalg.graph_meet(tow, a, b), zassenhaus_intersect(rows_a, rows_b, tow)
+        assert len(meet) == len(expected) and linalg.rref(meet, tow)[0] == expected
+
+
 def test_wt_family(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
@@ -274,8 +292,7 @@ def test_wt_family(ws6, ws4):
     tow = ws6.datum.tower
     plus = [T for T in ws6.cm_types if T.choices == (1,)][0]
     assert linalg.spans_equal(ws6.WT[plus].basis, ws6.W.basis, tow)
-    iw = ws6.W.map_rows(lambda c: c.iota())
-    assert linalg.spans_equal(ws6.WT[plus.conjugate()].basis, iw.basis, tow)
+    assert linalg.spans_equal(ws6.WT[plus.conjugate()].basis, iota_rows(ws6.W.basis), tow)
     # eta acts on W by multiplication by sqrt(-q)
     rq = ws6.eta.of(tow.sqrt_minus_q())
     i = tow.sqrt_minus_q()
