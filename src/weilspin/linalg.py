@@ -202,21 +202,22 @@ def k_equal(x, y) -> bool:
     return not k_stack([x, (-y[0], y[1])], total=True)[0].any()
 
 
-def bilinear(form, u, v):
+def bilinear(tower: TowerSpec, form, u, v):
     """u^T G v for the K-valued Gram matrix G of `form` and rational vectors
-    u, v of `FieldElem`s, as a `FieldElem`.  G may be a stack (`k_stack`) and
-    u, v equal-length lists of vectors, taken in pairs: the values are then
-    an object array, by Gram matrix and then by pair.  Each coordinate is one
-    integer product, below dim^2 max|u| max|G| max|v|.  A coordinate outside
-    Q raises ValueError."""
+    u, v, lists of ints or of `FieldElem`s, as a `FieldElem`.  G may be a
+    stack (`k_stack`) and u, v equal-length lists of vectors, taken in
+    pairs: the values are then an object array, by Gram matrix and then by
+    pair.  Each coordinate is one integer product, below
+    dim^2 max|u| max|G| max|v|.  A coordinate outside Q raises ValueError."""
     nums, den = form
-    single = isinstance(u[0], FieldElem)
-    (un, ud), (vn, vd) = (int_form([w] if single else w) for w in (u, v))
+    single = not isinstance(u[0], list)
+    rows = ([w] if single else w for w in (u, v))
+    (un, ud), (vn, vd) = (int_form(r) if isinstance(r[0][0], FieldElem) else (r, 1) for r in rows)
     hu, hv = (max(max(map(max, w)), -min(map(min, w))) for w in (un, vn))
     dtype = int_dtype(nums.shape[-1] ** 2 * _height(nums) * hu * hv)
     U, V = np.array(un, dtype=dtype), np.array(vn, dtype=dtype)
     out = (U.T * (nums.astype(dtype, copy=False) @ V.T)).sum(axis=-2)
-    vals, pad, tower = np.empty(out.shape[1:], dtype=object), (0,) * (4 - len(out)), (u if single else u[0])[0].tower
+    vals, pad = np.empty(out.shape[1:], dtype=object), (0,) * (4 - len(out))
     vals.flat = [FieldElem(tower, tuple(c) + pad, den * ud * vd) for c in out.reshape(len(out), -1).T.tolist()]
     return vals[..., 0][()] if single else vals
 
@@ -237,13 +238,16 @@ def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
 
 def graph_meet(tower: TowerSpec, A, B):
     """A basis of {(A y, y)} meet {(B y, y)} for K-valued square matrices A
-    and B, as rows of `FieldElem`s: the rows (A y, y) for y in the kernel of
-    A - B.  A common vector has one y-part, so it is (A y, y) with A y = B y."""
-    diff = k_stack([A, (-B[0], B[1])], total=True)
-    ys = nullspace(k_rows(tower, diff), diff[0].shape[-1], tower)
+    and B over one denominator, as rows of `FieldElem`s: the rows (A y, y)
+    for y in the kernel of A - B, the difference of their numerators.  A
+    common vector has one y-part, so it is (A y, y) with A y = B y."""
+    (a, den), (b, _) = A, B
+    dtype = int_dtype(2 * max(_height(a), _height(b)))
+    diff = a.astype(dtype) - b.astype(dtype), den
+    ys = nullspace(k_rows(tower, diff), a.shape[-1], tower)
     if not ys:
         return []
-    ay = k_rows(tower, k_mul(tower, k_form(ys), (A[0].swapaxes(-1, -2), A[1])))
+    ay = k_rows(tower, k_mul(tower, k_form(ys), (a.swapaxes(-1, -2), den)))
     return [x + y for x, y in zip(ay, ys)]
 
 
@@ -328,9 +332,9 @@ def modp_kernel(rows, ncols: int, p: int) -> np.ndarray:
     return K
 
 
-def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
+def modp_joint_kernel_dim(K: np.ndarray, ops, p: int, floor: int) -> int:
     """dim of the joint kernel mod p of several operators inside the column
-    span of K.
+    span of K, or the first width at most `floor` that K reaches.
 
     `K` is an int64 array with entries in [0, p) whose columns are linearly
     independent mod p; they span the start subspace S.  `ops` is an iterable
@@ -338,9 +342,9 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     int64 array congruent to M X mod p for one integer matrix M; it is
     consumed one operator at a time, so no matrix of M need ever exist.
     Each M restricts K to K @ ker(M K), which keeps the columns independent.
-    Stops as soon as K is empty (consuming no operator if it starts so).
-    While K is a square identity, K @ ker(M K) is the kernel basis itself,
-    and an M with M K = 0 mod p leaves K as is.
+    Stops once K is at most `floor` wide (0: empty), taking no operator if
+    it starts so.  While K is a square identity, K @ ker(M K) is the kernel
+    basis itself, and an M with M K = 0 mod p leaves K as is.
 
     Soundness: let K be the reduction of an integer matrix, such as
     identity columns, spanning a rational subspace S.  Its columns are
@@ -348,10 +352,12 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
     kernel mod p of the integer stack of the M K, and the rational joint
     kernel inside S has the dimension of that stack's kernel over Q.  A rank
     over a prime field never exceeds the rank over Q, so the result
-    upper-bounds the dimension of the rational joint kernel inside S.
+    upper-bounds the dimension of the rational joint kernel inside S, also
+    after an early stop: the joint kernel of all the operators lies inside
+    that of the ones taken.
     """
-    if K.shape[1] == 0:
-        return 0
+    if K.shape[1] <= floor:
+        return K.shape[1]
     identity = K.shape[0] == K.shape[1] == np.count_nonzero(K) and (K.diagonal() == 1).all()
     for op in ops:
         MK = op(K) % p
@@ -362,6 +368,6 @@ def modp_joint_kernel_dim(K: np.ndarray, ops, p: int) -> int:
         KB = modp_kernel(rows, K.shape[1], p)
         K = KB if identity else _matmul_mod(K.astype(np.float64), KB.astype(np.float64), p).astype(np.int64)
         identity = False
-        if K.shape[1] == 0:
-            return 0
+        if K.shape[1] <= floor:
+            break
     return K.shape[1]

@@ -226,8 +226,9 @@ class Report:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _rand_vec(rng, space):
-    return space.vector([rng.randint(-3, 3) for _ in range(space.dim_v)])
+def _rand_coords(rng, space):
+    """A random coordinate vector of V, as plain ints."""
+    return [rng.randint(-3, 3) for _ in range(space.dim_v)]
 
 
 def _k_iota(arr):
@@ -455,8 +456,8 @@ class _Runner:
             if xi.is_zero() or any(bin(m).count("1") != 2 for m in xi.terms):
                 continue
             so = SoPair(hs, xi)
-            v = _rand_vec(rng, hs)
-            w = _rand_vec(rng, hs)
+            v = hs.vector(_rand_coords(rng, hs))
+            w = hs.vector(_rand_coords(rng, hs))
             # infinitesimal isometry
             ok &= (hs.pair(so.ad_vector(v), w) + hs.pair(v, so.ad_vector(w))).is_zero()
             # [spin(xi), m_v] = m_(ad v) on a random spinor
@@ -520,14 +521,14 @@ class _Runner:
     def _cm_adjoint(self):
         # (eta_t x, y) = x^T eta_t^T J y and (x, eta_tbar y) = x^T J eta_tbar y, where
         # J, the Gram matrix of the pairing, permutes partners: X J = X[:, partner]
-        hs = self.ws.space
+        hs, tow = self.ws.space, self.datum.tower
         partner = (np.arange(hs.dim_v) + hs.dim_v // 2) % hs.dim_v
         ok = True
         for t_el in self.ws.eta.k_basis():
             (m, den), (madj, den_adj) = self.ws.eta.int_of(t_el), self.ws.eta.int_of(t_el.iota())
-            xy = [_rand_vec(self.rng, hs) for _ in range(8)]
-            left, right = bilinear(k_stack([(m.swapaxes(-1, -2)[..., partner], den), (madj[:, partner], den_adj)]),
-                                   xy[::2], xy[1::2])
+            xy = [_rand_coords(self.rng, hs) for _ in range(8)]
+            grams = k_stack([(m.swapaxes(-1, -2)[..., partner], den), (madj[:, partner], den_adj)])
+            left, right = bilinear(tow, grams, xy[::2], xy[1::2])
             ok &= bool((left == right).all())
         return ok, {}
 
@@ -560,17 +561,11 @@ class _Runner:
 
     @_check("forms.xi", "alternating invariant two-forms")
     def _xi_forms(self):
-        tow = self.datum.tower
-        ok = True
-        rows = []
-        for t_el, form in self.ws.a2_forms:
-            for i in range(len(form)):
-                ok &= form[i][i].is_zero()
-                for j in range(len(form)):
-                    ok &= form[i][j] == -form[j][i]
-                    ok &= form[i][j].is_rational()
-            rows.append([x for row in form for x in row])
-        dim = linalg.rank(rows, tow)
+        # each Gram matrix G is rational by construction (`xi_form_matrix`); Xi_t is alternating
+        # exactly when G = -G^T, and the Xi_t span what their numerators span, flattened to rows
+        tow, grams = self.datum.tower, [g for _, g in self.ws.xi_grams]
+        ok = all(k_equal(g, (-g[0].swapaxes(-1, -2), g[1])) for g in grams)
+        dim = linalg.rank(linalg.k_rows(tow, (np.stack([g[0].ravel() for g in grams])[None], 1)), tow)
         ok &= dim == tow.e // 2
         return ok, {"xi_span_dim": dim}
 
@@ -580,12 +575,12 @@ class _Runner:
         n2 = 2 * self.datum.n
         ok = True
         # Xi_t(y_j, y_k) is the (y_j, y_k) entry of the Gram matrix of Xi_t (`xi_form_matrix`)
-        for t_el, form in self.ws.a2_forms:
-            c = -t_el * tow.sqrt_minus_q()
+        for t_el, (nums, den) in self.ws.xi_grams:
+            c, block = -t_el * tow.sqrt_minus_q(), nums[0, n2:, n2:].tolist()
             for j in range(n2):
                 for k in range(n2):
                     val = c * self.datum.theta_f[j][k]
-                    ok &= val.in_subfield("F") and form[n2 + j][n2 + k] == tow.scalar(trace_to_Q(val, "F"))
+                    ok &= val.in_subfield("F") and Fraction(block[j][k], den) == trace_to_Q(val, "F")
         return ok, {}
 
     @_check("forms.hermitian", "hermitian sesquilinear form")
@@ -599,11 +594,11 @@ class _Runner:
         # H_t(x, eta_s y) = x^T G_t eta_s y, for the s in the K-basis
         basis = self.ws.eta.k_basis()
         m, den = k_stack([self.ws.eta.int_of(s) for s in basis])
-        xy = [_rand_vec(self.rng, hs) for _ in range(12)]
+        xy = [_rand_coords(self.rng, hs) for _ in range(12)]
         x, y = xy[::2], xy[1::2]
-        (hxy, hyx), hxx = bilinear(k_stack([g, (g[0].swapaxes(-1, -2), g[1])]), x, y), bilinear(g, x, x)
-        hsx = bilinear(k_mul(tow, (m.swapaxes(-1, -2), den), g), x, y)
-        hsy = bilinear(k_mul(tow, g, (m, den)), x, y)
+        (hxy, hyx), hxx = bilinear(tow, k_stack([g, (g[0].swapaxes(-1, -2), g[1])]), x, y), bilinear(tow, g, x, x)
+        hsx = bilinear(tow, k_mul(tow, (m.swapaxes(-1, -2), den), g), x, y)
+        hsy = bilinear(tow, k_mul(tow, g, (m, den)), x, y)
         ok = all(b == a.iota() for a, b in zip(hxy, hyx)) and all(h.in_subfield("F") for h in hxx)
         for s, sx, sy in zip(basis, hsx, hsy):
             ok &= all(c == s.iota() * h for c, h in zip(sx, hxy)) and all(c == s * h for c, h in zip(sy, hxy))

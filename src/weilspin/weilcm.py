@@ -15,7 +15,8 @@ rational halves of the spinor are its coordinates; none solves a system.
 
 The forms are checked through Gram matrices in exact integer form (the
 K-valued arrays of `linalg`), built once per structure on first use:
-(u, v) = u^T J v for the partner permutation J; (u, v)_F = u^T P_F v with
+(u, v) = u^T J v for the partner permutation J; Xi_t(u, v) = (eta_t u, v)
+= u^T eta(t)^T J v (`xi_form_matrix`); (u, v)_F = u^T P_F v with
 P_F = J / 2 + sqrt(p) J eta(sqrt p) / 2p (P_F = J when F = Q);
 Xi_t^F(u, v) = (eta_t u, v)_F = u^T eta(t)^T P_F v; H_t(u, v) = u^T G_t v
 with G_t = (-t^2) P_F + t eta(t)^T P_F, so H_t(eta_s u, v) =
@@ -244,10 +245,6 @@ class CmAction:
         nums = sum((c * E[k].astype(dtype) for k, c in enumerate(elem.n) if c), np.zeros(E.shape[1:], dtype))
         return nums[None], elem.d * D
 
-    def of(self, elem: FieldElem):
-        """Matrix of eta_t for t in K, as a rational matrix over the tower."""
-        return linalg.k_rows(self.datum.tower, self.int_of(elem))
-
     def k_basis(self):
         t = self.datum.tower
         basis = [t.one(), t.sqrt_minus_q()]
@@ -340,31 +337,28 @@ def build_HW(datum: WeilDatum, w: IsotropicSubspace, eta: CmAction):
     return span_basis(lines)
 
 
-def xi_form_matrix(eta: CmAction, t_elem: FieldElem, space: HyperbolicSpace):
-    """Matrix of Xi_t(u, v) = (eta_t u, v)_V; alternating and rational for t in K_-.
-
-    (eta_t e_i, e_j) is the coordinate of eta_t e_i at partner(j)."""
+def xi_form_matrix(eta: CmAction, t_elem: FieldElem):
+    """Gram matrix eta_t^T J of Xi_t(u, v) = (eta_t u, v)_V, alternating for t
+    in K_-: `int_of(t)` transposed, its last axis permuted by partner.  It is
+    rational by construction: `CmAction.int_of` holds e_0 alone."""
     if t_elem.iota() != -t_elem:
         raise ValueError("Xi_t requires t in the -1 eigenspace of iota")
-    m = eta.of(t_elem)
-    return [[m[space.partner(j)][i] for j in range(space.dim_v)] for i in range(space.dim_v)]
+    nums, den = eta.int_of(t_elem)
+    dim = nums.shape[-1]
+    return nums.swapaxes(-1, -2)[..., (np.arange(dim) + dim // 2) % dim], den
 
 
-def form_to_element(space: HyperbolicSpace, form_matrix) -> Multivector:
-    """Transport an alternating 2-form to an element of wedge^2 V.
+def form_to_element(space: HyperbolicSpace, gram) -> Multivector:
+    """Transport an alternating 2-form, given by its K-valued Gram matrix, to
+    an element of wedge^2 V.
 
     Uses the pairing identification of V with its dual (x_i* maps to y_i and
     conversely), which intertwines the derivation actions on forms and on
     elements.
     """
-    terms = {}
-    dim = space.dim_v
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = form_matrix[space.partner(i)][space.partner(j)]
-            if not c.is_zero():
-                terms[(1 << i) | (1 << j)] = c
-    return Multivector(space.vspace, terms)
+    form, partner, dim = linalg.k_rows(space.tower, gram), space.partner, space.dim_v
+    pairs = ((i, j, form[partner(i)][partner(j)]) for i in range(dim) for j in range(i + 1, dim))
+    return Multivector(space.vspace, {(1 << i) | (1 << j): c for i, j, c in pairs if not c.is_zero()})
 
 
 def build_gB(space: HyperbolicSpace, secant):
@@ -423,33 +417,35 @@ def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expec
     each derivation applied through `DerivationOperators.image` to its
     entries reduced mod p) is at least as large as N, since a rank over a
     prime field never exceeds the rank over Q; the generated rows exhibited
-    by the caller lie in N.  So when the modular dimension equals that lower
-    bound the answer is rigorous.  The reduced entries and the columns
+    by the caller lie in N.  The kernel stops once it is at most that
+    bound wide, since the joint kernel of all generators lies in any
+    subset's: dim N <= width = bound <= dim N is rigorous, and a width
+    below the bound shows it wrong.  The reduced entries and the columns
     mapped lie in [0, p), so each signed product is at most (p-1)^2 and the
     int64 images are exact while dim^2 (p-1)^2 < 2^63 (dim <= 2896 for
-    p < 2^20).  Falls back to exact elimination on the same restricted
-    matrices, on Python ints, if no prime in the list certifies.  One
-    binding to S serves every prime and the fallback.
+    p < 2^20).  Falls back to exact elimination, on Python ints and every
+    generator (a diagonal one maps S to 0), if no prime in the list
+    certifies.  One binding of the table to S serves both.
     """
     if k == 0:
         return 1, "exact"
-    weights, others = split
+    table, weights, others = split
     start = np.flatnonzero(np.bitwise_count(np.arange(1 << space.dim_v)) == k)
     if len(weights):  # a mask's weight is sum(D[g][g] for g in the mask), exact in weights' dtype
         bits = ((start[:, None] >> np.arange(space.dim_v)) & 1).astype(weights.dtype)
         start = start[((bits @ weights.T) == 0).all(axis=1)]
         del bits  # 8 dim bytes per mask of degree k, freed before the kernels
-    ops = others.bind(start)
+    ops = table.bind(start)
     for p in linalg.MOD_PRIMES:
-        each = (partial(ops.image, gens=range(j, j + 1), p=p) for j in range(others.count))
-        dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), each, p)
+        each = (partial(ops.image, gens=range(j, j + 1), p=p) for j in others)
+        dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), each, p, expected_dim)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
         if dim_p < expected_dim:
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    exact = ops.image(np.eye(len(start), dtype=object), range(others.count))
+    exact = ops.image(np.eye(len(start), dtype=object), range(table.count))
     stacked = [[space.tower.scalar(x) for x in row] for row in exact.tolist() if any(row)]
     kernel = linalg.nullspace(stacked, len(start), space.tower)
     return len(kernel), "exact elimination"
@@ -475,12 +471,9 @@ class WeilStructure:
         self.eta = build_eta(datum)
         self.B = build_B(self.space, [self.ell[T] for T in self.cm_types])
         self.HW = build_HW(datum, self.W, self.eta)
-        self.a2_elements = []
-        self.a2_forms = []
-        for t_el in self.eta.k_minus_basis():
-            form = xi_form_matrix(self.eta, t_el, self.space)
-            self.a2_forms.append((t_el, form))
-            self.a2_elements.append(form_to_element(self.space, form))
+        #: (t, the Gram matrix of Xi_t) for t in the basis of K_-, and the Xi_t as elements
+        self.xi_grams = [(t_el, xi_form_matrix(self.eta, t_el)) for t_el in self.eta.k_minus_basis()]
+        self.a2_elements = [form_to_element(self.space, gram) for _, gram in self.xi_grams]
         self.gB = build_gB(self.space, self.B)
         self.gb_cols = gb_int_cols(self.gB)
 
@@ -502,15 +495,13 @@ class WeilStructure:
 
     @cached_property
     def gb_split(self):
-        """The certificate's split of `gb_cols`: the diagonals of the diagonal
-        generators, a row each (int64 while dim max|D| < 2^63, else Python
-        ints), and the `DerivationOperators` table of the others."""
-        parts = {True: [], False: []}
-        for cols in self.gb_cols:
-            parts[all(i == g for g, col in enumerate(cols) for i, _ in col)].append(cols)
-        weights = [[col[0][1] if col else 0 for col in cols] for cols in parts[True]]
+        """The certificate's view of `gb_table`: the table, the diagonals of
+        its diagonal generators, a row each (int64 while dim max|D| < 2^63,
+        else Python ints), and the indices of the other generators."""
+        diagonal = [all(i == g for g, col in enumerate(cols) for i, _ in col) for cols in self.gb_cols]
+        weights = [[col[0][1] if col else 0 for col in cols] for cols, d in zip(self.gb_cols, diagonal) if d]
         bound = max((len(w) * abs(c) for w in weights for c in w), default=0)
-        return np.array(weights, dtype=int_dtype(bound)), DerivationOperators(parts[False])
+        return self.gb_table, np.array(weights, dtype=int_dtype(bound)), [j for j, d in enumerate(diagonal) if not d]
 
     def gb_kills(self, *mvs) -> bool:
         """Whether every g_B derivation kills every rational multivector in

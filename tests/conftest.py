@@ -332,7 +332,7 @@ def eigenspace_reference(eta, sigma):
     rows = []
     for root in roots:
         s = sigma(root)
-        rows.extend([x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(eta.of(root)))
+        rows.extend([x - s if i == j else x for j, x in enumerate(row)] for i, row in enumerate(eta_of(eta, root)))
     return linalg.nullspace(rows, 4 * eta.datum.n, t)
 
 
@@ -446,8 +446,13 @@ def pair_f(space, eta, u, v):
     base = space.pair(u, v)
     if t.p == 1:
         return base
-    twisted = space.pair(u, mat_vec(eta.of(t.sqrt_p()), v, t))
+    twisted = space.pair(u, mat_vec(eta_of(eta, t.sqrt_p()), v, t))
     return base * Fraction(1, 2) + twisted * (t.sqrt_p() * Fraction(1, 2 * t.p))
+
+
+def eta_of(eta, t_elem):
+    """eta_t for t in K as `FieldElem` rows, read off `CmAction.int_of`."""
+    return linalg.k_rows(eta.datum.tower, eta.int_of(t_elem))
 
 
 def eta_of_reference(eta, t_elem):
@@ -458,6 +463,17 @@ def eta_of_reference(eta, t_elem):
     dim = len(mats[0])
     return [[sum((m[i][j] * c for m, c in zip(mats, coords)), t_elem.tower.zero()) for j in range(dim)]
             for i in range(dim)]
+
+
+def xi_form_reference(eta, t_elem, space):
+    """Reference for `weilcm.xi_form_matrix`: the matrix of Xi_t(u, v) =
+    (eta_t u, v)_V as `FieldElem` rows, alternating and rational for t in K_-.
+
+    (eta_t e_i, e_j) is the coordinate of eta_t e_i at partner(j)."""
+    if t_elem.iota() != -t_elem:
+        raise ValueError("Xi_t requires t in the -1 eigenspace of iota")
+    m = eta_of(eta, t_elem)
+    return [[m[space.partner(j)][i] for j in range(space.dim_v)] for i in range(space.dim_v)]
 
 
 def xi_f(space, eta, t_elem, u, v):

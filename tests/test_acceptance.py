@@ -35,7 +35,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilStructure
 
-from conftest import iota_rows, mat_vec, zassenhaus_intersect
+from conftest import eta_of, iota_rows, mat_vec, zassenhaus_intersect
 
 
 def _report(num, name, ok):
@@ -109,7 +109,7 @@ def test_criterion_3_dimension_ledger(structures):
         )
         ok &= pairs1 == bb1
         ok &= len(ws.HW) == hw
-        rows = [[x for row in form for x in row] for _, form in ws.a2_forms]
+        rows = [[x for row in linalg.k_rows(ws.datum.tower, gram) for x in row] for _, gram in ws.xi_grams]
         ok &= linalg.rank(rows, ws.datum.tower) == xi
     _report(3, "dimension ledger (B, BB1, HW, Xi)", ok)
 
@@ -124,7 +124,7 @@ def test_criterion_4_forms_suite(structures):
         n2 = 2 * ws.datum.n
         # Xi alternating on a randomized basis
         for t_el in ws.eta.k_minus_basis():
-            m = ws.eta.of(t_el)
+            m = eta_of(ws.eta, t_el)
             for _ in range(6):
                 x = hs.vector([rng.randint(-4, 4) for _ in range(hs.dim_v)])
                 y = hs.vector([rng.randint(-4, 4) for _ in range(hs.dim_v)])
@@ -134,8 +134,8 @@ def test_criterion_4_forms_suite(structures):
                 ok &= hs.pair(mat_vec(m, x, tow), x).is_zero()
         # eta-adjointness
         for t_el in ws.eta.k_basis():
-            m = ws.eta.of(t_el)
-            madj = ws.eta.of(t_el.iota())
+            m = eta_of(ws.eta, t_el)
+            madj = eta_of(ws.eta, t_el.iota())
             for _ in range(4):
                 x = hs.vector([rng.randint(-4, 4) for _ in range(hs.dim_v)])
                 y = hs.vector([rng.randint(-4, 4) for _ in range(hs.dim_v)])
@@ -146,19 +146,19 @@ def test_criterion_4_forms_suite(structures):
         for _ in range(4):
             x = hs.vector([rng.randint(-3, 3) for _ in range(hs.dim_v)])
             y = hs.vector([rng.randint(-3, 3) for _ in range(hs.dim_v)])
-            hxy = bilinear(ws.hermitian_gram(t_el), x, y)
-            ok &= bilinear(ws.hermitian_gram(t_el), y, x) == hxy.iota()
+            hxy = bilinear(tow, ws.hermitian_gram(t_el), x, y)
+            ok &= bilinear(tow, ws.hermitian_gram(t_el), y, x) == hxy.iota()
             for s in ws.eta.k_basis():
-                sx = mat_vec(ws.eta.of(s), x, tow)
-                ok &= bilinear(ws.hermitian_gram(t_el), sx, y) == s.iota() * hxy
+                sx = mat_vec(eta_of(ws.eta, s), x, tow)
+                ok &= bilinear(tow, ws.hermitian_gram(t_el), sx, y) == s.iota() * hxy
         # split witness with the contraction-value identity
         zrows = ws.split_witness()
         ok &= len(zrows) == (ws.d // 2) * tow.e
         for t_el in kb:
             for u in zrows:
                 for v in zrows:
-                    ok &= bilinear(ws.hermitian_gram(t_el), u, v).is_zero()
-            mt = ws.eta.of(t_el)
+                    ok &= bilinear(tow, ws.hermitian_gram(t_el), u, v).is_zero()
+            mt = eta_of(ws.eta, t_el)
             from weilspin.fieldtower import trace_to_Q
             for j in range(n2):
                 for k in range(n2):

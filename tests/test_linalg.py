@@ -1,6 +1,7 @@
 """The exact kernels against dense references, and the modular certificate
 path against exact Python-integer arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -95,12 +96,12 @@ def test_joint_kernel_matches_python_elimination(p, seed):
     mats = [_rand_rows(rng, rng.randrange(1, 6), ncols, p) for _ in range(4)]
     expected = ncols - _rank_mod_p([row for m in mats for row in m], p)
     assert 0 < expected < ncols
-    got = linalg.modp_joint_kernel_dim(_start(ncols, range(ncols)), map(_operator, mats), p)
+    got = linalg.modp_joint_kernel_dim(_start(ncols, range(ncols)), map(_operator, mats), p, 0)
     assert got == expected
     # inside a coordinate subspace: the kernel of the columns kept
     cols = sorted(rng.sample(range(ncols), 18))
     restricted = [[row[c] for c in cols] for m in mats for row in m]
-    got = linalg.modp_joint_kernel_dim(_start(ncols, cols), map(_operator, mats), p)
+    got = linalg.modp_joint_kernel_dim(_start(ncols, cols), map(_operator, mats), p, 0)
     assert got == len(cols) - _rank_mod_p(restricted, p)
 
 
@@ -117,7 +118,7 @@ def test_start_is_used_without_elimination(monkeypatch):
         seen.append(X.copy())
         return _operator(rows)(X)
 
-    assert linalg.modp_joint_kernel_dim(start, [op], P) == 15 - _rank_mod_p(rows, P)
+    assert linalg.modp_joint_kernel_dim(start, [op], P, 0) == 15 - _rank_mod_p(rows, P)
     # the first operator sees the start itself; on an identity start the
     # kernel basis becomes K, with no product
     assert seen[0].tolist() == start.tolist()
@@ -126,7 +127,7 @@ def test_start_is_used_without_elimination(monkeypatch):
     cols = list(range(0, 15, 2))
     start = _start(15, cols)
     restricted = [[row[c] for c in cols] for row in rows]
-    assert linalg.modp_joint_kernel_dim(start, [op], P) == len(cols) - _rank_mod_p(restricted, P)
+    assert linalg.modp_joint_kernel_dim(start, [op], P, 0) == len(cols) - _rank_mod_p(restricted, P)
     assert seen[1].tolist() == start.tolist()
     assert calls == [1]
 
@@ -146,7 +147,7 @@ def test_operator_killing_the_span_makes_no_product(ncols, cols, monkeypatch):
     start = _start(ncols, cols)
     restricted = [[row[c] for c in cols] for row in rows]
     ops = [zero, recorded(_operator(rows)), zero]
-    assert linalg.modp_joint_kernel_dim(start, ops, P) == len(cols) - _rank_mod_p(restricted, P)
+    assert linalg.modp_joint_kernel_dim(start, ops, P, 0) == len(cols) - _rank_mod_p(restricted, P)
     # an operator that is 0 mod p leaves K as it was, so the second one sees the start;
     # only a proper start is multiplied, once, by the second one's kernel
     assert seen[0].tolist() == seen[1].tolist() == start.tolist()
@@ -163,24 +164,50 @@ def test_joint_kernel_stops_when_empty():
             yield _operator([[rng.randrange(P - 1000, P) for _ in range(6)] for _ in range(4)])
 
     # 4 + 4 generic rows already span all of F_p^6
-    assert linalg.modp_joint_kernel_dim(_start(6, range(6)), ops(), P) == 0
+    assert linalg.modp_joint_kernel_dim(_start(6, range(6)), ops(), P, 0) == 0
     assert consumed == [0, 1]
 
 
 def test_no_matrices_leaves_everything():
-    assert linalg.modp_joint_kernel_dim(_start(5, [0, 2, 4]), iter(()), P) == 3
+    assert linalg.modp_joint_kernel_dim(_start(5, [0, 2, 4]), iter(()), P, 0) == 3
+
+
+class Untouchable:
+    """An operator iterable that fails if an operator is taken from it."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("an operator was consumed past the floor")
 
 
 def test_empty_start_consumes_no_operator():
     # a start with no columns has joint kernel 0 whatever the operators are
-    class Untouchable:
-        def __iter__(self):
-            return self
+    assert linalg.modp_joint_kernel_dim(_start(6, []), Untouchable(), P, 0) == 0
 
-        def __next__(self):
-            raise AssertionError("an operator was consumed on an empty start")
 
-    assert linalg.modp_joint_kernel_dim(_start(6, []), Untouchable(), P) == 0
+def test_joint_kernel_stops_at_its_floor():
+    # once K is at most `floor` wide no operator is taken: the joint kernel of
+    # all of them lies inside the kernel so far
+    rng = random.Random(0)
+    mats = [_rand_rows(rng, 2, 10, P) for _ in range(3)]
+    widths = [10 - _rank_mod_p([row for m in mats[:i] for row in m], P) for i in range(4)]
+    assert widths == [10, 8, 6, 4]
+    for floor in (10, 12):
+        assert linalg.modp_joint_kernel_dim(_start(10, range(10)), Untouchable(), P, floor) == 10
+    for i, floor in enumerate((8, 6, 4)):
+        ops = itertools.chain(map(_operator, mats[:i + 1]), Untouchable())
+        assert linalg.modp_joint_kernel_dim(_start(10, range(10)), ops, P, floor) == widths[i + 1]
+    # on a proper start, the 8 columns of cols cut to their kernel
+    cols = list(range(8))
+    restricted = [[row[c] for c in cols] for row in mats[0]]
+    ops = itertools.chain([_operator(mats[0])], Untouchable())
+    assert linalg.modp_joint_kernel_dim(_start(10, cols), ops, P, 6) == 8 - _rank_mod_p(restricted, P) == 6
+    # floor 0 takes every operator; a floor of 7, passed in one step from 8 to 6, returns 6
+    assert linalg.modp_joint_kernel_dim(_start(10, range(10)), map(_operator, mats), P, 0) == 4
+    ops = itertools.chain(map(_operator, mats[:2]), Untouchable())
+    assert linalg.modp_joint_kernel_dim(_start(10, range(10)), ops, P, 7) == 6
 
 
 def test_modp_rank_and_kernel_take_big_ints_and_arrays():

@@ -29,7 +29,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
 
-from conftest import int_derivation_cols, kappa_reference, large_integer_datum, mat_eq, mat_mul
+from conftest import eta_of, int_derivation_cols, kappa_reference, large_integer_datum, mat_eq, mat_mul
 
 
 def test_preset_names():
@@ -640,7 +640,7 @@ def test_clifford_relation_tables_match_mask_loop(ws4, monkeypatch):
 def test_commutes_with_cm_check_on_integer_forms(ws6, monkeypatch):
     runner = secantpipe._Runner(ws6.datum, 0)
     tow = ws6.datum.tower
-    mats = [ws6.eta.of(t) for t in ws6.eta.k_basis()]
+    mats = [eta_of(ws6.eta, t) for t in ws6.eta.k_basis()]
     # the FieldElem products as reference, and a rescaled generator
     assert all(mat_eq(mat_mul(so.ad, m, tow), mat_mul(m, so.ad, tow))
                for so in ws6.gB for m in mats)
@@ -695,6 +695,19 @@ def test_form_and_cm_checks_see_perturbed_integer_forms(preset):
         gram, _ = ws.hermitian_gram(t_el)
         gram[0] += np.eye(len(gram[0]), dtype=gram.dtype)
         assert not _fresh_runner(ws)._split_witness()[0]
+
+
+@pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
+def test_xi_checks_see_a_perturbed_gram_entry(preset):
+    ws = WeilStructure(PRESETS[preset]())
+    assert _fresh_runner(ws)._xi_forms() == (True, {"xi_span_dim": ws.datum.tower.e // 2})
+    assert _fresh_runner(ws)._xi_value()[0]
+    # one (y_0, y_1) numerator of the Gram matrix of the first Xi_t
+    n2 = 2 * ws.datum.n
+    nums, _ = ws.xi_grams[0][1]
+    nums[0, n2, n2 + 1] += 1
+    assert not _fresh_runner(ws)._xi_forms()[0]
+    assert not _fresh_runner(ws)._xi_value()[0]
 
 
 @pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])

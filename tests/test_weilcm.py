@@ -23,12 +23,15 @@ from weilspin.weilcm import (
     build_spinor,
     build_WT,
     eigenspaces,
+    form_to_element,
     theta_cm_twist,
+    xi_form_matrix,
 )
 
 from conftest import (
     contract,
     eigenspace_reference,
+    eta_of,
     eta_of_reference,
     eta_reference,
     eta_rq_reference,
@@ -46,6 +49,7 @@ from conftest import (
     rand_vec,
     random_f_q_datum,
     xi_f,
+    xi_form_reference,
     zassenhaus_intersect,
 )
 
@@ -161,22 +165,22 @@ def test_eta_ring_and_adjoint(ws6, ws4, rng):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
         dim = ws.space.dim_v
-        rq = ws.eta.of(tow.sqrt_minus_q())
+        rq = eta_of(ws.eta, tow.sqrt_minus_q())
         assert mat_eq(
             mat_mul(rq, rq, tow),
             mat_scale(identity_matrix(dim, tow), tow.scalar(-tow.q)),
         )
         assert all(x.is_rational() for row in rq for x in row)
         if tow.p != 1:
-            rp = ws.eta.of(tow.sqrt_p())
+            rp = eta_of(ws.eta, tow.sqrt_p())
             assert mat_eq(
                 mat_mul(rp, rp, tow),
                 mat_scale(identity_matrix(dim, tow), tow.scalar(tow.p)),
             )
             assert mat_eq(mat_mul(rp, rq, tow), mat_mul(rq, rp, tow))
         for t_el in ws.eta.k_basis():
-            m = ws.eta.of(t_el)
-            madj = ws.eta.of(t_el.iota())
+            m = eta_of(ws.eta, t_el)
+            madj = eta_of(ws.eta, t_el.iota())
             for _ in range(4):
                 x, y = rand_vec(rng, ws.space), rand_vec(rng, ws.space)
                 assert ws.space.pair(mat_vec(m, x, tow), y) == ws.space.pair(
@@ -188,7 +192,7 @@ def test_eta_contraction_formula(ws6):
     # eta_{rq}(0, y_j) = (q * contraction of Theta by y_j, 0)
     tow = ws6.datum.tower
     n2 = 6
-    rq = ws6.eta.of(tow.sqrt_minus_q())
+    rq = eta_of(ws6.eta, tow.sqrt_minus_q())
     for j in range(n2):
         amb = [tow.zero()] * n2 + [tow.scalar(1 if k == j else 0) for k in range(n2)]
         img = mat_vec(rq, amb, tow)
@@ -294,7 +298,7 @@ def test_wt_family(ws6, ws4):
     assert linalg.spans_equal(ws6.WT[plus].basis, ws6.W.basis, tow)
     assert linalg.spans_equal(ws6.WT[plus.conjugate()].basis, iota_rows(ws6.W.basis), tow)
     # eta acts on W by multiplication by sqrt(-q)
-    rq = ws6.eta.of(tow.sqrt_minus_q())
+    rq = eta_of(ws6.eta, tow.sqrt_minus_q())
     i = tow.sqrt_minus_q()
     for row in ws6.W.basis:
         assert mat_vec(rq, row, tow) == [i * x for x in row]
@@ -304,7 +308,7 @@ def test_eta_eigenspaces(ws4):
     tow = ws4.datum.tower
     for sigma, basis in zip(k_embeddings(tow), eigenspaces(ws4.W, ws4.eta)):
         assert len(basis) == ws4.d
-        rq = ws4.eta.of(tow.sqrt_minus_q())
+        rq = eta_of(ws4.eta, tow.sqrt_minus_q())
         for row in basis:
             img = mat_vec(rq, row, tow)
             scal = sigma(tow.sqrt_minus_q())
@@ -317,7 +321,7 @@ def _assert_cm_stage_matches_references(datum):
     tow = datum.tower
     expo, w = build_WT(datum, HyperbolicSpace(datum.n, tow), enumerate_cm_types(tow)[0])
     eta = CmAction(datum)
-    assert eta.of(tow.sqrt_minus_q()) == eta_rq_reference(datum, w)
+    assert eta_of(eta, tow.sqrt_minus_q()) == eta_rq_reference(datum, w)
     for sigma, basis in zip(k_embeddings(tow), eigenspaces(w, eta)):
         assert len(basis) == datum.d
         assert linalg.spans_equal(basis, eigenspace_reference(eta, sigma), tow)
@@ -350,7 +354,7 @@ def test_eta_matches_block_reference(source):
         if ref is None:  # e_1 and e_3 are outside K when F = Q
             assert tow.p == 1 and not E[k].any()
         else:
-            assert eta.of(tow.elem(*(int(i == k) for i in range(4)))) == ref
+            assert eta_of(eta, tow.elem(*(int(i == k) for i in range(4)))) == ref
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
@@ -378,7 +382,10 @@ def test_xi_forms(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
         rows = []
-        for t_el, form in ws.a2_forms:
+        for t_el, gram in ws.xi_grams:
+            assert len(gram[0]) == 1  # rational: the e_0 coordinate alone
+            form = linalg.k_rows(tow, gram)
+            assert form == xi_form_reference(ws.eta, t_el, ws.space)
             for i in range(len(form)):
                 for j in range(len(form)):
                     assert form[i][j] == -form[j][i]
@@ -386,9 +393,29 @@ def test_xi_forms(ws6, ws4):
             rows.append([x for row in form for x in row])
             # the defining formula Xi_t(e_i, e_j) = (eta_t e_i, e_j)
             basis = identity_matrix(ws.space.dim_v, tow)
-            m = ws.eta.of(t_el)
+            m = eta_of(ws.eta, t_el)
             assert form == [[ws.space.pair(mat_vec(m, u, tow), v) for v in basis] for u in basis]
         assert linalg.rank(rows, tow) == tow.e // 2
+
+
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1", "random-0", "random-1", "random-2"])
+def test_xi_elements_match_reference(source):
+    # each Xi_t as an element of wedge^2 V, from the Gram array, against the
+    # FieldElem matrix of the reference: x_i ^ x_j carries its (partner(i), partner(j)) entry
+    rng = random.Random(sum(map(ord, source)))
+    datum = random_f_q_datum(rng, rng.randint(1, 3)) if source.startswith("random") else _datum(source)
+    eta, space = CmAction(datum), HyperbolicSpace(datum.n, datum.tower)
+    for t_el in eta.k_minus_basis():
+        gram, ref = xi_form_matrix(eta, t_el), xi_form_reference(eta, t_el, space)
+        assert linalg.k_rows(datum.tower, gram) == ref
+        p, dim = space.partner, space.dim_v
+        terms = {(1 << i) | (1 << j): ref[p(i)][p(j)] for i in range(dim) for j in range(i + 1, dim)}
+        expected = Multivector(space.vspace, {m: c for m, c in terms.items() if not c.is_zero()})
+        got = form_to_element(space, gram)
+        assert not got.is_zero() and got == expected and list(got.terms) == list(expected.terms)
+    with pytest.raises(ValueError, match="-1 eigenspace"):
+        xi_form_matrix(eta, datum.tower.one())
 
 
 def test_xi_value_identity(ws6, ws4):
@@ -397,7 +424,7 @@ def test_xi_value_identity(ws6, ws4):
         tow = ws.datum.tower
         n2 = 2 * ws.datum.n
         for t_el in ws.eta.k_minus_basis():
-            m = ws.eta.of(t_el)
+            m = eta_of(ws.eta, t_el)
             for j in range(n2):
                 for k in range(n2):
                     u = [tow.zero()] * n2 + [tow.scalar(1 if i == j else 0) for i in range(n2)]
@@ -416,15 +443,15 @@ def test_hermitian_form(ws6, ws4, rng):
         g = ws.hermitian_gram(t_el)
         for _ in range(5):
             x, y = rand_vec(rng, ws.space), rand_vec(rng, ws.space)
-            hxy = bilinear(g, x, y)
-            assert bilinear(g, y, x) == hxy.iota()
-            assert bilinear(g, x, x).in_subfield("F")
+            hxy = bilinear(tow, g, x, y)
+            assert bilinear(tow, g, y, x) == hxy.iota()
+            assert bilinear(tow, g, x, x).in_subfield("F")
             for s in ws.eta.k_basis():
-                sx = mat_vec(ws.eta.of(s), x, tow)
-                sy = mat_vec(ws.eta.of(s), y, tow)
+                sx = mat_vec(eta_of(ws.eta, s), x, tow)
+                sy = mat_vec(eta_of(ws.eta, s), y, tow)
                 # conjugate-linear in the first slot, linear in the second
-                assert bilinear(g, sx, y) == s.iota() * hxy
-                assert bilinear(g, x, sy) == s * hxy
+                assert bilinear(tow, g, sx, y) == s.iota() * hxy
+                assert bilinear(tow, g, x, sy) == s * hxy
         with pytest.raises(ValueError):
             ws.hermitian_gram(tow.zero())
         with pytest.raises(ValueError):
@@ -439,7 +466,7 @@ def test_split_witness(ws6, ws4):
         for t_el in ws.eta.k_minus_basis():
             for u in zrows:
                 for v in zrows:
-                    assert bilinear(ws.hermitian_gram(t_el), u, v).is_zero()
+                    assert bilinear(tow, ws.hermitian_gram(t_el), u, v).is_zero()
 
 
 @pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
@@ -455,25 +482,29 @@ def test_gram_forms_match_references(source):
     xs, ys = ([space.vector([rng.randint(-4, 4) for _ in range(space.dim_v)]) for _ in range(3)] for _ in range(2))
     ys[0] = [c * Fraction(1, 3) for c in ys[0]]  # a denominator
     for t_el in kb + [sum(kb[1:], kb[0]), kb[-1] * Fraction(2, 3)]:
-        assert ws.eta.of(t_el) == eta_of_reference(ws.eta, t_el)
+        assert eta_of(ws.eta, t_el) == eta_of_reference(ws.eta, t_el)
         m, den = ws.eta.int_of(t_el)
         xi = k_mul(tow, (m.swapaxes(-1, -2), den), ws.pairing_gram)
         g = ws.hermitian_gram(t_el)
         for x, y in zip(xs, ys):
-            assert bilinear(ws.pairing_gram, x, y) == pair_f(space, ws.eta, x, y)
-            assert bilinear(xi, x, y) == xi_f(space, ws.eta, t_el, x, y)
-            assert bilinear(g, x, y) == hermitian_form(space, ws.eta, t_el, x, y)
+            assert bilinear(tow, ws.pairing_gram, x, y) == pair_f(space, ws.eta, x, y)
+            assert bilinear(tow, xi, x, y) == xi_f(space, ws.eta, t_el, x, y)
+            assert bilinear(tow, g, x, y) == hermitian_form(space, ws.eta, t_el, x, y)
         # a stack of Gram matrices on a list of pairs: by matrix, then by pair
-        stacked = bilinear(k_stack([g, xi]), xs, ys)
+        stacked = bilinear(tow, k_stack([g, xi]), xs, ys)
         assert stacked.shape == (2, 3)
-        assert list(stacked[0]) == [bilinear(g, x, y) for x, y in zip(xs, ys)]
-        assert list(stacked[1]) == [bilinear(xi, x, y) for x, y in zip(xs, ys)]
+        assert list(stacked[0]) == [bilinear(tow, g, x, y) for x, y in zip(xs, ys)]
+        assert list(stacked[1]) == [bilinear(tow, xi, x, y) for x, y in zip(xs, ys)]
+    # vectors of plain ints give the values of their FieldElem forms
+    ints = [[int(c.as_rational()) for c in x] for x in xs]
+    assert list(bilinear(tow, g, ints, ys)) == list(bilinear(tow, g, xs, ys))
+    assert bilinear(tow, g, ints[0], ints[1]) == bilinear(tow, g, xs[0], xs[1])
     irrational = list(xs[0])
     irrational[0] = tow.sqrt_minus_q()
     with pytest.raises(ValueError):
-        bilinear(ws.hermitian_gram(kb[0]), irrational, ys[0])
+        bilinear(tow, ws.hermitian_gram(kb[0]), irrational, ys[0])
     with pytest.raises(ValueError):
-        bilinear(ws.pairing_gram, ys[0], irrational)
+        bilinear(tow, ws.pairing_gram, ys[0], irrational)
     for bad in (tow.zero(), tow.one(), tow.sqrt_minus_q() + 1):
         with pytest.raises(ValueError):
             ws.hermitian_gram(bad)
@@ -489,7 +520,7 @@ def test_gb(ws6, ws4):
             for b in ws.B:
                 assert so.spin(b).is_zero()
             for t_el in ws.eta.k_basis():
-                m = ws.eta.of(t_el)
+                m = eta_of(ws.eta, t_el)
                 assert mat_eq(
                     mat_mul(so.ad, m, tow), mat_mul(m, so.ad, tow)
                 )
@@ -718,9 +749,9 @@ def test_weight_zero_start_is_exact_for_huge_weights(ws6):
     from weilspin.weilcm import invariant_dimension_certificate
 
     w = [1, 1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0]
-    split = WeilStructure.gb_split.func(SimpleNamespace(gb_cols=[[[(g, c << 62)] if c else []
-                                                                  for g, c in enumerate(w)]]))
-    assert split[0].dtype == object and split[1].count == 0
+    cols = [[[(g, c << 62)] if c else [] for g, c in enumerate(w)]]
+    split = WeilStructure.gb_split.func(SimpleNamespace(gb_cols=cols, gb_table=DerivationOperators(cols)))
+    assert split[1].dtype == object and split[2] == []
     for k in range(1, 7):
         expected = sum(1 for m in range(1 << 12)
                        if m.bit_count() == k and sum(c for g, c in enumerate(w) if m >> g & 1) == 0)
@@ -728,11 +759,38 @@ def test_weight_zero_start_is_exact_for_huge_weights(ws6):
             expected, f"modular certificate (p={linalg.MOD_PRIMES[0]})")
 
 
+def test_split_reads_the_one_gb_table(ws6, ws4):
+    # the certificate's split holds gb_table itself, the diagonal weights and the other indices
+    for ws in (ws6, ws4):
+        table, weights, others = ws.gb_split
+        assert table is ws.gb_table
+        diagonal = [j for j in range(table.count) if j not in others]
+        assert len(weights) == len(diagonal) and others == sorted(others)
+        for row, j in zip(weights, diagonal):
+            assert all(i == g for g, col in enumerate(ws.gb_cols[j]) for i, _ in col)
+            assert row.tolist() == [col[0][1] if col else 0 for col in ws.gb_cols[j]]
+        for j in others:
+            assert any(i != g for g, col in enumerate(ws.gb_cols[j]) for i, _ in col)
+
+
+def test_certificate_reports_a_kernel_below_the_bound(ws6):
+    # one operator, 3 E_10 on 12 generators, cuts the 66 masks of degree 2 to a
+    # kernel of 56 in one step: past a claimed bound of 60, which is then reported
+    from weilspin.weilcm import invariant_dimension_certificate
+
+    cols = [[(1, 3)]] + [[] for _ in range(11)]
+    split = DerivationOperators([cols]), np.zeros((0,), dtype=np.int64), [0]
+    p = linalg.MOD_PRIMES[0]
+    assert invariant_dimension_certificate(ws6.space, split, 2, 56) == (56, f"modular certificate (p={p})")
+    assert invariant_dimension_certificate(ws6.space, split, 2, 60) == (
+        56, f"modular dimension below exhibited bound (p={p})")
+
+
 def test_pair_f_recovers_pairing(ws4, rng):
     tow = ws4.datum.tower
     for _ in range(6):
         x, y = rand_vec(rng, ws4.space), rand_vec(rng, ws4.space)
-        refined = bilinear(ws4.pairing_gram, x, y)
+        refined = bilinear(tow, ws4.pairing_gram, x, y)
         assert refined.in_subfield("F")
         assert tow.scalar(trace_to_Q(refined, "F")) == ws4.space.pair(x, y)
 
