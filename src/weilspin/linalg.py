@@ -20,7 +20,8 @@ K-valued arrays (nums, den) below: `k_mul` multiplies them coordinate by
 coordinate on integers, `k_equal` compares them, `bilinear` evaluates a Gram
 matrix on rational vectors, `preserves_graph` decides whether block
 matrices preserve graphs and `graph_meet` intersects two graphs.  `k_form`
-and `k_rows` convert to and from rows.
+and `k_rows` convert to and from rows, and `graph_rows` gives the rows of a
+graph.
 """
 
 from __future__ import annotations
@@ -236,6 +237,18 @@ def preserves_graph(tower: TowerSpec, mats, graphs) -> bool:
     return k_equal(lhs, k_mul(tower, M, k_stack([k_mul(tower, R, M), S], total=True)))
 
 
+def graph_rows(tower: TowerSpec, A, ys=None):
+    """The rows (A y, y) of the graph {(A y, y)} of a K-valued square matrix
+    A, as rows of `FieldElem`s, for y in the rows ys (the unit vectors by
+    default, a basis of the graph)."""
+    nums, den = A
+    ys = [[tower.scalar(int(i == j)) for i in range(len(nums[0]))] for j in range(len(nums[0]))] if ys is None else ys
+    if not ys:
+        return []
+    ay = k_rows(tower, k_mul(tower, k_form(ys), (nums.swapaxes(-1, -2), den)))
+    return [x + y for x, y in zip(ay, ys)]
+
+
 def graph_meet(tower: TowerSpec, A, B):
     """A basis of {(A y, y)} meet {(B y, y)} for K-valued square matrices A
     and B over one denominator, as rows of `FieldElem`s: the rows (A y, y)
@@ -244,11 +257,7 @@ def graph_meet(tower: TowerSpec, A, B):
     (a, den), (b, _) = A, B
     dtype = int_dtype(2 * max(_height(a), _height(b)))
     diff = a.astype(dtype) - b.astype(dtype), den
-    ys = nullspace(k_rows(tower, diff), a.shape[-1], tower)
-    if not ys:
-        return []
-    ay = k_rows(tower, k_mul(tower, k_form(ys), (a.swapaxes(-1, -2), den)))
-    return [x + y for x, y in zip(ay, ys)]
+    return graph_rows(tower, A, nullspace(k_rows(tower, diff), a.shape[-1], tower))
 
 
 # -- modular certificates ----------------------------------------------------

@@ -7,7 +7,7 @@ other.  Both directions have closed forms (Chevalley, *The Algebraic Theory
 of Spinors*, 1954):
 
 * the annihilator of exp(b), for a 2-form b on the x-block, is the graph
-  {y_j - iota_(y_j) b} (`weilcm.build_W`);
+  {(M y, y)} of b's matrix M, spanned by the y_j - iota_(y_j) b (`weilcm.build_W`);
 * the spinor line of a maximal isotropic W is w_1 ... w_2n x_S for a basis
   w_i of W and a monomial x_S whose subspace meets W trivially
   (`pure_spinor_of`).

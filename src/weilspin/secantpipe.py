@@ -5,12 +5,13 @@ structure, every lemma-level identity is machine-checked in a fixed order,
 and the results are collected into a deterministic report: same input and
 seed, byte-identical output.
 
-The quantitative core for the sixfold presets: the ideal-sheaf Chern class
-alpha + beta is boxed with itself, pushed through the derived-equivalence
-shadow (transform rank |top coefficient of ch ^ ch|, which is 8q on the
-principal presets), dualized to the sheaf of nonzero rank, and its
-normalized character kappa is decomposed in middle degree as (Weil part) +
-(polynomial part), with the Weil component required to be nonzero.
+The quantitative core for F = Q: a pair of characters in B (alpha + beta
+twice on the presets, else the first of `SHEAF_PAIRS` whose transform rank
+|top coefficient of ch_1 ^ ch_2|, 8q on the principal presets, is nonzero)
+is boxed, pushed through the derived-equivalence shadow, dualized to the
+sheaf of nonzero rank, and its normalized character kappa is decomposed in
+middle degree as (Weil part) + (polynomial part), with the Weil component
+required to be nonzero.
 
 The checks are declared once, in report order, by the `_check` decorator
 on the runner's methods (`CHECKS`); `_Runner.record` is the one place a
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from math import comb
 
 import numpy as np
@@ -45,7 +46,7 @@ from .exteralg import (
 from .fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from .fmtransform import OrlovTransform, bb_decompose, filtration_level, pi_to_weil
 from .linalg import bilinear, int_dtype, k_equal, k_mul, k_stack, preserves_graph
-from .purespinor import annihilator, is_pure, pure_spinor_of
+from .purespinor import IsotropicSubspace, annihilator, is_pure, pure_spinor_of
 from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree
 
 
@@ -255,6 +256,11 @@ def _always(datum) -> bool:
     return True
 
 
+#: the sheaf pairs (ch_1, ch_2) tried in order, each ch by its coordinates against (alpha, beta);
+#: the first pairs the ideal-sheaf character alpha + beta (`preset_ch_ideal_curves`) with itself
+SHEAF_PAIRS = (((1, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1)))
+
+
 def _sheaf_chain(datum) -> bool:
     """The sheaf-transform checks: F = Q, so B is spanned by alpha and beta,
     and d >= 4, below which the middle-degree pipeline is degenerate."""
@@ -319,12 +325,24 @@ class _Runner:
     # -- the sheaf chain, computed once and shared by the pipeline checks -------
 
     @cached_property
-    def _ch(self) -> Multivector:
-        return preset_ch_ideal_curves(self.ws)
+    def _pair(self):
+        """(coordinates, characters) of the sheaf pair (ch_1, ch_2): the first of
+        `SHEAF_PAIRS` whose transform G has a nonzero predicted rank
+        |s_pairing(tau(ch_1), ch_2)|, as kappa needs one."""
+        for coords in SHEAF_PAIRS:
+            chs = [self.ws.alpha.scale(a) + self.ws.beta.scale(b) for a, b in coords]
+            if not s_pairing(tau(chs[0]), chs[1]).is_zero():
+                return coords, chs
+        raise ValueError("no sheaf pair in SHEAF_PAIRS has a transform of nonzero rank")
+
+    def _named(self, witness: dict) -> dict:
+        """A chain check's witness, naming the pair's coordinates when it is not the default."""
+        coords = self._pair[0]
+        return witness if coords == SHEAF_PAIRS[0] else dict(witness, pair=[list(c) for c in coords])
 
     @cached_property
     def _g(self) -> Multivector:
-        return transform_pair(self.orl, self._ch, self._ch, "G")
+        return transform_pair(self.orl, *self._pair[1], "G")
 
     @cached_property
     def _kappa(self) -> IntMultivector:
@@ -476,23 +494,23 @@ class _Runner:
     @_check("spinor.annihilator-graph", "annihilator equals the contraction graph")
     def _annihilator_graph(self):
         ok, dims = True, []
-        for T, w in self.ws.WT.items():
+        for k, T in enumerate(self.ws.cm_types):
             ann = annihilator(self.ws.ell[T], self.ws.space)
+            w = IsotropicSubspace(self.ws.space, linalg.graph_rows(self.datum.tower, self.ws.type_graph(k)))
             ok &= ann == w and pure_spinor_of(w, self.ws.space) == self.ws.ell[T]
             dims.append(ann.dim)
         return ok, {"dim": min(dims)}
 
     @_check("spinor.conjugate-transverse", "the graph meets its conjugate trivially")
     def _conjugate_transverse(self):
-        m = self.ws.type_graphs[0][:, 0], self.ws.type_graphs[1]  # W is the graph of the all-plus M, iota(W) of iota(M)
+        m = self.ws.type_graph()  # W is the graph of the all-plus M, iota(W) of iota(M)
         inter = linalg.graph_meet(self.datum.tower, m, _k_iota(m))
         return len(inter) == 0, {"intersection_dim": len(inter)}
 
     @_check("spinor.reflection-equivariance", "annihilator transforms along reflections")
     def _reflection_equivariance(self):
-        hs = self.ws.space
-        tow = self.datum.tower
-        ok = True
+        hs, tow = self.ws.space, self.datum.tower
+        ok, w = True, linalg.graph_rows(tow, self.ws.type_graph())  # W, the graph of the all-plus M
         for i in range(min(2 * hs.n, 3)):
             v = [tow.zero()] * hs.dim_v
             v[i] = tow.one()
@@ -501,7 +519,7 @@ class _Runner:
             if lam2.is_zero():
                 continue
             ann2 = annihilator(lam2, hs)
-            reflected = [vector_rep_reflection(hs, v, row) for row in self.ws.W.basis]
+            reflected = [vector_rep_reflection(hs, v, row) for row in w]
             ok &= linalg.spans_equal(ann2.basis, reflected, tow)
         return ok, {}
 
@@ -534,20 +552,17 @@ class _Runner:
 
     @_check("cm.type-spaces", "isotropic family indexed by CM-types")
     def _type_spaces(self):
-        tow = self.datum.tower
-        ok = len(self.ws.WT) == 2 ** (tow.e // 2)
-        wit = {}
-        for T, w in self.ws.WT.items():
-            ok &= w.is_maximal()
-            wit[repr(T)] = w.dim
+        tow, (nums, den) = self.datum.tower, self.ws.type_graphs
+        ok = nums.shape[1] == 2 ** (tow.e // 2)
+        # each graph {(M_T y, y)} is 2n-dimensional, and maximal isotropic exactly when M_T = -M_T^T (`build_W`)
+        ok &= k_equal((nums, den), (-nums.swapaxes(-1, -2), den))
         # eta-invariance of every W_T: each eta(e_k) on the tower basis (`preserves_graph`)
         ok &= preserves_graph(tow, self.ws.eta.ints[0], self.ws.type_graphs)
         # conjugate pair at e=2: W_Tbar = iota(W_T), the graph of iota(M_T); two graphs over
         # the same y-block are equal exactly when their matrices are
-        if tow.e == 2:
-            nums, den = self.ws.type_graphs  # the all-plus type is listed first, its conjugate second
+        if tow.e == 2:  # the all-plus type is listed first, its conjugate second
             ok &= k_equal(_k_iota((nums[:, 0], den)), (nums[:, 1], den))
-        return ok, wit
+        return ok, {repr(T): 2 * self.datum.n for T in self.ws.cm_types}
 
     @_check("secant.dimension", "secant space dimension")
     def _secant_dim(self):
@@ -770,25 +785,21 @@ class _Runner:
 
     @_check("lemma.filtration-pairs", "filtration level and graded image of boxed lines")
     def _filtration_pairs(self):
-        tow = self.datum.tower
-        orl = self.orl
-        d = self.ws.d
-        ok = True
-        wit = {}
-        graphs, den = self.ws.type_graphs  # the meets below: `span_basis` compares their lines, so any basis serves
+        tow, orl, d = self.datum.tower, self.orl, self.ws.d
+        ok, wit, m = True, {}, [self.ws.type_graph(i) for i in range(len(self.ws.cm_types))]
+        # W_T1 meet W_T2 once per unordered pair, as graph meets are symmetric, and W_T itself
+        # for (T, T); `span_basis` compares their lines, so any basis of a meet serves
+        meets = {(i, j): linalg.graph_rows(tow, m[i]) if i == j else linalg.graph_meet(tow, m[i], m[j])
+                 for i in range(len(m)) for j in range(i, len(m))}
+        lines = {key: span_basis([reduce(wedge, map(orl.hyper.vector_to_mv, rows), orl.hyper.vspace.one())])
+                 for key, rows in meets.items()}
         for i, t1 in enumerate(self.ws.cm_types):
             for j, t2 in enumerate(self.ws.cm_types):
                 k = t1.overlap(t2)
                 img = orl.phiH(orl.box(self.ws.ell[t1], tau(self.ws.ell[t2])))
                 lev = filtration_level(img)
-                bottom = img.degree_part(d * k)
-                inter = linalg.graph_meet(tow, (graphs[:, i], den), (graphs[:, j], den))
-                line = orl.hyper.vspace.one()
-                for row in inter:
-                    line = wedge(line, orl.hyper.vector_to_mv(row))
-                good = lev >= d * k and span_basis([bottom]) == span_basis([line])
+                ok &= lev >= d * k and span_basis([img.degree_part(d * k)]) == lines[min(i, j), max(i, j)]
                 wit[f"{t1!r}|{t2!r}"] = {"k": k, "level": lev}
-                ok &= good
         return ok, wit
 
     @_check("lemma.pi-image", "middle-degree image equals the Weil subspace")
@@ -812,76 +823,69 @@ class _Runner:
 
     @_check("pipeline.secant-chern", "ideal-sheaf character lies in the secant space", _sheaf_chain)
     def _secant_chern(self):
-        tow = self.datum.tower
-        ch = self._ch
-        ok = in_span(self.ws.B, ch)
-        ok &= ch.terms.get(0) == tow.one()  # rank one
-        # coordinates (1, 1) against (alpha, beta)
-        sol = coordinates([self.ws.alpha, self.ws.beta], ch)
-        ok &= sol is not None and sol[0] == tow.one() and sol[1] == tow.one()
-        return ok, {"coords": [str(x) for x in (sol or [])]}
+        tow, (coords, chs) = self.datum.tower, self._pair
+        ok, sols = True, []
+        for (a, b), ch in zip(coords, chs):
+            sol, a, b = coordinates([self.ws.alpha, self.ws.beta], ch), tow.scalar(a), tow.scalar(b)
+            # the rank is the degree-0 coefficient: alpha's is one, beta's zero
+            ok &= in_span(self.ws.B, ch) and ch.terms.get(0, tow.zero()) == a and sol == [a, b]
+            sols.append([str(x) for x in (sol or [])])
+        return ok, self._named({"coords": sols[0]})
 
     @_check("pipeline.dual", "dual character", _sheaf_chain)
     def _dual(self):
-        ch = self._ch
-        dual = tau(ch)
-        ok = dual == self.ws.alpha - self.ws.beta
-        ok &= tau(dual) == ch
-        ok &= in_span(self.ws.B, dual)
-        return ok, {}
+        ok = True
+        for (a, b), ch in zip(*self._pair):
+            dual = tau(ch)
+            ok &= dual == self.ws.alpha.scale(a) - self.ws.beta.scale(b) and tau(dual) == ch
+            ok &= in_span(self.ws.B, dual)
+        return ok, self._named({})
 
     # The expected ranks come from the spinor pairing, not from the transform:
-    # |rank G| is the top coefficient of ch ^ ch, which is s_pairing(tau(ch), ch),
-    # and |rank E| is |s_pairing(ch, ch)|.  On the principal sixfold presets
-    # they are 8q and 0.
+    # |rank G| is the top coefficient of ch_1 ^ ch_2, which is s_pairing(tau(ch_1), ch_2),
+    # and |rank E| is |s_pairing(ch_1, ch_2)|.  On the principal sixfold presets,
+    # with ch_1 = ch_2 = alpha + beta, they are 8q and 0.
 
     @_check("pipeline.rank", "transform rank", _sheaf_chain)
     def _rank(self):
-        tow = self.datum.tower
-        ch = self._ch
+        tow, (c1, c2) = self.datum.tower, self._pair[1]
         r = self._g.terms.get(0, tow.zero()).as_rational()
-        expected = abs(s_pairing(tau(ch), ch).as_rational())
-        return abs(r) == expected, {"rank": str(r), "expected_abs": str(expected)}
+        expected = abs(s_pairing(tau(c1), c2).as_rational())
+        return abs(r) == expected, self._named({"rank": str(r), "expected_abs": str(expected)})
 
     @_check("pipeline.mixed-rank", "rank of the mixed-dual transform", _sheaf_chain)
     def _mixed_rank(self):
-        tow = self.datum.tower
-        ch = self._ch
-        r = transform_pair(self.orl, ch, ch, "E").terms.get(0, tow.zero()).as_rational()
-        return abs(r) == abs(s_pairing(ch, ch).as_rational()), {"rank": str(r)}
+        tow, (c1, c2) = self.datum.tower, self._pair[1]
+        r = transform_pair(self.orl, c1, c2, "E").terms.get(0, tow.zero()).as_rational()
+        return abs(r) == abs(s_pairing(c1, c2).as_rational()), self._named({"rank": str(r)})
 
     @_check("pipeline.kappa-invariant", "normalized character is invariant", _sheaf_chain)
     def _kappa_invariant(self):
         kap = self._kappa.to_multivector()
         ok = kap.degree_part(2).is_zero() and self.ws.gb_kills(self._kappa)
-        return ok, {"rank": str(kap.terms[0].as_rational())}
+        return ok, self._named({"rank": str(kap.terms[0].as_rational())})
 
     @_check("pipeline.kappa-decomposition",
             "middle character splits with nonzero Weil part", _sheaf_chain)
     def _kappa_decomposition(self):
         kd = self._kappa.to_multivector().degree_part(self.ws.d)
         gamma, delta, coeffs = decompose_kappa(self.ws, kd)
-        ok = not gamma.is_zero()
-        ok &= (gamma + delta) == kd
-        return ok, {"gamma_coords": [str(x.as_rational()) for x in coeffs],
-                    "gamma_nonzero": not gamma.is_zero()}
+        ok = not gamma.is_zero() and (gamma + delta) == kd
+        return ok, self._named({"gamma_coords": [str(x.as_rational()) for x in coeffs],
+                                "gamma_nonzero": not gamma.is_zero()})
 
     @_check("pipeline.nonvanish", "overlap-one component criterion", _sheaf_chain)
     def _nonvanish(self):
-        ok = nonvanish_from_tensor(self.ws, self.orl, self.orl.box(self._ch, self._ch))
+        ok = nonvanish_from_tensor(self.ws, self.orl, self.orl.box(*self._pair[1]))
         # degenerate tensor inside the overlap-zero part must fail the criterion
-        types = self.ws.cm_types
-        t_plus = types[0]
-        t_minus = t_plus.conjugate()
-        ell = self.ws.ell
-        boxed_pm = self.orl.box(ell[t_plus], ell[t_minus])
-        boxed_mp = self.orl.box(ell[t_minus], ell[t_plus])
-        degenerate = (boxed_pm + boxed_mp).scale(Fraction(1, 2))
+        t_plus, ell = self.ws.cm_types[0], self.ws.ell
+        pm = ell[t_plus], ell[t_plus.conjugate()]
+        degenerate = (self.orl.box(*pm) + self.orl.box(*pm[::-1])).scale(Fraction(1, 2))
         for c in degenerate.terms.values():
             if not c.is_rational():
                 return False, {"error": "degenerate tensor not rational"}
         ok_false = not nonvanish_from_tensor(self.ws, self.orl, degenerate)
-        return ok and ok_false, {"preset_pair": ok, "degenerate_pair": not ok_false}
+        return ok and ok_false, self._named({"preset_pair": ok, "degenerate_pair": not ok_false})
 
 
 def run_all(datum_or_name, seed: int = 0, check_filter=None) -> Report:

@@ -20,10 +20,11 @@ K-valued arrays of `linalg`), built once per structure on first use:
 P_F = J / 2 + sqrt(p) J eta(sqrt p) / 2p (P_F = J when F = Q);
 Xi_t^F(u, v) = (eta_t u, v)_F = u^T eta(t)^T P_F v; H_t(u, v) = u^T G_t v
 with G_t = (-t^2) P_F + t eta(t)^T P_F, so H_t(eta_s u, v) =
-u^T eta(s)^T G_t v and H_t(u, eta_s v) = u^T G_t eta(s) v.  Each W_T is the
-graph {(M_T y, y)} of b = sqrt(-q) Theta_T, which a rational matrix
-[[P, Q], [R, S]] preserves exactly when P M_T + Q = M_T (R M_T + S)
-(`linalg.preserves_graph`).
+u^T eta(s)^T G_t v and H_t(u, eta_s v) = u^T G_t eta(s) v.  Each W_T is held
+only as the K-valued M_T of b = sqrt(-q) Theta_T, W_T being its graph
+{(M_T y, y)} (`build_W`; rows come from `linalg.graph_rows`), which a
+rational matrix [[P, Q], [R, S]] preserves exactly when P M_T + Q =
+M_T (R M_T + S) (`linalg.preserves_graph`).
 
 Group-level invariance statements are verified at the Lie-algebra level
 throughout: g_B is cut out by the spin action (with its normal-ordering
@@ -63,7 +64,6 @@ from .fieldtower import (
     parse_rational,
 )
 from .linalg import int_dtype, k_equal, k_form, k_mul, k_stack
-from .purespinor import IsotropicSubspace
 
 
 class WeilDatum:
@@ -174,20 +174,20 @@ def build_spinor(expo: Multivector):
     return parts[0], parts[2]
 
 
-def build_W(space: HyperbolicSpace, b: Multivector) -> IsotropicSubspace:
-    """The graph {y_j - iota_(y_j) b} of a 2-form b on the x-block: the
-    annihilator of exp(b), maximal isotropic for every b, since
-    (y_j - iota_(y_j) b) exp(b) = iota_(y_j) exp(b) - iota_(y_j) b ^ exp(b) = 0
-    and the pairing of rows j, k is -b_jk - b_kj = 0."""
-    t = space.tower
-    n2 = 2 * space.n
-    rows = [[t.one() if i == n2 + j else t.zero() for i in range(2 * n2)] for j in range(n2)]
+def build_W(space: HyperbolicSpace, b: Multivector):
+    """The K-valued M, M[i][j] = c and M[j][i] = -c at each term c x_i ^ x_j
+    (i < j) of a 2-form b on the x-block, whose graph W = {(M y, y)} is the
+    annihilator of exp(b): its row (M e_j, e_j) is y_j - iota_(y_j) b, and
+    (y_j - iota_(y_j) b) exp(b) = iota_(y_j) exp(b) - iota_(y_j) b ^ exp(b) = 0.
+    The graph of any M is 2n-dimensional, its y-part being free, and it is
+    isotropic, so maximal, exactly when M is alternating: (M y, y) pairs with
+    (M z, z) to y^T (M + M^T) z."""
+    t, n2 = space.tower, 2 * space.n
+    m = [[t.zero()] * n2 for _ in range(n2)]
     for mask, c in b.terms.items():
         lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-        # iota_(y_lo) (x_lo ^ x_hi) = x_hi and iota_(y_hi) (x_lo ^ x_hi) = -x_lo
-        rows[lo][hi] = -c
-        rows[hi][lo] = c
-    return IsotropicSubspace(space, rows)
+        m[lo][hi], m[hi][lo] = c, -c
+    return k_form(m)
 
 
 class CmAction:
@@ -283,8 +283,8 @@ def theta_cm_twist(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType) ->
 
 
 def build_WT(datum: WeilDatum, space: HyperbolicSpace, cm_type: CMType):
-    """(pure spinor of W_T, W_T) over the full tower field: exp(b) and its
-    graph, for b = sqrt(-q) Theta_T."""
+    """(pure spinor of W_T, graph matrix M_T of W_T) over the full tower
+    field: exp(b) and `build_W(b)`, for b = sqrt(-q) Theta_T."""
     b = theta_cm_twist(datum, space, cm_type).scale(datum.tower.sqrt_minus_q())
     return exp_even(b), build_W(space, b)
 
@@ -295,9 +295,10 @@ def build_B(space: HyperbolicSpace, spinors):
     return span_basis([part for ell in spinors for part in rational_parts(ell)])
 
 
-def eigenspaces(w: IsotropicSubspace, eta: CmAction):
+def eigenspaces(space: HyperbolicSpace, graph, eta: CmAction):
     """The V_sigma, in the order of `k_embeddings`: V_sigma is the subspace of
     V (x) Ktilde where eta acts through sigma, as a reduced echelon basis.
+    `graph` is the K-valued M of W = {(M y, y)}, the all-plus type space.
 
     eta(sqrt(-q)) is sqrt(-q) on W and -sqrt(-q) on iota(W) (`CmAction`), so
     V_sigma lies in W when sigma(sqrt(-q)) = sqrt(-q), else in iota(W); as
@@ -309,24 +310,23 @@ def eigenspaces(w: IsotropicSubspace, eta: CmAction):
     of W, that map is the product with (E[1] + s sqrt(p) D I)^T / D for
     sigma(sqrt p) = s sqrt p (`CmAction.ints`), one product for both s.
     """
-    t = w.space.tower
-    halves = {1: w.basis}
+    t = space.tower
+    halves = {1: linalg.rref(linalg.graph_rows(t, graph), t)[0]}
     if t.p != 1:
         E, D = eta.ints
         shifts = np.stack([np.stack([E[1].T, s * D * np.eye(len(E[1]), dtype=E.dtype)]) for s in (1, -1)], axis=1)
-        nums, den = k_mul(t, k_form(w.basis), (shifts, D))
+        nums, den = k_mul(t, k_form(halves[1]), (shifts, D))
         halves = {s: linalg.rref(linalg.k_rows(t, (nums[:, i], den)), t)[0] for i, s in enumerate((1, -1))}
     return [halves[sigma.sign_p] if sigma.sign_q == 1 else [[c.iota() for c in row] for row in halves[sigma.sign_p]]
             for sigma in k_embeddings(t)]
 
 
-def build_HW(datum: WeilDatum, w: IsotropicSubspace, eta: CmAction):
+def build_HW(space: HyperbolicSpace, graph, eta: CmAction):
     """Rational form of the sum of the top powers of the eta-character spaces,
-    as a canonical basis of multivectors on V."""
-    space = w.space
+    as a canonical basis of multivectors on V; `graph` as in `eigenspaces`."""
     lines = []
-    for basis in eigenspaces(w, eta):
-        if len(basis) != datum.d:
+    for basis in eigenspaces(space, graph, eta):
+        if len(basis) != eta.datum.d:
             raise ValueError("eta character space has wrong dimension")
         mv = space.vspace.one()
         for row in basis:
@@ -459,18 +459,16 @@ class WeilStructure:
         t = datum.tower
         self.space = HyperbolicSpace(datum.n, t)
         self.cm_types = enumerate_cm_types(t)
-        self.ell = {}
-        self.WT = {}
-        for T in self.cm_types:
-            self.ell[T], self.WT[T] = build_WT(datum, self.space, T)
+        built = [build_WT(datum, self.space, T) for T in self.cm_types]
+        self.ell = {T: ell for T, (ell, _) in zip(self.cm_types, built)}
+        #: the K-valued M_T with W_T = {(M_T y, y)} (`build_W`), stacked in the order of `cm_types`
+        self.type_graphs = k_stack([graph for _, graph in built])
         # the all-plus CM type, listed first, has Theta_T = Theta (every sign +1)
-        plus = self.cm_types[0]
-        self.theta = theta_cm_twist(datum, self.space, plus)
-        self.exp_spinor, self.W = self.ell[plus], self.WT[plus]
+        self.exp_spinor = self.ell[self.cm_types[0]]
         self.alpha, self.beta = build_spinor(self.exp_spinor)
         self.eta = build_eta(datum)
         self.B = build_B(self.space, [self.ell[T] for T in self.cm_types])
-        self.HW = build_HW(datum, self.W, self.eta)
+        self.HW = build_HW(self.space, self.type_graph(), self.eta)
         #: (t, the Gram matrix of Xi_t) for t in the basis of K_-, and the Xi_t as elements
         self.xi_grams = [(t_el, xi_form_matrix(self.eta, t_el)) for t_el in self.eta.k_minus_basis()]
         self.a2_elements = [form_to_element(self.space, gram) for _, gram in self.xi_grams]
@@ -480,6 +478,11 @@ class WeilStructure:
     @property
     def d(self) -> int:
         return self.datum.d
+
+    def type_graph(self, k: int = 0):
+        """M_T of the k-th CM type of `cm_types` (the all-plus type by default)."""
+        nums, den = self.type_graphs
+        return nums[:, k], den
 
     @cached_property
     def generated(self):
@@ -534,24 +537,6 @@ class WeilStructure:
         partner = (np.arange(dim) + dim // 2) % dim
         J = np.eye(dim, dtype=int_dtype(p * D))[partner]
         return (J[None], 1) if p == 1 else (np.stack([J * (p * D), E[1][partner]]), 2 * p * D)
-
-    @cached_property
-    def type_graphs(self):
-        """The K-valued M_T with W_T = {(M_T y, y)}, stacked in the order of
-        `cm_types`.  b_T = sqrt(-q) Theta_T is the degree-2 part of its spinor
-        exp(b_T), and `build_W`'s row j is (-M_T[j], e_j) for M_T[i][j] = c,
-        M_T[j][i] = -c at each term c x_i ^ x_j (i < j), so the graph holds
-        sum_j y_j (-M_T[j]) = -M_T^T y = M_T y.  Read by `cm.type-spaces`,
-        `lie.preserves-type-spaces`, `spinor.conjugate-transverse` and
-        `lemma.filtration-pairs`, sound as W_T is exactly this graph: in every
-        run `spinor.annihilator-graph` ties W_T to ell_T, `cm.type-spaces` M_T to eta."""
-        terms = [(k, m, c) for k, T in enumerate(self.cm_types) for m, c in self.ell[T].degree_part(2).terms.items()]
-        k, m, c = zip(*terms)
-        cs, den = k_form([c])
-        i, j = [(mask & -mask).bit_length() - 1 for mask in m], [mask.bit_length() - 1 for mask in m]
-        nums = np.zeros((4, len(self.cm_types), 2 * self.datum.n, 2 * self.datum.n), dtype=cs.dtype)
-        nums[:, list(k), i, j], nums[:, list(k), j, i] = cs[:, 0], -cs[:, 0]
-        return nums, den
 
     @cached_property
     def _hermitian_grams(self):

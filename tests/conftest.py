@@ -5,6 +5,7 @@ import pytest
 from weilspin import linalg
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
+from weilspin.purespinor import IsotropicSubspace
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import WeilStructure
 
@@ -112,6 +113,31 @@ def zassenhaus_intersect(a_rows, b_rows, tower):
                 out.append(tail)
     red_out, _ = linalg.rref(out, tower)
     return red_out
+
+
+def type_graph(ws, T=None):
+    """The K-valued M_T of W_T = {(M_T y, y)}, by CM type (the all-plus type by default)."""
+    return ws.type_graph(0 if T is None else ws.cm_types.index(T))
+
+
+def type_space(ws, T=None):
+    """W_T (the all-plus W by default) as an `IsotropicSubspace`, on the rows
+    of its graph: the one place a test reads a type space."""
+    return IsotropicSubspace(ws.space, linalg.graph_rows(ws.datum.tower, type_graph(ws, T)))
+
+
+def type_space_reference(space, b):
+    """Reference for `weilcm.build_W`: the annihilator of exp(b), for a 2-form b
+    on the x-block, as the `IsotropicSubspace` with rows y_j - iota_(y_j) b."""
+    t = space.tower
+    n2 = 2 * space.n
+    rows = [[t.one() if i == n2 + j else t.zero() for i in range(2 * n2)] for j in range(n2)]
+    for mask, c in b.terms.items():
+        lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        # iota_(y_lo) (x_lo ^ x_hi) = x_hi and iota_(y_hi) (x_lo ^ x_hi) = -x_lo
+        rows[lo][hi] = -c
+        rows[hi][lo] = c
+    return IsotropicSubspace(space, rows)
 
 
 def iota_rows(rows):

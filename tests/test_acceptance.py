@@ -35,7 +35,7 @@ from weilspin.secantpipe import (
 )
 from weilspin.weilcm import WeilStructure
 
-from conftest import eta_of, iota_rows, mat_vec, zassenhaus_intersect
+from conftest import eta_of, iota_rows, mat_vec, type_space, zassenhaus_intersect
 
 
 def _report(num, name, ok):
@@ -91,8 +91,9 @@ def test_criterion_2_pure_spinors(structures):
         tow = ws.datum.tower
         flag, ann = is_pure(ws.exp_spinor, ws.space)
         ok &= flag
-        ok &= linalg.spans_equal(ann.basis, ws.W.basis, tow)
-        ok &= zassenhaus_intersect(ws.W.basis, iota_rows(ws.W.basis), tow) == []
+        w = type_space(ws)
+        ok &= linalg.spans_equal(ann.basis, w.basis, tow)
+        ok &= zassenhaus_intersect(w.basis, iota_rows(w.basis), tow) == []
     elapsed = time.time() - start
     ok &= elapsed < 5.0
     _report(2, f"pure-spinor suite, all presets ({elapsed:.2f}s)", ok)
@@ -249,7 +250,7 @@ def test_criterion_7_filtration_lemma(structures, orlovs):
                 img = orl.phiH(boxed)
                 ok &= filtration_level(img) >= d * k
                 bottom = img.degree_part(d * k)
-                inter = zassenhaus_intersect(ws.WT[t1].basis, ws.WT[t2].basis, tow)
+                inter = zassenhaus_intersect(type_space(ws, t1).basis, type_space(ws, t2).basis, tow)
                 line = orl.hyper.vspace.one()
                 for row in inter:
                     line = wedge(line, orl.hyper.vector_to_mv(row))

@@ -23,6 +23,7 @@ from conftest import (
     phiH_inverse_reference,
     pushforward_first,
     rand_mv,
+    type_space,
     zassenhaus_intersect,
 )
 
@@ -209,7 +210,7 @@ def test_filtration_pairs_sixfold(ws6, orl6):
             img = orl6.phiH(boxed)
             assert filtration_level(img) >= d * k
             bottom = img.degree_part(d * k)
-            inter = zassenhaus_intersect(ws6.WT[t1].basis, ws6.WT[t2].basis, tow)
+            inter = zassenhaus_intersect(type_space(ws6, t1).basis, type_space(ws6, t2).basis, tow)
             line = orl6.hyper.vspace.one()
             for row in inter:
                 line = wedge(line, orl6.hyper.vector_to_mv(row))

@@ -15,7 +15,7 @@ from weilspin.purespinor import (
     pure_spinor_of,
 )
 
-from conftest import in_span, pure_spinor_solve, zassenhaus_intersect
+from conftest import in_span, pure_spinor_solve, type_space, zassenhaus_intersect
 
 
 @pytest.fixture()
@@ -149,7 +149,7 @@ def test_wt_conjugate_intersection_trivial(ws6):
     # dim(W_T cap W_Tbar) = 0 on the e=2 preset
     types = ws6.cm_types
     tow = ws6.datum.tower
-    assert zassenhaus_intersect(ws6.WT[types[0]].basis, ws6.WT[types[1]].basis, tow) == []
+    assert zassenhaus_intersect(type_space(ws6, types[0]).basis, type_space(ws6, types[1]).basis, tow) == []
 
 
 def test_reflection_equivariance(hs1, tiny_tower):

@@ -18,6 +18,7 @@ from weilspin import secantpipe, weilcm
 from weilspin.secantpipe import (
     CHECKS,
     PRESETS,
+    SHEAF_PAIRS,
     Report,
     decompose_kappa,
     dual_sheaf_character,
@@ -27,9 +28,17 @@ from weilspin.secantpipe import (
     run_all,
     transform_pair,
 )
-from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols
+from weilspin.weilcm import WeilDatum, WeilStructure, gb_int_cols, theta_cm_twist
 
-from conftest import eta_of, int_derivation_cols, kappa_reference, large_integer_datum, mat_eq, mat_mul
+from conftest import (
+    eta_of,
+    int_derivation_cols,
+    kappa_reference,
+    large_integer_datum,
+    mat_eq,
+    mat_mul,
+    random_f_q_datum,
+)
 
 
 def test_preset_names():
@@ -43,7 +52,7 @@ def test_preset_chern_character(ws6):
     ch = preset_ch_ideal_curves(ws6)
     tow = ws6.datum.tower
     # q = 2: ch = 1 + Theta - Theta^2 - Theta^3/3
-    th = ws6.theta
+    th = theta_cm_twist(ws6.datum, ws6.space, ws6.cm_types[0])
     th2 = wedge(th, th)
     th3 = wedge(th2, th)
     expected = ws6.space.sspace.one() + th - th2 - th3.scale(Fraction(1, 3))
@@ -294,7 +303,7 @@ def test_cli_reports_internal_error_in_one_line(monkeypatch, capsys):
 
 def test_cli_reports_memory_error_in_build_as_resource(monkeypatch, capsys, tmp_path):
     # an oversized datum exits 2 with one line and no traceback or report
-    def oversized(datum, w, eta):
+    def oversized(space, graph, eta):
         raise MemoryError("Unable to allocate 3.34 GiB for an array")
 
     monkeypatch.setattr(weilcm, "build_HW", oversized)
@@ -308,7 +317,7 @@ def test_cli_reports_memory_error_in_build_as_resource(monkeypatch, capsys, tmp_
 def test_cli_reports_value_error_in_build_as_internal(monkeypatch, capsys):
     # a ValueError from the structure build is a fault of the program, not of
     # the input; only input resolution exits 2
-    def boom(datum, w, eta):
+    def boom(space, graph, eta):
         raise ValueError("eta character space has wrong dimension")
 
     monkeypatch.setattr(weilcm, "build_HW", boom)
@@ -345,7 +354,11 @@ def test_annihilator_graph_check_sees_every_cm_type(ws4, monkeypatch):
     monkeypatch.setitem(ws4.ell, last, ws4.ell[last].scale(2))
     assert not runner._annihilator_graph()[0]
     monkeypatch.undo()
-    monkeypatch.setitem(ws4.WT, last, ws4.WT[first])
+    # the first type's graph in place of the last one's, in a copy
+    nums, den = ws4.type_graphs
+    nums = nums.copy()
+    nums[:, -1] = nums[:, 0]
+    monkeypatch.setattr(ws4, "type_graphs", (nums, den))
     assert not runner._annihilator_graph()[0]
 
 
@@ -734,8 +747,11 @@ def test_conjugate_transverse_sees_a_singular_graph_difference(preset):
 def test_type_spaces_check_sees_a_perturbed_conjugate_graph(monkeypatch):
     ws = WeilStructure(PRESETS["sixfold-q2"]())
     assert _fresh_runner(ws)._type_spaces()[0]
+    # one sqrt(-q) entry of the conjugate M_T and its transpose partner, so M_T stays alternating
     nums, _ = ws.type_graphs
-    nums[2, ws.cm_types.index(ws.cm_types[0].conjugate()), 0, 1] += 1
+    k = ws.cm_types.index(ws.cm_types[0].conjugate())
+    nums[2, k, 0, 1] += 1
+    nums[2, k, 1, 0] -= 1
     assert not _fresh_runner(ws)._type_spaces()[0]
     # the conjugate-pair comparison alone also sees it
     monkeypatch.setattr(secantpipe, "preserves_graph", lambda *args: True)
@@ -752,3 +768,103 @@ def test_invariant_checks_fail_when_the_generators_are_not_killed(monkeypatch):
         assert check.witness == {"error": "ValueError: generated class is not g_B-invariant"}
     kills = run_all("fourfold-rm2", seed=0, check_filter="lie.kills-generators").checks
     assert [(c.name, c.status) for c in kills] == [("lie.kills-generators", False)]
+
+
+@pytest.mark.parametrize("preset", ["fourfold-rm2", "sixfold-q2"])
+def test_type_space_checks_see_a_symmetric_graph_entry(preset):
+    # M_T[n][0] set equal to M_T[0][n], nonzero, in a copy: the graph is then not isotropic
+    ws = WeilStructure(PRESETS[preset]())
+    runner = _fresh_runner(ws)
+    assert runner._type_spaces()[0] and runner._annihilator_graph()[0]
+    n, (nums, den) = ws.datum.n, ws.type_graphs
+    assert nums[:, 0, 0, n].any()
+    nums = nums.copy()
+    nums[:, 0, n, 0] = nums[:, 0, 0, n]
+    ws.type_graphs = nums, den
+    runner = _fresh_runner(ws)
+    for name, anchor, method in (("cm.type-spaces", "", runner._type_spaces),
+                                 ("spinor.annihilator-graph", "", runner._annihilator_graph)):
+        runner.record(name, anchor, method)
+    assert [(c.name, c.status) for c in runner.checks] == [("cm.type-spaces", False),
+                                                             ("spinor.annihilator-graph", False)]
+    assert runner.checks[1].witness == {"error": "ValueError: basis does not span an isotropic subspace"}
+
+
+@pytest.mark.parametrize("preset, meets", [("fourfold-rm2", 6), ("sixfold-q2", 1)])
+def test_filtration_pairs_meet_each_unordered_pair_once(preset, meets, monkeypatch):
+    # a meet of two distinct types per unordered pair; (t, t) is the graph itself
+    ws = WeilStructure(PRESETS[preset]())
+    runner = _fresh_runner(ws)
+    runner.orl = OrlovTransform(ws.datum.n, ws.datum.tower)
+    expected = runner._filtration_pairs()
+    calls, meet = [], linalg.graph_meet
+    monkeypatch.setattr(linalg, "graph_meet", lambda *args: calls.append(args) or meet(*args))
+    runner = _fresh_runner(ws)
+    runner.orl = OrlovTransform(ws.datum.n, ws.datum.tower)
+    assert runner._filtration_pairs() == expected and expected[0]
+    assert len(calls) == meets and len(expected[1]) == len(ws.cm_types) ** 2
+
+
+def _principal(n, q):
+    return WeilDatum(TowerSpec(1, q), n, _identity(2 * n), _standard_theta(n), name=f"principal-q{q}")
+
+
+@pytest.mark.parametrize("n, rank", [(2, "2"), (4, "8")])
+def test_q1_principal_data_take_the_next_sheaf_pair(n, rank):
+    # Theta = J, q = 1: s_pairing(tau(alpha + beta), alpha + beta) = 0, so the
+    # chain takes (alpha + beta, alpha) and every check passes
+    report = run_all(_principal(n, 1), seed=0)
+    assert report.all_pass(), [(c.name, c.witness) for c in report.checks if not c.status]
+    chain = {c.name: c.witness for c in report.checks if c.name.startswith("pipeline.")}
+    assert len(chain) == 7 and all(w["pair"] == [[1, 1], [1, 0]] for w in chain.values())
+    assert chain["pipeline.rank"] == {"rank": rank, "expected_abs": rank, "pair": [[1, 1], [1, 0]]}
+    assert chain["pipeline.secant-chern"]["coords"] == ["1", "1"]
+
+
+def test_default_sheaf_pair_is_not_named(ws6):
+    # the presets keep the pair (alpha + beta, alpha + beta), and their witnesses do not name it
+    report = run_all("sixfold-q2", seed=0, check_filter="pipeline.")
+    assert report.all_pass() and not any("pair" in c.witness for c in report.checks)
+    assert SHEAF_PAIRS[0] == ((1, 1), (1, 1))
+    assert preset_ch_ideal_curves(ws6) == ws6.alpha + ws6.beta
+
+
+def test_sheaf_chain_without_a_pair_of_nonzero_rank(monkeypatch):
+    # with the default pair alone the q = 1 fourfold has no pair: every chain check
+    # that reads it fails with the reason, and nothing else is affected
+    monkeypatch.setattr(secantpipe, "SHEAF_PAIRS", SHEAF_PAIRS[:1])
+    report = run_all(_principal(2, 1), seed=0)
+    failed = {c.name: c.witness for c in report.checks if not c.status}
+    reason = {"error": "ValueError: no sheaf pair in SHEAF_PAIRS has a transform of nonzero rank"}
+    assert failed == {name: reason for name, *_ in CHECKS if name.startswith("pipeline.")}
+
+
+def test_dual_check_negates_the_beta_coordinate():
+    # tau(c_a alpha + c_b beta) = c_a alpha - c_b beta, on every pair of the list
+    ws = WeilStructure(_principal(2, 1))
+    for coords in [*SHEAF_PAIRS, ((1, 1), (1, 2))]:
+        runner = _fresh_runner(ws)
+        runner._pair = coords, [ws.alpha.scale(a) + ws.beta.scale(b) for a, b in coords]
+        assert runner._dual()[0] and runner._secant_chern()[0]
+    # characters that are not the ones their coordinates name
+    runner = _fresh_runner(ws)
+    runner._pair = ((1, 1), (1, 2)), [ws.alpha + ws.beta, ws.alpha - ws.beta.scale(2)]
+    assert not runner._dual()[0] and not runner._secant_chern()[0]
+
+
+def test_q1_fourfold_report_sha256(tmp_path):
+    # the committed q = 1 fourfold, pinned to the report of the first implementation that passes it
+    out = tmp_path / "rep.json"
+    datum = Path(__file__).parent / "data" / "fourfold-q1.json"
+    assert main(["verify", "--input", str(datum), "--seed", "0", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d2afffea65d1365c5aea9fc28c23c1fce80db38047de9012cf71896564cf1aaa")
+
+
+def test_random_n2_data_pass_every_check():
+    # seeded valid F = Q fourfolds (seeds 2 and 43 have q = 1), each run twice
+    for seed in [*range(1, 41), 43]:
+        datum = random_f_q_datum(random.Random(seed), 2)
+        report = run_all(datum, seed=seed)
+        assert report.all_pass(), (seed, [(c.name, c.witness) for c in report.checks if not c.status])
+        assert run_all(datum, seed=seed).dumps() == report.dumps()

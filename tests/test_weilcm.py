@@ -14,7 +14,7 @@ from weilspin.clifford import DerivationOperators, HyperbolicSpace, derivation_i
 from weilspin.exteralg import IntMultivector, Multivector, span_basis, wedge
 from weilspin.fieldtower import TowerSpec, enumerate_cm_types, k_embeddings, trace_to_Q
 from weilspin.linalg import bilinear, k_mul, k_stack
-from weilspin.purespinor import annihilator
+from weilspin.purespinor import IsotropicSubspace, annihilator
 from weilspin.secantpipe import PRESETS
 from weilspin.weilcm import (
     CmAction,
@@ -48,6 +48,9 @@ from conftest import (
     pair_f,
     rand_vec,
     random_f_q_datum,
+    type_graph,
+    type_space,
+    type_space_reference,
     xi_f,
     xi_form_reference,
     zassenhaus_intersect,
@@ -132,7 +135,7 @@ def test_datum_validation_on_large_integers(monkeypatch):
 
 def test_spinor_halves_power_series_coefficients(ws6):
     # q = 2: alpha = 1 - Theta^2, beta = Theta - Theta^3 / 3
-    th = ws6.theta
+    th = theta_cm_twist(ws6.datum, ws6.space, ws6.cm_types[0])
     th2 = wedge(th, th)
     th3 = wedge(th2, th)
     assert ws6.alpha == ws6.space.sspace.one() - th2
@@ -143,10 +146,10 @@ def test_spinor_halves_power_series_coefficients(ws6):
 def test_w_is_annihilator_and_transverse(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
-        ann = annihilator(ws.exp_spinor, ws.space)
-        assert linalg.spans_equal(ann.basis, ws.W.basis, tow)
-        assert zassenhaus_intersect(ws.W.basis, iota_rows(ws.W.basis), tow) == []
-        assert ws.W.is_maximal()
+        ann, w = annihilator(ws.exp_spinor, ws.space), type_space(ws)
+        assert linalg.spans_equal(ann.basis, w.basis, tow)
+        assert zassenhaus_intersect(w.basis, iota_rows(w.basis), tow) == []
+        assert w.is_maximal()
 
 
 def test_w_graph_formula_tiny(tiny_tower):
@@ -158,7 +161,7 @@ def test_w_graph_formula_tiny(tiny_tower):
         [tiny_tower.zero(), -i, tiny_tower.one(), tiny_tower.zero()],
         [i, tiny_tower.zero(), tiny_tower.zero(), tiny_tower.one()],
     ]
-    assert linalg.spans_equal(ws.W.basis, expected, tiny_tower)
+    assert linalg.spans_equal(type_space(ws).basis, expected, tiny_tower)
 
 
 def test_eta_ring_and_adjoint(ws6, ws4, rng):
@@ -196,7 +199,7 @@ def test_eta_contraction_formula(ws6):
     for j in range(n2):
         amb = [tow.zero()] * n2 + [tow.scalar(1 if k == j else 0) for k in range(n2)]
         img = mat_vec(rq, amb, tow)
-        cont = contract([int(i == j) for i in range(n2)], ws6.theta)
+        cont = contract([int(i == j) for i in range(n2)], theta_cm_twist(ws6.datum, ws6.space, ws6.cm_types[0]))
         expected = [tow.zero()] * (2 * n2)
         for m, c in cont.terms.items():
             expected[m.bit_length() - 1] = c * tow.q
@@ -248,8 +251,15 @@ def test_wt_graph_is_annihilator(source):
     datum = _datum(source)
     space = HyperbolicSpace(datum.n, datum.tower)
     for cm_type in enumerate_cm_types(datum.tower):
-        ell, w_t = build_WT(datum, space, cm_type)
+        ell, graph = build_WT(datum, space, cm_type)
+        w_t = IsotropicSubspace(space, linalg.graph_rows(datum.tower, graph))
         assert w_t.is_maximal() and w_t == annihilator(ell, space)
+
+
+def _type_space_of(ws, T):
+    """`type_space_reference` of b_T = sqrt(-q) Theta_T, the degree-2 part of ell_T."""
+    b = theta_cm_twist(ws.datum, ws.space, T).scale(ws.datum.tower.sqrt_minus_q())
+    return type_space_reference(ws.space, b)
 
 
 @pytest.mark.parametrize("source", ["fourfold-rm2", "sixfold-q2", "eightfold-rm2"])
@@ -258,11 +268,42 @@ def test_type_graphs_are_the_type_spaces(source):
     ws = WeilStructure(_datum(source))
     tow, n2 = ws.datum.tower, 2 * ws.datum.n
     nums, den = ws.type_graphs
+    ref = {T: _type_space_of(ws, T).basis for T in ws.cm_types}
     for k, T in enumerate(ws.cm_types):
         m = [[tow.elem(*(Fraction(int(c), den) for c in nums[:, k, i, j])) for j in range(n2)] for i in range(n2)]
         rows = [[m[i][j] for i in range(n2)] + [tow.scalar(int(i == j)) for i in range(n2)] for j in range(n2)]
-        assert linalg.spans_equal(rows, ws.WT[T].basis, tow)
-        assert not linalg.spans_equal(rows, ws.WT[T.conjugate()].basis, tow)
+        assert linalg.spans_equal(rows, ref[T], tow)
+        assert not linalg.spans_equal(rows, ref[T.conjugate()], tow)
+
+
+@pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
+                                    "eightfold-lie-seed1", "fourfold-q1", "random-0", "random-1", "random-2"])
+def test_graph_rows_match_type_space_reference(source):
+    # the rows (M_T e_j, e_j) of each stacked graph against the rows y_j - iota_(y_j) b_T
+    # of the annihilator of ell_T, for every CM type; and with explicit y, (M_T y, y)
+    rng = random.Random(sum(map(ord, source)))
+    ws = WeilStructure(random_f_q_datum(rng, rng.randint(1, 3)) if source.startswith("random") else _datum(source))
+    tow, n2 = ws.datum.tower, 2 * ws.datum.n
+    assert ws.type_graphs[0].shape == (4, len(ws.cm_types), n2, n2)
+    for T in ws.cm_types:
+        rows, ref = linalg.graph_rows(tow, type_graph(ws, T)), _type_space_of(ws, T)
+        assert len(rows) == n2 and linalg.spans_equal(rows, ref.basis, tow)
+        assert ws.ell[T].degree_part(2) == theta_cm_twist(ws.datum, ws.space, T).scale(tow.sqrt_minus_q())
+        ys = [[tow.scalar(rng.randint(-2, 2)) for _ in range(n2)] for _ in range(2)]
+        combos = [[sum((y[j] * row[i] for j, row in enumerate(rows)), tow.zero()) for i in range(2 * n2)] for y in ys]
+        assert linalg.graph_rows(tow, type_graph(ws, T), ys) == combos
+    assert linalg.graph_rows(tow, type_graph(ws), []) == []
+
+
+def test_structure_builds_no_isotropic_subspace(monkeypatch):
+    # every type space is held as its graph matrix alone
+    def boom(*args):
+        raise AssertionError("IsotropicSubspace built")
+
+    monkeypatch.setattr(IsotropicSubspace, "__init__", boom)
+    for source in ("fourfold-rm2", "sixfold-q2"):
+        ws = WeilStructure(_datum(source))
+        assert not any(hasattr(ws, name) for name in ("W", "WT", "theta"))
 
 
 @pytest.mark.parametrize("source", [*PRESETS, "eightfold-q2", "eightfold-rm2", "tenfold-q2",
@@ -274,9 +315,9 @@ def test_graph_meet_matches_zassenhaus(source):
     ws = WeilStructure(random_f_q_datum(rng, rng.randint(1, 3)) if source.startswith("random") else _datum(source))
     tow, (nums, den) = ws.datum.tower, ws.type_graphs
     graphs = {T: (nums[:, k], den) for k, T in enumerate(ws.cm_types)}
-    pairs = [(graphs[a], graphs[b], ws.WT[a].basis, ws.WT[b].basis) for a in ws.cm_types for b in ws.cm_types]
-    pairs += [(graphs[T], secantpipe._k_iota(graphs[T]), ws.WT[T].basis, iota_rows(ws.WT[T].basis))
-              for T in ws.cm_types]
+    rows = {T: type_space(ws, T).basis for T in ws.cm_types}
+    pairs = [(graphs[a], graphs[b], rows[a], rows[b]) for a in ws.cm_types for b in ws.cm_types]
+    pairs += [(graphs[T], secantpipe._k_iota(graphs[T]), rows[T], iota_rows(rows[T])) for T in ws.cm_types]
     for a, b, rows_a, rows_b in pairs:
         meet, expected = linalg.graph_meet(tow, a, b), zassenhaus_intersect(rows_a, rows_b, tow)
         assert len(meet) == len(expected) and linalg.rref(meet, tow)[0] == expected
@@ -285,28 +326,28 @@ def test_graph_meet_matches_zassenhaus(source):
 def test_wt_family(ws6, ws4):
     for ws in (ws6, ws4):
         tow = ws.datum.tower
-        assert len(ws.WT) == 2 ** (tow.e // 2)
-        for T, w in ws.WT.items():
-            assert w.is_maximal()
+        assert ws.type_graphs[0].shape[1] == len(ws.cm_types) == 2 ** (tow.e // 2)
+        for T in ws.cm_types:
+            assert type_space(ws, T).is_maximal()
         # W and its spinor are the all-plus member of the family
         plus = ws.cm_types[0]
         assert plus.choices == (1,) * len(plus.choices)
-        assert ws.W is ws.WT[plus] and ws.exp_spinor is ws.ell[plus]
+        assert type_space(ws) == type_space(ws, plus) and ws.exp_spinor is ws.ell[plus]
     # e = 2: W_T = W and W_Tbar = iota(W)
-    tow = ws6.datum.tower
+    tow, w = ws6.datum.tower, type_space(ws6)
     plus = [T for T in ws6.cm_types if T.choices == (1,)][0]
-    assert linalg.spans_equal(ws6.WT[plus].basis, ws6.W.basis, tow)
-    assert linalg.spans_equal(ws6.WT[plus.conjugate()].basis, iota_rows(ws6.W.basis), tow)
+    assert linalg.spans_equal(type_space(ws6, plus).basis, w.basis, tow)
+    assert linalg.spans_equal(type_space(ws6, plus.conjugate()).basis, iota_rows(w.basis), tow)
     # eta acts on W by multiplication by sqrt(-q)
     rq = eta_of(ws6.eta, tow.sqrt_minus_q())
     i = tow.sqrt_minus_q()
-    for row in ws6.W.basis:
+    for row in w.basis:
         assert mat_vec(rq, row, tow) == [i * x for x in row]
 
 
 def test_eta_eigenspaces(ws4):
     tow = ws4.datum.tower
-    for sigma, basis in zip(k_embeddings(tow), eigenspaces(ws4.W, ws4.eta)):
+    for sigma, basis in zip(k_embeddings(tow), eigenspaces(ws4.space, type_graph(ws4), ws4.eta)):
         assert len(basis) == ws4.d
         rq = eta_of(ws4.eta, tow.sqrt_minus_q())
         for row in basis:
@@ -319,10 +360,11 @@ def _assert_cm_stage_matches_references(datum):
     # eta(sqrt(-q)), each V_sigma and (alpha, beta) from their closed forms
     # against M D M^-1, the joint kernels and the spinor's conjugation halves
     tow = datum.tower
-    expo, w = build_WT(datum, HyperbolicSpace(datum.n, tow), enumerate_cm_types(tow)[0])
-    eta = CmAction(datum)
+    space = HyperbolicSpace(datum.n, tow)
+    expo, graph = build_WT(datum, space, enumerate_cm_types(tow)[0])
+    eta, w = CmAction(datum), IsotropicSubspace(space, linalg.graph_rows(tow, graph))
     assert eta_of(eta, tow.sqrt_minus_q()) == eta_rq_reference(datum, w)
-    for sigma, basis in zip(k_embeddings(tow), eigenspaces(w, eta)):
+    for sigma, basis in zip(k_embeddings(tow), eigenspaces(space, graph, eta)):
         assert len(basis) == datum.d
         assert linalg.spans_equal(basis, eigenspace_reference(eta, sigma), tow)
     alpha, beta = build_spinor(expo)
@@ -524,7 +566,8 @@ def test_gb(ws6, ws4):
                 assert mat_eq(
                     mat_mul(so.ad, m, tow), mat_mul(m, so.ad, tow)
                 )
-            for T, w in ws.WT.items():
+            for T in ws.cm_types:
+                w = type_space(ws, T)
                 red, piv = linalg.rref(w.basis, tow)
                 for row in w.basis:
                     assert in_span(red, piv, so.ad_vector(row), tow)
