@@ -7,14 +7,14 @@ y-block, i.e. exterior-algebra data on V with a rewriting product.  The
 generators satisfy v.w + w.v = (v, w) * 1.
 
 The spinor module S is the exterior algebra on the x-block: x's act by
-wedging, y's by contraction.  `HyperbolicSpace.gamma` is the one definition
-of the action on basis spinors, and so of contraction: the interior product
-with sum theta_i x_i^* is the action of sum theta_i y_i.  desymbol
-(operator -> normal-ordered element) is Wick extraction by annihilation
-degree instead of a dense matrix inversion.  The product is left
-multiplication through the same `gamma`, since S = C(V)/C(V)Y: it acts on
-the x-part of a normal-ordered monomial, and a y also wedges onto the
-y-part.
+wedging, y's by contraction.  `HyperbolicSpace.act` is the one definition
+of the action, in closed form: a normal-ordered monomial x_A y_B sends a
+basis spinor to one signed basis spinor or to 0 (Chevalley 1954), so the
+interior product with sum theta_i x_i^* is the action of sum theta_i y_i.
+The product `clifford_mul` is Wick's theorem, one signed sum over the
+subsets of y's that contract, and desymbol (operator -> normal-ordered
+element) is Wick extraction by annihilation degree instead of a dense
+matrix inversion.
 
 so(V) also acts on the exterior algebra of V by derivations (the
 Fourier-Mukai side).  `DerivationOperators` is the one applier of
@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exteralg import GeneratorSpace, Multivector
+from .exteralg import GeneratorSpace, Multivector, below_parity
 from .fieldtower import FieldElem, TowerSpec
 from .linalg import int_dtype
 
@@ -61,15 +61,25 @@ class HyperbolicSpace:
         """Index of the unique generator pairing nontrivially with i."""
         return i + 2 * self.n if self.is_x(i) else i - 2 * self.n
 
-    def gamma(self, k: int, mask: int):
-        """The generator k on the basis spinor of `mask`: (sign, mask') with
-        gamma_k x_mask = sign x_mask', or None when it is 0.  x_i wedges and
-        y_i contracts x_i, each passing the bits of the mask below i."""
-        i = k % (2 * self.n)
-        bit = 1 << i
-        if self.is_x(k) == bool(mask & bit):
+    def act(self, mono: int, mask: int):
+        """The normal-ordered monomial x_A y_B of `mono` = A | B << 2n on the
+        basis spinor x_M of `mask`: (sign, mask') with x_A y_B x_M = sign
+        x_mask', or None when it is 0; on 1 << k, x_k wedges and y_k contracts.
+
+        The generators act in descending order, so y_B contracts and then x_A
+        wedges: the image is nonzero exactly when B lies in M and A misses
+        R = M - B, and mask' = R | A.  Each y_b passes the bits of M below b
+        (only bits above b are gone), and each x_a the bits of R below a (the
+        x's wedged before it lie above a), so the sign is -1 when
+        popcount(B & below_parity(M)) + popcount(A & below_parity(R)) is odd.
+        """
+        n2 = 2 * self.n
+        a, b = mono & ((1 << n2) - 1), mono >> n2
+        rest = mask ^ b
+        if b & ~mask or a & rest:
             return None
-        return -1 if (mask & (bit - 1)).bit_count() & 1 else 1, mask ^ bit
+        odd = (b & below_parity(mask, n2)).bit_count() + (a & below_parity(rest, n2)).bit_count()
+        return -1 if odd & 1 else 1, rest | a
 
     def gram(self, i: int, j: int) -> int:
         return 1 if self.partner(i) == j else 0
@@ -97,58 +107,53 @@ class HyperbolicSpace:
 
 
 def clifford_action(elem: Multivector, lam: Multivector, space: HyperbolicSpace) -> Multivector:
-    """Apply a normal-ordered element of C(V) to a spinor in S.
-
-    A monomial x_A y_B is the product of its generators in ascending index
-    order, so it acts through `HyperbolicSpace.gamma` in descending order:
-    the y-contractions first, then the x-wedges.
-    """
+    """Apply a normal-ordered element of C(V) to a spinor in S, by
+    `HyperbolicSpace.act` on each pair of a monomial and a basis spinor."""
     out = {}
     for mono, coeff in elem.terms.items():
-        gens = [k for k in reversed(range(mono.bit_length())) if mono >> k & 1]
         for mask, c in lam.terms.items():
-            sign = 1
-            for k in gens:
-                hit = space.gamma(k, mask)
-                if hit is None:
-                    break
-                sign, mask = sign * hit[0], hit[1]
-            else:
+            hit = space.act(mono, mask)
+            if hit is not None:
+                sign, m = hit
                 term = coeff * c if sign > 0 else -(coeff * c)
-                out[mask] = out[mask] + term if mask in out else term
+                out[m] = out[m] + term if m in out else term
     return Multivector(lam.space, out)
 
 
 def clifford_mul(a: Multivector, b: Multivector, space: HyperbolicSpace) -> Multivector:
-    """Normal-ordered product in C(V): b left-multiplied by the generators of
-    each monomial of a in descending order, as in `clifford_action`.
+    """Normal-ordered product in C(V) by Wick's theorem: x_A y_B . x_C y_D is
+    the sum over S in B & C of (-1)^P x_(A | X) y_(R | D), with X = C - S and
+    R = B - S, over the S with A & X = R & D = 0.
 
-    On x_A y_B, v_k acts on x_A through `HyperbolicSpace.gamma` (which reads
-    and changes only x-bits), and y_k also wedges onto y_B, passing the bits
-    of x_A y_B below it: y_k x_A = gamma_k x_A + (-1)^|A| x_A y_k.  Once a y
-    appears no generator on the left removes it (S = C(V)/C(V)Y).
+    S is the set of y_b that contract their x_b.  Let sign(U.Z), for
+    disjoint U and Z, be the sign of sorting U followed by Z into U | Z: -1
+    when U & below_parity(Z) has odd popcount.  In the term of S, y_B =
+    sign(S.R) y_S y_R; y_R passes x_C uncontracted, (-1)^(|R| |C|); y_S
+    contracts into x_C as on the spinor x_C, with the sign of
+    `HyperbolicSpace.act`, popcount(S & below_parity(C)); and x_A x_X =
+    sign(A.X) x_(A | X), y_R y_D = sign(R.D) y_(R | D).  P is the sum.
     """
     if a.space != space.vspace or b.space != space.vspace:
         raise ValueError("operands must live on the Clifford generator space")
     n2 = 2 * space.n
-    out = {}
-    for mono, coeff in a.terms.items():
-        cur = {m: coeff * c for m, c in b.terms.items()}
-        for k in reversed(range(mono.bit_length())):
-            if not mono >> k & 1:
-                continue
-            nxt, bit = {}, 1 << k
-            for m, c in cur.items():
-                hit = space.gamma(k, m)
-                if hit is not None:
-                    m2, t = hit[1], c if hit[0] > 0 else -c
-                    nxt[m2] = nxt[m2] + t if m2 in nxt else t
-                if k >= n2 and not m & bit:
-                    m2, t = m | bit, -c if (m & (bit - 1)).bit_count() & 1 else c
-                    nxt[m2] = nxt[m2] + t if m2 in nxt else t
-            cur = nxt
-        for m, c in cur.items():
-            out[m] = out[m] + c if m in out else c
+    low, out = (1 << n2) - 1, {}
+    for ma, ca in a.terms.items():
+        A, B = ma & low, ma >> n2
+        for mb, cb in b.terms.items():
+            C, D = mb & low, mb >> n2
+            c, below_c, below_d = ca * cb, below_parity(C, n2), below_parity(D, n2)
+            both = S = B & C
+            while True:  # S runs over the subsets of B & C
+                X, R = C ^ S, B ^ S
+                if not (A & X or R & D):
+                    odd = ((S & below_parity(R, n2)).bit_count() + R.bit_count() * C.bit_count()
+                           + (S & below_c).bit_count() + (A & below_parity(X, n2)).bit_count()
+                           + (R & below_d).bit_count())
+                    m, t = A | X | (R | D) << n2, -c if odd & 1 else c
+                    out[m] = out[m] + t if m in out else t
+                if not S:
+                    break
+                S = (S - 1) & both
     return Multivector(space.vspace, out)
 
 
@@ -356,13 +361,8 @@ def desymbol(op, space: HyperbolicSpace) -> Multivector:
         resid = target - clifford_action(acc, lam, space)
         if resid.is_zero():
             continue
-        # sign of y_B applied to x_B
-        s = clifford_action(Multivector(space.vspace, {bmask << n2: one}), lam, space).terms.get(0)
-        if s is None:
-            raise RuntimeError("contraction sign vanished unexpectedly")
-        sinv = s.inv()
-        add = {}
-        for amask, c in resid.terms.items():
-            add[amask | (bmask << n2)] = c * sinv
-        acc = acc + Multivector(space.vspace, add)
+        # y_B sends x_B to the sign (-1)^C(|B|, 2), its own inverse
+        s = space.act(bmask << n2, bmask)[0]
+        acc = acc + Multivector(space.vspace, {amask | bmask << n2: c if s > 0 else -c
+                                               for amask, c in resid.terms.items()})
     return acc

@@ -50,16 +50,6 @@ from .purespinor import IsotropicSubspace, annihilator, is_pure, pure_spinor_of
 from .weilcm import WeilDatum, WeilStructure, generated_subalgebra_degree
 
 
-def preset_ch_ideal_curves(ws: WeilStructure) -> Multivector:
-    """Chern character of the twisted ideal sheaf of translated curves.
-
-    For the principal sixfold presets this is alpha + beta, which lies in
-    the secant space with coordinates (1, 1) and has rank one (its degree-0
-    coefficient); the character of the dual sheaf is its `tau`.
-    """
-    return ws.alpha + ws.beta
-
-
 def transform_pair(orl: OrlovTransform, c1: Multivector, c2: Multivector, variant: str) -> Multivector:
     """Transform of a boxed pair of Chern characters; degree-0 part of the
     result is the rank."""
@@ -257,7 +247,7 @@ def _always(datum) -> bool:
 
 
 #: the sheaf pairs (ch_1, ch_2) tried in order, each ch by its coordinates against (alpha, beta);
-#: the first pairs the ideal-sheaf character alpha + beta (`preset_ch_ideal_curves`) with itself
+#: the first pairs the ideal-sheaf character alpha + beta, coordinates (1, 1), with itself
 SHEAF_PAIRS = (((1, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1)))
 
 
@@ -437,11 +427,11 @@ class _Runner:
                 gi, gj = hs.vspace.gen(i), hs.vspace.gen(j)
                 lhs = clifford_mul(gi, gj, hs) + clifford_mul(gj, gi, hs)
                 ok &= lhs == hs.vspace.one().scale(hs.gram(i, j))
-        # operator anticommutation on every basis spinor: `gamma` sends one to a signed basis
-        # spinor or 0, so composed (sign, mask) tables give both terms of {gamma_i, gamma_j},
+        # operator anticommutation on every basis spinor: a generator sends one to a signed basis
+        # spinor or 0 (`act` on 1 << k), so composed (sign, mask) tables give both terms of {v_i, v_j},
         # i <= j; with -g_ij at the mask itself the terms must sum to 0 at each destination
         masks = np.arange(1 << (2 * hs.n))
-        hits = [[hs.gamma(k, mask) or (0, mask) for mask in masks.tolist()] for k in range(dim)]
+        hits = [[hs.act(1 << k, mask) or (0, mask) for mask in masks.tolist()] for k in range(dim)]
         sign, dest = np.moveaxis(np.array(hits, dtype=np.int64), 2, 0)
         i, j = np.triu_indices(dim)
         g = np.array([hs.gram(a, b) for a, b in zip(i.tolist(), j.tolist())])[:, None]

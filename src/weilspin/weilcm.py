@@ -123,6 +123,8 @@ class WeilDatum:
             raise ValueError("theta is not F-bilinear for the eta_hat action")
         # first half of the F-basis of H1(Xhat) must be Theta-isotropic
         d = self.d
+        if d % 2:
+            raise ValueError(f"d = dim_F H^1(X) must be even, as Theta is a nondegenerate alternating F-form (d = {d})")
         if len(self.dual_f_basis) != d:
             raise ValueError("dual_f_basis must have d vectors")
         if any(len(row) != dim for row in self.dual_f_basis):
@@ -425,7 +427,8 @@ def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expec
     int64 images are exact while dim^2 (p-1)^2 < 2^63 (dim <= 2896 for
     p < 2^20).  Falls back to exact elimination, on Python ints and every
     generator (a diagonal one maps S to 0), if no prime in the list
-    certifies.  One binding of the table to S serves both.
+    certifies.  The modular loop binds the table of the other generators
+    to S, and only the fallback binds the whole table.
     """
     if k == 0:
         return 1, "exact"
@@ -435,9 +438,9 @@ def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expec
         bits = ((start[:, None] >> np.arange(space.dim_v)) & 1).astype(weights.dtype)
         start = start[((bits @ weights.T) == 0).all(axis=1)]
         del bits  # 8 dim bytes per mask of degree k, freed before the kernels
-    ops = table.bind(start)
+    ops = others.bind(start)
     for p in linalg.MOD_PRIMES:
-        each = (partial(ops.image, gens=range(j, j + 1), p=p) for j in others)
+        each = (partial(ops.image, gens=range(j, j + 1), p=p) for j in range(others.count))
         dim_p = linalg.modp_joint_kernel_dim(np.eye(len(start), dtype=np.int64), each, p, expected_dim)
         if dim_p == expected_dim:
             return dim_p, f"modular certificate (p={p})"
@@ -445,7 +448,7 @@ def invariant_dimension_certificate(space: HyperbolicSpace, split, k: int, expec
             # impossible if the exact lower bound is correct; fail loudly
             return dim_p, f"modular dimension below exhibited bound (p={p})"
     # exact fallback, the last resort: only here are Python rows built
-    exact = ops.image(np.eye(len(start), dtype=object), range(table.count))
+    exact = table.bind(start).image(np.eye(len(start), dtype=object), range(table.count))
     stacked = [[space.tower.scalar(x) for x in row] for row in exact.tolist() if any(row)]
     kernel = linalg.nullspace(stacked, len(start), space.tower)
     return len(kernel), "exact elimination"
@@ -500,11 +503,13 @@ class WeilStructure:
     def gb_split(self):
         """The certificate's view of `gb_table`: the table, the diagonals of
         its diagonal generators, a row each (int64 while dim max|D| < 2^63,
-        else Python ints), and the indices of the other generators."""
+        else Python ints), and the `DerivationOperators` table of the other
+        generators, in the order of `gb_cols`."""
         diagonal = [all(i == g for g, col in enumerate(cols) for i, _ in col) for cols in self.gb_cols]
         weights = [[col[0][1] if col else 0 for col in cols] for cols, d in zip(self.gb_cols, diagonal) if d]
         bound = max((len(w) * abs(c) for w in weights for c in w), default=0)
-        return self.gb_table, np.array(weights, dtype=int_dtype(bound)), [j for j, d in enumerate(diagonal) if not d]
+        others = DerivationOperators([cols for cols, d in zip(self.gb_cols, diagonal) if not d])
+        return self.gb_table, np.array(weights, dtype=int_dtype(bound)), others
 
     def gb_kills(self, *mvs) -> bool:
         """Whether every g_B derivation kills every rational multivector in

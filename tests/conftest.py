@@ -190,7 +190,7 @@ def leibniz_derivation(space, cols, terms):
 
 def contract(theta, a):
     """Reference for the action of the y-vector sum theta_i y_i on spinors
-    (`HyperbolicSpace.gamma`): the interior product with the dual vector of
+    (`HyperbolicSpace.act` of each y_i): the interior product with the dual vector of
     coefficients theta on the generators, a graded derivation of degree -1.
     On a basis monomial g_S it gives the sum over i in S of
     (-1)^(position of i in S) theta_i g_(S without i)."""
@@ -207,6 +207,71 @@ def contract(theta, a):
             key = m ^ (1 << i)
             out[key] = out.get(key, zero) + (-term if pos & 1 else term)
     return Multivector(space, out)
+
+
+def gamma_reference(space, k, mask):
+    """Reference for `HyperbolicSpace.act` on the generator 1 << k: (sign,
+    mask') with gamma_k x_mask = sign x_mask', or None when it is 0.  x_i
+    wedges and y_i contracts x_i, each passing the bits of the mask below i."""
+    i = k % (2 * space.n)
+    bit = 1 << i
+    if space.is_x(k) == bool(mask & bit):
+        return None
+    return -1 if (mask & (bit - 1)).bit_count() & 1 else 1, mask ^ bit
+
+
+def walk_act(space, mono, mask):
+    """Reference for `HyperbolicSpace.act`: the generators of the monomial,
+    by `gamma_reference` in descending index order."""
+    sign = 1
+    for k in reversed(range(mono.bit_length())):
+        if mono >> k & 1:
+            hit = gamma_reference(space, k, mask)
+            if hit is None:
+                return None
+            sign, mask = sign * hit[0], hit[1]
+    return sign, mask
+
+
+def walk_action(elem, lam, space):
+    """Reference for `clifford.clifford_action`, by `walk_act`."""
+    from weilspin.exteralg import Multivector
+
+    out = {}
+    for mono, coeff in elem.terms.items():
+        for mask, c in lam.terms.items():
+            hit = walk_act(space, mono, mask)
+            if hit is not None:
+                out[hit[1]] = out.get(hit[1], space.tower.zero()) + (coeff * c if hit[0] > 0 else -(coeff * c))
+    return Multivector(lam.space, out)
+
+
+def walk_mul(a, b, space):
+    """Reference for `clifford.clifford_mul`: b left-multiplied by the
+    generators of each monomial of a in descending order.  On x_A y_B, v_k
+    acts on x_A by `gamma_reference` (which reads and changes only x-bits),
+    and y_k also wedges onto y_B, passing the bits of x_A y_B below it:
+    y_k x_A = gamma_k x_A + (-1)^|A| x_A y_k.  Once a y appears no generator
+    on the left removes it (S = C(V)/C(V)Y)."""
+    from weilspin.exteralg import Multivector
+
+    n2, out = 2 * space.n, {}
+    for mono, coeff in a.terms.items():
+        cur = {m: coeff * c for m, c in b.terms.items()}
+        for k in reversed(range(mono.bit_length())):
+            if not mono >> k & 1:
+                continue
+            nxt, bit = {}, 1 << k
+            for m, c in cur.items():
+                hit = gamma_reference(space, k, m)
+                if hit is not None:
+                    nxt[hit[1]] = nxt.get(hit[1], space.tower.zero()) + (c if hit[0] > 0 else -c)
+                if k >= n2 and not m & bit:
+                    nxt[m | bit] = nxt.get(m | bit, space.tower.zero()) + (-c if (m & (bit - 1)).bit_count() & 1 else c)
+            cur = nxt
+        for m, c in cur.items():
+            out[m] = out.get(m, space.tower.zero()) + c
+    return Multivector(space.vspace, out)
 
 
 def mv_to_vector(space, mv):
@@ -249,6 +314,17 @@ def pure_spinor_solve(w, space):
     assert len(kernel) == 1, f"spinor solution space has dimension {len(kernel)}, not 1"
     lam = Multivector(space.sspace, dict(enumerate(kernel[0])))
     return lam.scale(lam.terms[min(lam.terms)].inv())
+
+
+def preset_ch_ideal_curves(ws):
+    """Chern character of the twisted ideal sheaf of translated curves.
+
+    For the principal sixfold presets this is alpha + beta, which lies in
+    the secant space with coordinates (1, 1) and has rank one (its degree-0
+    coefficient); the character of the dual sheaf is its `tau`.  The sheaf
+    chain reads it as the pair (1, 1) of `secantpipe.SHEAF_PAIRS`.
+    """
+    return ws.alpha + ws.beta
 
 
 def embed_first(pa, mv):

@@ -29,13 +29,12 @@ from weilspin.secantpipe import (
     decompose_kappa,
     dual_sheaf_character,
     kappa,
-    preset_ch_ideal_curves,
     run_all,
     transform_pair,
 )
 from weilspin.weilcm import WeilStructure
 
-from conftest import eta_of, iota_rows, mat_vec, type_space, zassenhaus_intersect
+from conftest import eta_of, iota_rows, mat_vec, preset_ch_ideal_curves, type_space, zassenhaus_intersect
 
 
 def _report(num, name, ok):

@@ -29,6 +29,9 @@ from conftest import (
     rand_mv,
     rand_vec,
     reflection_reference,
+    walk_act,
+    walk_action,
+    walk_mul,
 )
 
 
@@ -69,7 +72,7 @@ def test_gamma_is_wedge_or_contraction(n, tower):
         for mask in range(1 << n2):
             lam = Multivector(hs.sspace, {mask: tower.one()})
             ref = wedge(hs.sspace.gen(k), lam) if hs.is_x(k) else contract(_unit(k - n2, n2), lam)
-            hit = hs.gamma(k, mask)
+            hit = hs.act(1 << k, mask)
             got = hs.sspace.zero() if hit is None else Multivector(hs.sspace, {hit[1]: tower.scalar(hit[0])})
             assert got == ref, (k, mask)
 
@@ -143,6 +146,42 @@ def test_mul_associative(n, tower, rng):
         assert clifford_mul(clifford_mul(a, b, hs), c, hs) == clifford_mul(
             a, clifford_mul(b, c, hs), hs
         )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("tower", GAMMA_TOWERS, ids=["p1q2", "p2q1"])
+def test_act_matches_generator_walk(n, tower):
+    # every normal-ordered monomial on every basis spinor
+    hs = HyperbolicSpace(n, tower)
+    for mono in range(1 << hs.dim_v):
+        for mask in range(1 << (2 * n)):
+            assert hs.act(mono, mask) == walk_act(hs, mono, mask), (mono, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mul_matches_generator_walk_on_monomial_pairs(n):
+    hs = HyperbolicSpace(n, TowerSpec(1, 1))
+    monos = [Multivector(hs.vspace, {m: hs.tower.one()}) for m in range(1 << hs.dim_v)]
+    for a in monos:
+        for b in monos:
+            assert clifford_mul(a, b, hs) == walk_mul(a, b, hs), (a, b)
+
+
+def test_closed_forms_match_walks_on_k_valued_elements(rng):
+    # n = 3 over K = Q(sqrt 2, sqrt -1), every tower coordinate drawn
+    tower = TowerSpec(2, 1)
+    hs = HyperbolicSpace(3, tower)
+
+    def draw(space, nterms):
+        return Multivector(space, {rng.randrange(1 << space.m): rand_elem(rng, tower, 3) for _ in range(nterms)})
+
+    for _ in range(6):
+        a, b, lam = draw(hs.vspace, 8), draw(hs.vspace, 8), draw(hs.sspace, 8)
+        assert clifford_action(a, lam, hs) == walk_action(a, lam, hs)
+        assert clifford_mul(a, b, hs) == walk_mul(a, b, hs)
+    for _ in range(2):
+        c = draw(hs.vspace, 6)
+        assert desymbol(_symbol(c, hs), hs) == c
 
 
 def test_reflection_examples(hs1):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from weilspin.clifford import DerivationOperators, HyperbolicSpace, SoPair
 from weilspin.exteralg import GeneratorSpace, Multivector, exp_even, in_span, s_pairing, tau, wedge
 from weilspin.fieldtower import TowerSpec
 from weilspin.fmtransform import OrlovTransform
-from weilspin import secantpipe, weilcm
+from weilspin import clifford, secantpipe, weilcm
 from weilspin.secantpipe import (
     CHECKS,
     PRESETS,
@@ -24,7 +25,6 @@ from weilspin.secantpipe import (
     dual_sheaf_character,
     kappa,
     nonvanish_from_tensor,
-    preset_ch_ideal_curves,
     run_all,
     transform_pair,
 )
@@ -37,6 +37,7 @@ from conftest import (
     large_integer_datum,
     mat_eq,
     mat_mul,
+    preset_ch_ideal_curves,
     random_f_q_datum,
 )
 
@@ -243,6 +244,18 @@ def _theta_degenerate(data):
     data["theta"][2][5] = data["theta"][5][2] = [[0, 1], [0, 1]]
 
 
+def _rm_sixfold(data):
+    # n = 3 over F = Q(sqrt 2): fourfold-rm2's eta_hat and Theta on the first
+    # four coordinates, a third eta_hat block and Theta 0 on the last two;
+    # Theta is alternating and F-bilinear, and d = 3 is odd
+    zero, zero_f = [0, 1], [[0, 1], [0, 1]]
+    data["n"] = 3
+    data["eta_hat"] = [row + [zero] * 2 for row in data["eta_hat"]] + [
+        [zero] * 4 + [zero, [2, 1]], [zero] * 4 + [[1, 1], zero]]
+    data["theta"] = [row + [zero_f] * 2 for row in data["theta"]] + [[zero_f] * 6] * 2
+    data["dual_f_basis"] = [[[int(j == i), 1] for j in range(6)] for i in (0, 2, 4)]
+
+
 def _dual_rows_of_length(length):
     def edit(data):
         data["dual_f_basis"] = [(row + [[0, 1]])[:length] for row in data["dual_f_basis"]]
@@ -254,7 +267,9 @@ def _dual_rows_of_length(length):
     ("sixfold-q2", _theta_degenerate, "Theta is degenerate"),
     ("fourfold-rm2", _dual_rows_of_length(3), "dual_f_basis rows must have 2n entries"),
     ("fourfold-rm2", _dual_rows_of_length(5), "dual_f_basis rows must have 2n entries"),
-], ids=["theta-outside-F", "theta-degenerate", "dual-rows-3", "dual-rows-5"])
+    ("fourfold-rm2", _rm_sixfold,
+     "d = dim_F H^1(X) must be even, as Theta is a nondegenerate alternating F-form (d = 3)\n"),
+], ids=["theta-outside-F", "theta-degenerate", "dual-rows-3", "dual-rows-5", "odd-d"])
 def test_cli_rejects_invalid_datum(preset, edit, reason, tmp_path, capsys):
     data = PRESETS[preset]().to_json()
     edit(data)
@@ -335,13 +350,27 @@ def test_clifford_relation_check_sees_unsigned_generators(ws4, monkeypatch):
     runner = secantpipe._Runner(ws4.datum, 0)
     runner.ws = ws4
     assert runner._clifford_relation()[0]
-    signed = HyperbolicSpace.gamma
+    signed = HyperbolicSpace.act
 
-    def unsigned(self, k, mask):
-        hit = signed(self, k, mask)
+    def unsigned(self, mono, mask):
+        hit = signed(self, mono, mask)
         return hit and (1, hit[1])
 
-    monkeypatch.setattr(HyperbolicSpace, "gamma", unsigned)
+    monkeypatch.setattr(HyperbolicSpace, "act", unsigned)
+    assert not runner._clifford_relation()[0]
+
+
+def test_clifford_relation_check_sees_dropped_wick_sign(ws4, monkeypatch):
+    # the product with the (-1)^(|R| |C|) of y_R passing x_C dropped from
+    # its Wick parity: y_i and x_j (i != j) then commute, which the check must see
+    runner = secantpipe._Runner(ws4.datum, 0)
+    runner.ws = ws4
+    source = inspect.getsource(clifford.clifford_mul)
+    term = " + R.bit_count() * C.bit_count()"
+    assert source.count(term) == 1
+    scope = dict(vars(clifford))
+    exec(source.replace(term, ""), scope)
+    monkeypatch.setattr(secantpipe, "clifford_mul", scope["clifford_mul"])
     assert not runner._clifford_relation()[0]
 
 
@@ -599,15 +628,15 @@ def test_clifford_relation_check_sees_each_flipped_sign(ws4, monkeypatch):
     runner = secantpipe._Runner(ws4.datum, 0)
     runner.ws = ws4
     hs = ws4.space
-    signed = HyperbolicSpace.gamma
-    entries = [(k, mask) for k in range(hs.dim_v) for mask in range(1 << (2 * hs.n)) if hs.gamma(k, mask)]
+    signed = HyperbolicSpace.act
+    entries = [(1 << k, mask) for k in range(hs.dim_v) for mask in range(1 << (2 * hs.n)) if hs.act(1 << k, mask)]
     assert len(entries) == hs.dim_v << (2 * hs.n - 1)
     for flip in entries:
-        def flipped(self, k, mask, flip=flip):
-            hit = signed(self, k, mask)
-            return hit and ((-hit[0] if (k, mask) == flip else hit[0]), hit[1])
+        def flipped(self, mono, mask, flip=flip):
+            hit = signed(self, mono, mask)
+            return hit and ((-hit[0] if (mono, mask) == flip else hit[0]), hit[1])
 
-        monkeypatch.setattr(HyperbolicSpace, "gamma", flipped)
+        monkeypatch.setattr(HyperbolicSpace, "act", flipped)
         assert not runner._clifford_relation()[0], flip
 
 
@@ -618,8 +647,8 @@ def _anticommutation_holds(hs):
             for mask in range(1 << (2 * hs.n)):
                 out = {}
                 for a, b in ((i, j), (j, i)):
-                    first = hs.gamma(b, mask)
-                    second = first and hs.gamma(a, first[1])
+                    first = hs.act(1 << b, mask)
+                    second = first and hs.act(1 << a, first[1])
                     if second:
                         out[second[1]] = out.get(second[1], 0) + first[0] * second[0]
                 if {m: c for m, c in out.items() if c} != ({mask: 1} if hs.gram(i, j) else {}):
@@ -628,22 +657,22 @@ def _anticommutation_holds(hs):
 
 
 def test_clifford_relation_tables_match_mask_loop(ws4, monkeypatch):
-    # gamma with a few entries replaced by a random (sign, mask) or by 0: the
-    # table check and the mask-by-mask loop must give the same verdict
+    # the generators' act with a few entries replaced by a random (sign, mask)
+    # or by 0: the table check and the mask-by-mask loop must give the same verdict
     runner = secantpipe._Runner(ws4.datum, 0)
     runner.ws = ws4
     hs = ws4.space
-    signed = HyperbolicSpace.gamma
+    signed = HyperbolicSpace.act
     rng = random.Random(7)
     verdicts = set()
     for _ in range(40):
-        bad = {(rng.randrange(hs.dim_v), rng.randrange(16)):
+        bad = {(1 << rng.randrange(hs.dim_v), rng.randrange(16)):
                rng.choice([None, (rng.choice([-1, 1]), rng.randrange(16))]) for _ in range(rng.randint(1, 3))}
 
-        def corrupted(self, k, mask, bad=bad):
-            return bad[k, mask] if (k, mask) in bad else signed(self, k, mask)
+        def corrupted(self, mono, mask, bad=bad):
+            return bad[mono, mask] if (mono, mask) in bad else signed(self, mono, mask)
 
-        monkeypatch.setattr(HyperbolicSpace, "gamma", corrupted)
+        monkeypatch.setattr(HyperbolicSpace, "act", corrupted)
         expected = _anticommutation_holds(hs)
         assert runner._clifford_relation()[0] == expected, bad
         verdicts.add(expected)

@@ -794,7 +794,7 @@ def test_weight_zero_start_is_exact_for_huge_weights(ws6):
     w = [1, 1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0]
     cols = [[[(g, c << 62)] if c else [] for g, c in enumerate(w)]]
     split = WeilStructure.gb_split.func(SimpleNamespace(gb_cols=cols, gb_table=DerivationOperators(cols)))
-    assert split[1].dtype == object and split[2] == []
+    assert split[1].dtype == object and split[2].count == 0
     for k in range(1, 7):
         expected = sum(1 for m in range(1 << 12)
                        if m.bit_count() == k and sum(c for g, c in enumerate(w) if m >> g & 1) == 0)
@@ -803,17 +803,19 @@ def test_weight_zero_start_is_exact_for_huge_weights(ws6):
 
 
 def test_split_reads_the_one_gb_table(ws6, ws4):
-    # the certificate's split holds gb_table itself, the diagonal weights and the other indices
+    # the certificate's split holds gb_table itself, the diagonal weights and
+    # the table of the other generators, in order
     for ws in (ws6, ws4):
         table, weights, others = ws.gb_split
         assert table is ws.gb_table
-        diagonal = [j for j in range(table.count) if j not in others]
-        assert len(weights) == len(diagonal) and others == sorted(others)
+        diagonal = [j for j, cols in enumerate(ws.gb_cols) if all(i == g for g, col in enumerate(cols) for i, _ in col)]
+        rest = [j for j in range(table.count) if j not in diagonal]
+        assert len(weights) == len(diagonal) and others.count == len(rest) > 0
         for row, j in zip(weights, diagonal):
-            assert all(i == g for g, col in enumerate(ws.gb_cols[j]) for i, _ in col)
             assert row.tolist() == [col[0][1] if col else 0 for col in ws.gb_cols[j]]
-        for j in others:
-            assert any(i != g for g, col in enumerate(ws.gb_cols[j]) for i, _ in col)
+        ref = DerivationOperators([ws.gb_cols[j] for j in rest])
+        assert others.coefs == ref.coefs and others.dim == table.dim
+        assert all((getattr(others, f) == getattr(ref, f)).all() for f in ("eg", "ei", "ej", "first"))
 
 
 def test_certificate_reports_a_kernel_below_the_bound(ws6):
@@ -822,7 +824,8 @@ def test_certificate_reports_a_kernel_below_the_bound(ws6):
     from weilspin.weilcm import invariant_dimension_certificate
 
     cols = [[(1, 3)]] + [[] for _ in range(11)]
-    split = DerivationOperators([cols]), np.zeros((0,), dtype=np.int64), [0]
+    table = DerivationOperators([cols])
+    split = table, np.zeros((0,), dtype=np.int64), table
     p = linalg.MOD_PRIMES[0]
     assert invariant_dimension_certificate(ws6.space, split, 2, 56) == (56, f"modular certificate (p={p})")
     assert invariant_dimension_certificate(ws6.space, split, 2, 60) == (
